@@ -177,8 +177,8 @@ def _write_csv(out, subcommand: str, config: RunConfig,
 def _cmd_iv_curve(config: RunConfig, out) -> int:
     p = config.resolved_params()
     curve = iv_curve(p, kind=config.kind, grid=config.grid())
-    rows = [(pt.Gamma, pt.j, pt.V, pt.P, pt.coh13, pt.coh24)
-            for pt in curve.points]
+    rows = zip(*(curve.column(name).tolist()
+                 for name in ("Gamma", "j", "V", "P", "coh13", "coh24")))
     _write_csv(out, "iv-curve", config,
                ["Gamma_over_gamma", "j_over_egamma", "V_mV",
                 "P_over_gamma_meV", "coh13", "coh24"], rows)

@@ -263,10 +263,6 @@ class GeneratorMatrix:
         self.matrix.setflags(write=False)
 
     @property
-    def active_populations(self) -> tuple:
-        return tuple(i for i in self.active if i in POPULATION_INDICES)
-
-    @property
     def max_rate(self) -> float:
         m = float(np.abs(self.matrix).max())
         return m
@@ -280,6 +276,22 @@ def _add_thermal_channel(M: np.ndarray, upper: int, lower: int,
     M[lower, upper] += rate * (n + 1.0)
     M[lower, lower] -= rate * n
     M[upper, lower] += rate * n
+
+
+def _add_phonon_assisted(M: np.ndarray, rate: float, gap: float, kTc: float,
+                         levels: tuple, coherence: tuple) -> None:
+    # Optional phonon-assisted tunneling across the interdot gap
+    # w_a - w_b of ``levels`` (a, b): an incoherent thermal channel with a
+    # floored phonon energy, and the dephasing it adds to ``coherence``.
+    if not rate > 0.0:
+        return
+    n_ph = bose_occupation(max(abs(gap), PHONON_ENERGY_FLOOR), kTc)
+    a, b = levels
+    upper, lower = (a, b) if gap >= 0 else (b, a)
+    _add_thermal_channel(M, upper, lower, rate, n_ph)
+    extra = 0.5 * rate * (2.0 * n_ph + 1.0)
+    for k in coherence:
+        M[k, k] -= extra
 
 
 def build_qdm_generator(params: ModelParams) -> GeneratorMatrix:
@@ -336,24 +348,10 @@ def build_qdm_generator(params: ModelParams) -> GeneratorMatrix:
     M[IDX_IM24, IDX_P44] += -th
     M[IDX_IM24, IDX_P22] += th
 
-    # Optional phonon-assisted tunneling: incoherent thermal channels
-    # across the interdot detunings, with a floored phonon energy.
-    if params.gamma_13 > 0.0:
-        gap = energies.w1 - energies.w3
-        n_ph = bose_occupation(max(abs(gap), PHONON_ENERGY_FLOOR), params.kTc)
-        upper, lower = (IDX_P11, IDX_P33) if gap >= 0 else (IDX_P33, IDX_P11)
-        _add_thermal_channel(M, upper, lower, params.gamma_13, n_ph)
-        extra = 0.5 * params.gamma_13 * (2.0 * n_ph + 1.0)
-        M[IDX_RE13, IDX_RE13] -= extra
-        M[IDX_IM13, IDX_IM13] -= extra
-    if params.gamma_24 > 0.0:
-        gap = energies.w2 - energies.w4
-        n_ph = bose_occupation(max(abs(gap), PHONON_ENERGY_FLOOR), params.kTc)
-        upper, lower = (IDX_P22, IDX_P44) if gap >= 0 else (IDX_P44, IDX_P22)
-        _add_thermal_channel(M, upper, lower, params.gamma_24, n_ph)
-        extra = 0.5 * params.gamma_24 * (2.0 * n_ph + 1.0)
-        M[IDX_RE24, IDX_RE24] -= extra
-        M[IDX_IM24, IDX_IM24] -= extra
+    _add_phonon_assisted(M, params.gamma_13, energies.w1 - energies.w3,
+                         params.kTc, (IDX_P11, IDX_P33), (IDX_RE13, IDX_IM13))
+    _add_phonon_assisted(M, params.gamma_24, energies.w2 - energies.w4,
+                         params.kTc, (IDX_P22, IDX_P44), (IDX_RE24, IDX_IM24))
 
     return GeneratorMatrix(M, "qdm", params, energies, occ, QDM_ACTIVE)
 

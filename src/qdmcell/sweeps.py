@@ -1,28 +1,31 @@
 """Load-rate sweeps and parameter scans.
 
-Everything here reduces to many stationary solves of the same generator
-with only the load rate changing, so the hot path batches the
-constrained linear solves over the whole load grid at once.
+Once the |6> row is traded for the normalization, the load rate enters
+the constrained system at the single entry (5,5).  ``LoadSweep`` thus
+gives the stationary state at any load in closed form (Sherman-Morrison)
+from one solve at a reference load, and every sweep evaluates it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BoundaryMaximumError, DomainError, NumericalSolveError,
                      UndefinedEfficiencyError, VoltageUndefinedError)
-from .model import (BAND_ALIGNMENTS, IDX_P55, IDX_P66, ModelParams, N_STATE,
+from .model import (BAND_ALIGNMENTS, IDX_IM13, IDX_IM24, IDX_P55, IDX_P66,
+                    IDX_RE13, IDX_RE24, ModelParams, N_STATE,
                     POPULATION_INDICES, apply_band_alignment, build_generator)
-from .observables import (PhotovoltaicPoint, absorption_fluxes, efficiency,
-                          photovoltaic_point, supplied_power)
+from .observables import (_POPULATION_GUARD, absorption_fluxes, efficiency,
+                          photovoltaic_point, supplied_power, voltage)
 from .steady import RESIDUAL_TOL, SteadyState, solve_steady
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Load rate of the one validated solve behind every sweep.
+_GAMMA_REF = 1.0
 
 
 @dataclass(frozen=True)
@@ -44,19 +47,145 @@ class GridSpec:
                            math.log10(self.gamma_max), self.n)
 
 
-@dataclass(frozen=True)
-class IVCurve:
-    """Current-voltage characteristic over a load grid."""
+class LoadSweep:
+    """Exact stationary states of one parameter set at every load rate.
 
-    points: tuple
+    With the |6> row traded for the normalization (as in ``solve_steady``)
+    the constrained matrix is B(Gamma) = B(Gr) - (Gamma - Gr) e5 e5^T for
+    the reference load Gr.  From x0 = B(Gr)^-1 b and y = B(Gr)^-1 e5,
+    Sherman-Morrison gives x(Gamma) = x0 + t y with
+    t = (Gamma - Gr) rho55 and rho55 = x0[5] / (1 - (Gamma - Gr) y5).
+    """
+
+    def __init__(self, params: ModelParams, kind: str):
+        self.params = params
+        # Trace conservation, degeneracy and the residual are checked once,
+        # at the reference load; adding load only ever adds couplings.  The
+        # load enters no pump entry, so this generator also serves
+        # ``absorption_fluxes`` at every load.
+        self.generator = build_generator(params.replace(Gamma=_GAMMA_REF),
+                                         kind)
+        solve_steady(self.generator)
+        self.active = active = list(self.generator.active)
+        self.A = self.generator.matrix[np.ix_(active, active)]
+        self.r5, self.r6 = active.index(IDX_P55), active.index(IDX_P66)
+        B = self.A.copy()
+        B[self.r6] = [float(i in POPULATION_INDICES) for i in active]
+        # Right-hand sides b (the normalization) and e5.
+        sol = np.linalg.solve(B, np.eye(len(active))[:, [self.r6, self.r5]])
+        self.x0, self.y = sol[:, 0], sol[:, 1]
+        self.y5 = float(self.y[self.r5])
+        if not self.y5 < 0.0:
+            raise NumericalSolveError(
+                f"load response y5 = {self.y5:.3e} is not negative")
+        # Largest generator entry apart from the two the load changes.
+        rest = np.abs(self.A)
+        rest[[self.r5, self.r6], self.r5] = 0.0
+        self._rest_scale = float(rest.max())
+
+    def contacts(self, gamma):
+        """(rho55, rho66) at load rate(s) ``gamma``.  The denominator grows
+        with Gamma (y5 < 0): it is positive above any load checked in
+        ``states``."""
+        d = gamma - _GAMMA_REF
+        p55 = self.x0[self.r5] / (1.0 - d * self.y5)
+        return p55, self.x0[self.r6] + d * p55 * self.y[self.r6]
+
+    def states(self, gammas) -> tuple[np.ndarray, np.ndarray]:
+        """Stationary states (one full-layout row per load) and the max-norm
+        residual of the full generator at each load."""
+        gammas = np.asarray(gammas, dtype=float)
+        d = gammas - _GAMMA_REF
+        if not (1.0 - d * self.y5 > 0.0).all():
+            raise NumericalSolveError(
+                "load rate below the range of the rank-one sweep: "
+                f"1 - (Gamma - {_GAMMA_REF:g}) y5 <= 0 at y5 = {self.y5:.3e}")
+        p55, _ = self.contacts(gammas)
+        X = self.x0 + (d * p55)[:, None] * self.y
+        X[:, self.r5] = p55
+        # M(Gamma) x = M(Gr) x plus the load's transfer of d*rho55 from |5>
+        # to |6>.
+        R = X @ self.A.T
+        R[:, self.r5] -= d * p55
+        R[:, self.r6] += d * p55
+        res = np.abs(R).max(axis=1)
+        scale = np.maximum(self._rest_scale, np.maximum(
+            np.abs(self.A[self.r5, self.r5] - d),
+            np.abs(self.A[self.r6, self.r5] + d)))
+        bad = np.flatnonzero(res > RESIDUAL_TOL * scale)
+        if bad.size:
+            k = int(bad[0])
+            raise NumericalSolveError(
+                f"steady solve residual {res[k]:.3e} at Gamma = {gammas[k]:g}")
+        full = np.zeros((len(gammas), N_STATE))
+        full[:, self.active] = X
+        return full, res
+
+    def state(self, gamma: float) -> SteadyState:
+        X, res = self.states([gamma])
+        return SteadyState(x=X[0], residual=float(res[0]),
+                           condition_estimate=float("nan"))
+
+    def voltage(self, p55, p66):
+        """Photovoltage (E5 - E6) + kTc ln(rho55/rho66); populations must
+        exceed the voltage guard."""
+        return (self.generator.energies.e5_minus_e6
+                + self.params.kTc * np.log(p55 / p66))
+
+    def power(self, gamma: float) -> float:
+        """Delivered power at one load rate; -inf where V is undefined."""
+        p55, p66 = self.contacts(gamma)
+        if not (p55 > _POPULATION_GUARD and p66 > _POPULATION_GUARD):
+            return -math.inf
+        return float(gamma * p55 * self.voltage(p55, p66))
+
+    def short_circuit(self) -> tuple[float, float]:
+        """(Gamma, j) where V = 0, i.e. rho55 = r rho66 with
+        r = exp(-(E5 - E6)/kTc).
+
+        Along the sweep rho66 = x0[6] + (rho55 - x0[5]) y6/y5, so the
+        crossing is solved for rho55 directly.  Solving for t instead would
+        cancel x0[5] against t*y5, as rho55 ~ r is tiny there.
+        """
+        r = math.exp(-self.generator.energies.e5_minus_e6 / self.params.kTc)
+        x55, x66 = self.x0[self.r5], self.x0[self.r6]
+        ratio = self.y[self.r6] / self.y5
+        p66_inf = x66 - x55 * ratio  # rho66 at infinite load
+        den = 1.0 - r * ratio
+        if not (r > 0.0 and p66_inf > 0.0 and den > 0.0):
+            raise NumericalSolveError(
+                f"no short-circuit load: r = {r:.3e}, rho66 at infinite "
+                f"load {p66_inf:.3e}, denominator {den:.3e}")
+        p55 = r * p66_inf / den
+        gamma = _GAMMA_REF + (p55 - x55) / (p55 * self.y5)
+        if not gamma > 0.0:
+            raise NumericalSolveError(
+                f"voltage vanishes only at negative load {gamma:.3e}")
+        return gamma, float(gamma * p55)
+
+
+@dataclass(frozen=True, eq=False)
+class IVCurve:
+    """Current-voltage characteristic over a load grid.
+
+    ``columns`` maps Gamma, j, V, P, coh13 and coh24 to read-only arrays
+    over the kept load points; ``sweep`` evaluates any other load.
+    """
+
+    columns: dict
     params: ModelParams
     kind: str
     alignment: str
     grid: GridSpec
+    sweep: LoadSweep
     n_dropped: int = 0
 
+    def __post_init__(self):
+        for values in self.columns.values():
+            values.setflags(write=False)
+
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(p, name) for p in self.points])
+        return self.columns[name]
 
 
 @dataclass(frozen=True)
@@ -87,7 +216,6 @@ class ShortCircuitCurrent:
 @dataclass(frozen=True)
 class OpenCircuitVoltage:
     value: float
-    extrapolated: bool
 
 
 @dataclass(frozen=True)
@@ -111,104 +239,39 @@ class ScenarioResult:
     gamma_v: float | None = None
     gamma_13: float = 0.0
     gamma_24: float = 0.0
-    jsc: float | None = None
-    Voc: float | None = None
     P_m: float | None = None
     eta: float | None = None
-    delta_j: float | None = None
     delta_Pm: float | None = None
     max_coh13: float | None = None
     max_coh24: float | None = None
 
 
-class _CurveSolver:
-    """Stationary solves of one parameter set across many load rates.
-
-    Builds the zero-load generator once; each load rate only perturbs two
-    matrix entries, so grids are solved as one stacked linear system.
-    """
-
-    def __init__(self, params: ModelParams, kind: str):
-        self.params = params
-        self.kind = kind
-        self.base = build_generator(params.replace(Gamma=0.0), kind)
-        self.active = list(self.base.active)
-        self.A0 = self.base.matrix[np.ix_(self.active, self.active)]
-        self.pop_pos = [k for k, i in enumerate(self.active)
-                        if i in POPULATION_INDICES]
-        self.r5 = self.active.index(IDX_P55)
-        self.r6 = self.active.index(IDX_P66)
-        self.load = np.zeros_like(self.A0)
-        self.load[self.r5, self.r5] = -1.0
-        self.load[self.r6, self.r5] = 1.0
-        self._validated = False
-
-    def _validate(self, gamma: float) -> None:
-        # Full checks (trace conservation, degeneracy) once per curve;
-        # adding load only ever adds couplings, so one load rate stands
-        # in for all of them.
-        solve_steady(build_generator(self.params.replace(Gamma=gamma),
-                                     self.kind))
-        self._validated = True
-
-    def states(self, gammas: np.ndarray) -> list:
-        gammas = np.asarray(gammas, dtype=float)
-        if not self._validated:
-            self._validate(float(gammas[len(gammas) // 2]))
-        A = self.A0[None, :, :] + gammas[:, None, None] * self.load[None, :, :]
-        B = A.copy()
-        B[:, self.pop_pos[-1], :] = 0.0
-        for p in self.pop_pos:
-            B[:, self.pop_pos[-1], p] = 1.0
-        b = np.zeros((len(gammas), len(self.active)))
-        b[:, self.pop_pos[-1]] = 1.0
-        sol = np.linalg.solve(B, b[..., None])[..., 0]
-        res = np.abs(np.einsum("kij,kj->ki", A, sol)).max(axis=1)
-        scale = np.abs(A).reshape(len(gammas), -1).max(axis=1)
-        bad = res > RESIDUAL_TOL * scale
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise NumericalSolveError(
-                f"steady solve residual {res[k]:.3e} at Gamma = {gammas[k]:g}")
-        out = []
-        for k in range(len(gammas)):
-            x = np.zeros(N_STATE)
-            x[self.active] = sol[k]
-            out.append(SteadyState(x=x, residual=float(res[k]),
-                                   condition_estimate=float("nan")))
-        return out
-
-    def state(self, gamma: float) -> SteadyState:
-        return self.states(np.array([gamma]))[0]
-
-    def point(self, gamma: float) -> PhotovoltaicPoint:
-        return photovoltaic_point(self.state(gamma), gamma,
-                                  self.base.energies, self.params.kTc)
-
-
 def iv_curve(params: ModelParams, kind: str = "qdm",
              grid: GridSpec | None = None,
              alignment: str = "0") -> IVCurve:
-    """One stationary solve per load rate on a log grid.
+    """Stationary observables at every load rate of a log grid.
 
-    Points where the entropic voltage term is undefined (vanishing
+    All loads are evaluated at once from the closed form of one
+    ``LoadSweep``, with the residual of the full generator checked at
+    each.  Points where the entropic voltage term is undefined (vanishing
     contact population) are dropped and counted in ``n_dropped``.
     """
     grid = grid or GridSpec()
     params = apply_band_alignment(params, alignment)
-    solver = _CurveSolver(params, kind)
+    sweep = LoadSweep(params, kind)
     gammas = grid.values()
-    states = solver.states(gammas)
-    points, dropped = [], 0
-    for gamma, state in zip(gammas, states):
-        try:
-            points.append(photovoltaic_point(state, gamma,
-                                             solver.base.energies,
-                                             params.kTc))
-        except VoltageUndefinedError:
-            dropped += 1
-    return IVCurve(points=tuple(points), params=params, kind=kind,
-                   alignment=alignment, grid=grid, n_dropped=dropped)
+    X, _ = sweep.states(gammas)
+    keep = ((X[:, IDX_P55] > _POPULATION_GUARD)
+            & (X[:, IDX_P66] > _POPULATION_GUARD))
+    X, gammas = X[keep], gammas[keep]
+    j = gammas * X[:, IDX_P55]
+    V = sweep.voltage(X[:, IDX_P55], X[:, IDX_P66])
+    columns = {"Gamma": gammas, "j": j, "V": V, "P": j * V,
+               "coh13": np.hypot(X[:, IDX_RE13], X[:, IDX_IM13]),
+               "coh24": np.hypot(X[:, IDX_RE24], X[:, IDX_IM24])}
+    return IVCurve(columns=columns, params=params, kind=kind,
+                   alignment=alignment, grid=grid, sweep=sweep,
+                   n_dropped=int(len(keep) - keep.sum()))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-6):
@@ -236,7 +299,8 @@ def max_power_point(params: ModelParams | None = None, kind: str = "qdm",
     """Locate the interior power maximum of the load sweep.
 
     The grid argmax is refined by golden-section search on log(Gamma) to
-    1e-6 relative tolerance.  A maximum on the grid boundary raises; the
+    1e-6 relative tolerance, each step one closed-form evaluation of the
+    curve's ``LoadSweep``.  A maximum on the grid boundary raises; the
     grid must be widened.  The efficiency divides P_m by the power the
     two optical channels absorb at that state, E12*J1 + E34*J2; a
     non-positive supplied power raises ``UndefinedEfficiencyError``.
@@ -245,8 +309,8 @@ def max_power_point(params: ModelParams | None = None, kind: str = "qdm",
         if params is None:
             raise DomainError("need either params or a precomputed curve")
         curve = iv_curve(params, kind=kind, grid=grid, alignment=alignment)
-    params = curve.params
-    powers = curve.column("P")
+    sweep = curve.sweep
+    gammas, powers = curve.column("Gamma"), curve.column("P")
     if len(powers) == 0:
         raise BoundaryMaximumError("curve has no valid points")
     k = int(powers.argmax())
@@ -254,26 +318,17 @@ def max_power_point(params: ModelParams | None = None, kind: str = "qdm",
         raise BoundaryMaximumError("no positive power anywhere on the grid")
     if k == 0 or k == len(powers) - 1:
         raise BoundaryMaximumError(
-            f"power maximum at grid edge Gamma = {curve.points[k].Gamma:g}; "
+            f"power maximum at grid edge Gamma = {gammas[k]:g}; "
             "widen the load grid")
 
-    solver = _CurveSolver(params, curve.kind)
-
-    def p_of_log_gamma(u: float) -> float:
-        try:
-            return solver.point(math.exp(u)).P
-        except VoltageUndefinedError:
-            return -math.inf
-
-    lo = math.log(curve.points[k - 1].Gamma)
-    hi = math.log(curve.points[k + 1].Gamma)
-    u_star, p_star = _golden_max(p_of_log_gamma, lo, hi)
-    if p_star >= powers[k]:
-        best = solver.point(math.exp(u_star))
-    else:
-        best = curve.points[k]
-    j1, j2 = absorption_fluxes(best.state, solver.base)
-    energies = solver.base.energies
+    u_star, p_star = _golden_max(lambda u: sweep.power(math.exp(u)),
+                                 math.log(gammas[k - 1]),
+                                 math.log(gammas[k + 1]))
+    gamma = math.exp(u_star) if p_star >= powers[k] else float(gammas[k])
+    energies = sweep.generator.energies
+    best = photovoltaic_point(sweep.state(gamma), gamma, energies,
+                              curve.params.kTc)
+    j1, j2 = absorption_fluxes(best.state, sweep.generator)
     eta = efficiency(best.P, supplied_power(j1, energies.E12)
                      + supplied_power(j2, energies.E34))
     return MaxPowerPoint(Gamma_star=best.Gamma, j_mpp=best.j, V_mpp=best.V,
@@ -283,48 +338,32 @@ def max_power_point(params: ModelParams | None = None, kind: str = "qdm",
 
 def open_circuit_voltage(params: ModelParams,
                          kind: str = "qdm") -> OpenCircuitVoltage:
-    """Voltage in the vanishing-load limit.
+    """Voltage in the vanishing-load limit, evaluated exactly at Gamma = 0.
 
-    Evaluated at Gamma = 1e-6 and 1e-7; if the two disagree by more than
-    0.1 mV the value is extrapolated linearly in Gamma and flagged.
+    Raises ``VoltageUndefinedError`` if a contact population vanishes
+    there.
     """
-    solver = _CurveSolver(params, kind)
-    g_hi, g_lo = 1e-6, 1e-7
-    v_hi = solver.point(g_hi).V
-    v_lo = solver.point(g_lo).V
-    if abs(v_hi - v_lo) <= 0.1:
-        return OpenCircuitVoltage(value=v_hi, extrapolated=False)
-    if abs(v_hi - v_lo) > 10.0:
-        raise NumericalSolveError(
-            f"open-circuit limit not converged: V({g_hi:g}) = {v_hi:.2f}, "
-            f"V({g_lo:g}) = {v_lo:.2f}")
-    slope = (v_hi - v_lo) / (g_hi - g_lo)
-    return OpenCircuitVoltage(value=v_lo - slope * g_lo, extrapolated=True)
+    sweep = LoadSweep(params, kind)
+    return OpenCircuitVoltage(value=voltage(
+        sweep.state(0.0), sweep.generator.energies, params.kTc))
 
 
 def short_circuit_current(curve: IVCurve) -> ShortCircuitCurrent:
     """Current where the voltage crosses zero.
 
-    Linear interpolation between the bracketing grid points; if the
-    curve never reaches V = 0, the current at the largest valid load is
-    returned and flagged as a lower bound.
+    The voltage falls monotonically with the load.  If the curve reaches
+    V <= 0, the crossing is solved in closed form on the curve's sweep.
+    If it never does, the current at the largest valid load is returned
+    and flagged as a lower bound.
     """
-    if len(curve.points) == 0:
-        raise VoltageUndefinedError("empty curve: no short-circuit estimate")
     volts = curve.column("V")
-    currents = curve.column("j")
-    below = np.flatnonzero(volts <= 0.0)
-    if len(below) == 0:
-        return ShortCircuitCurrent(value=float(currents[-1]),
+    if len(volts) == 0:
+        raise VoltageUndefinedError("empty curve: no short-circuit estimate")
+    if volts[-1] > 0.0:
+        return ShortCircuitCurrent(value=float(curve.column("j")[-1]),
                                    from_crossing=False)
-    k = int(below[0])
-    if k == 0:
-        return ShortCircuitCurrent(value=float(currents[0]),
-                                   from_crossing=True)
-    v0, v1 = volts[k - 1], volts[k]
-    j0, j1 = currents[k - 1], currents[k]
-    jsc = j0 + (j1 - j0) * (0.0 - v0) / (v1 - v0)
-    return ShortCircuitCurrent(value=float(jsc), from_crossing=True)
+    return ShortCircuitCurrent(value=curve.sweep.short_circuit()[1],
+                               from_crossing=True)
 
 
 def relative_current_gain(params: ModelParams,
@@ -353,18 +392,7 @@ class GammaGridScan:
     gamma_c_values: np.ndarray
     gamma_v_values: np.ndarray
     delta_j: np.ndarray  # shape (len(gamma_v), len(gamma_c))
-    zero_contour: tuple  # (gamma_c, interpolated gamma_v) pairs
     failures: tuple  # (iv, ic, message)
-
-
-def _worker_count() -> int:
-    cap = os.environ.get("QDM_THREADS")
-    if cap is not None:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            return 1
-    return max(1, os.cpu_count() or 1)
 
 
 def gamma_grid_scan(params: ModelParams,
@@ -374,10 +402,8 @@ def gamma_grid_scan(params: ModelParams,
                     sqd_cache: dict | None = None) -> GammaGridScan:
     """Relative current gain on a log-log escape-rate grid.
 
-    Cells are independent and evaluated concurrently (worker count
-    capped by QDM_THREADS); results are ordered by cell index
-    regardless of execution order.  Per-cell failures are recorded, not
-    fatal.  ``sqd_cache`` (keyed by (gamma_c, gamma_v)) lets callers
+    Cells are evaluated in index order; per-cell failures are recorded,
+    not fatal.  ``sqd_cache`` (keyed by (gamma_c, gamma_v)) lets callers
     reuse single-dot results across scans that only differ in tunneling.
     """
     gc_vals = (np.logspace(0, math.log10(500.0), 40)
@@ -389,49 +415,22 @@ def gamma_grid_scan(params: ModelParams,
 
     delta = np.full((len(gv_vals), len(gc_vals)), np.nan)
     failures = []
+    for iv, gv in enumerate(gv_vals):
+        for ic, gc in enumerate(gc_vals):
+            p = params.replace(gamma_c=gc, gamma_v=gv)
+            try:
+                key = (float(gc), float(gv))
+                sqd = cache.get(key)
+                if sqd is None:
+                    sqd = max_power_point(p, kind="sqd", grid=grid)
+                    cache[key] = sqd
+                qdm = max_power_point(p, kind="qdm", grid=grid)
+                delta[iv, ic] = (qdm.j_mpp - sqd.j_mpp) / sqd.j_mpp
+            except Exception as exc:  # recorded per cell
+                failures.append((iv, ic, f"{type(exc).__name__}: {exc}"))
 
-    def cell(iv: int, ic: int):
-        gv, gc = gv_vals[iv], gc_vals[ic]
-        p = params.replace(gamma_c=gc, gamma_v=gv)
-        try:
-            key = (float(gc), float(gv))
-            sqd = cache.get(key)
-            if sqd is None:
-                sqd = max_power_point(p, kind="sqd", grid=grid)
-                cache[key] = sqd
-            qdm = max_power_point(p, kind="qdm", grid=grid)
-            return (qdm.j_mpp - sqd.j_mpp) / sqd.j_mpp, None
-        except Exception as exc:  # recorded per cell
-            return math.nan, f"{type(exc).__name__}: {exc}"
-
-    cells = [(iv, ic) for iv in range(len(gv_vals))
-             for ic in range(len(gc_vals))]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda c: cell(*c), cells))
-    else:
-        outcomes = [cell(*c) for c in cells]
-    for (iv, ic), (dj, err) in zip(cells, outcomes):
-        delta[iv, ic] = dj
-        if err is not None:
-            failures.append((iv, ic, err))
-
-    # Zero-gain contour: for each gamma_c column, the gamma_v where the
-    # gain changes sign (log-linear interpolation).
-    contour = []
-    for ic in range(len(gc_vals)):
-        col = delta[:, ic]
-        for iv in range(len(gv_vals) - 1):
-            a, b = col[iv], col[iv + 1]
-            if np.isfinite(a) and np.isfinite(b) and a * b < 0.0:
-                la, lb = math.log(gv_vals[iv]), math.log(gv_vals[iv + 1])
-                lz = la + (lb - la) * (0.0 - a) / (b - a)
-                contour.append((float(gc_vals[ic]), math.exp(lz)))
-                break
     return GammaGridScan(gamma_c_values=gc_vals, gamma_v_values=gv_vals,
-                         delta_j=delta, zero_contour=tuple(contour),
-                         failures=tuple(failures))
+                         delta_j=delta, failures=tuple(failures))
 
 
 def efficiency_vs_distance(params: ModelParams,

@@ -82,8 +82,7 @@ class TestCsvContract:
         assert body[1:] == ["0,3,3", "A1,0,6", "A2,6,0", "B1,-2,8",
                             "B2,4,2"]
 
-    def test_gamma_grid_row_count_matches_grid(self, capsys, monkeypatch):
-        monkeypatch.setenv("QDM_THREADS", "2")
+    def test_gamma_grid_row_count_matches_grid(self, capsys):
         # Tiny scan through the config-controlled load grid.
         code, out, err = _run(capsys, "gamma-grid", "--set", "grid_n=50",
                               "--set", "d=2")
@@ -133,4 +132,4 @@ class TestCalibrateAndVerify:
                  if ln.startswith("criterion ")]
         assert len(lines) == 8
         assert all(("[PASS]" in ln) or ("[FAIL]" in ln) for ln in lines)
-        assert code in (0, 3)
+        assert code == 0
