@@ -18,10 +18,11 @@ from .observables import (PhotovoltaicPoint, absorption_fluxes,
                           photovoltaic_point, power, supplied_power, voltage)
 from .steady import SteadyState, evolve, residual, solve_steady
 from .sweeps import (CurrentGain, GammaGridScan, GridSpec, IVCurve,
-                     MaxPowerPoint, OpenCircuitVoltage, ScenarioResult,
-                     ShortCircuitCurrent, efficiency_vs_distance,
-                     gamma_grid_scan, iv_curve, max_power_point,
-                     open_circuit_voltage, phonon_assisted_comparison,
-                     relative_current_gain, short_circuit_current)
+                     MaxPowerBatch, MaxPowerPoint, OpenCircuitVoltage,
+                     ScenarioResult, ShortCircuitCurrent,
+                     efficiency_vs_distance, gamma_grid_scan, iv_curve,
+                     max_power_batch, max_power_point, open_circuit_voltage,
+                     phonon_assisted_comparison, relative_current_gain,
+                     short_circuit_current)
 
 __version__ = "0.1.0"

@@ -156,8 +156,7 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     r = CriterionResult(4, "escape-rate grid scan ceiling", True)
     p = ModelParams()
-    cache: dict = {}
-    scan2 = gamma_grid_scan(p.with_distance(2.0), sqd_cache=cache)
+    scan2 = gamma_grid_scan(p.with_distance(2.0))
     dj = scan2.delta_j
     iv, ic = np.unravel_index(np.nanargmax(dj), dj.shape)
     gv_star = scan2.gamma_v_values[iv]
@@ -167,7 +166,7 @@ def criterion_4() -> CriterionResult:
     r.check(gv_star >= 5.0 and gc_star >= 10.0 * gv_star,
             f"d=2: maximum at gv = {gv_star:.3g} (>= 5), "
             f"gc = {gc_star:.3g} (>> gv)")
-    scan10 = gamma_grid_scan(p.with_distance(10.0), sqd_cache=cache)
+    scan10 = gamma_grid_scan(p.with_distance(10.0))
     low = scan10.delta_j[scan10.gamma_v_values <= 1.0, :]
     # "Appreciable" means resolvable on the published contour plot; tiny
     # sub-2% positives leak below gv = gamma at very large gc.
@@ -332,8 +331,8 @@ def criterion_8(seed: int = 20260823) -> CriterionResult:
         gp = 10 ** rng.uniform(-1, 1)
         w_ref = tls_saturation_threshold(delta, g0, gp)
         ws = np.linspace(0.2 * w_ref, 5.0 * w_ref, 20001)
-        cohs = [tls_steady(TlsParams(W=w, delta=delta, gamma0=g0,
-                                     gammap=gp)).coherence for w in ws]
+        cohs = tls_steady(TlsParams(W=ws, delta=delta, gamma0=g0,
+                                    gammap=gp)).coherence
         w_num = ws[int(np.argmax(cohs))]
         ok_thr &= abs(w_num - w_ref) <= 1e-3 * w_ref
     r.check(ok_thr, "numeric coherence maximum sits at the closed-form "
@@ -343,8 +342,8 @@ def criterion_8(seed: int = 20260823) -> CriterionResult:
         data, max_cohs = [], []
         for d in range(2, 11):
             pp = ModelParams(gamma_c=gc, gamma_v=gv).with_distance(float(d))
-            mpp = max_power_point(pp, kind="qdm")
             curve = iv_curve(pp, kind="qdm")
+            mpp = max_power_point(curve=curve)
             data.append((pp.Te, mpp.j_mpp, mpp.coh13))
             max_cohs.append(float(curve.column("coh13").max()))
         fit = coherence_linearity_check(data)

@@ -45,7 +45,8 @@ class TlsParams:
     """Driven two-level system with phenomenological damping.
 
     W: drive coupling; delta: transition detuning; gamma0/gammap:
-    population and coherence damping.  All in the same rate unit.
+    population and coherence damping.  All in the same rate unit.  Each
+    may be a numpy array; ``tls_steady`` then evaluates them elementwise.
     """
 
     W: float
@@ -54,9 +55,10 @@ class TlsParams:
     gammap: float
 
     def __post_init__(self):
-        if self.gamma0 <= 0.0 or self.gammap <= 0.0:
+        if np.any(np.less_equal(self.gamma0, 0.0)) or np.any(
+                np.less_equal(self.gammap, 0.0)):
             raise DomainError("damping rates must be positive")
-        if self.W < 0.0:
+        if np.any(np.less(self.W, 0.0)):
             raise DomainError("drive W must be nonnegative")
 
 

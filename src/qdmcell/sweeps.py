@@ -2,8 +2,17 @@
 
 Once the |6> row is traded for the normalization, the load rate enters
 the constrained system at the single entry (5,5).  ``LoadSweep`` thus
-gives the stationary state at any load in closed form (Sherman-Morrison)
-from one solve at a reference load, and every sweep evaluates it.
+gives the stationary state of one device at any load in closed form
+(Sherman-Morrison) from one solve at a reference load, and the
+single-device functions (``iv_curve``, ``max_power_point``, ...)
+evaluate it.
+
+The parameter scans (``gamma_grid_scan``, ``efficiency_vs_distance``,
+``phonon_assisted_comparison``) treat the devices as a batch axis
+instead: ``max_power_batch`` eliminates the coherences of every device
+in closed form, solves the remaining six-state rate chain exactly by GTH
+elimination, and finds every maximum-power point in one vectorised call
+per model kind.
 """
 
 from __future__ import annotations
@@ -13,14 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundaryMaximumError, DomainError, NumericalSolveError,
+from .errors import (BoundaryMaximumError, DegenerateSteadyStateError,
+                     DomainError, InvalidGeometryError, NumericalSolveError,
                      UndefinedEfficiencyError, VoltageUndefinedError)
-from .model import (BAND_ALIGNMENTS, IDX_IM13, IDX_IM24, IDX_P55, IDX_P66,
-                    IDX_RE13, IDX_RE24, ModelParams, N_STATE,
-                    POPULATION_INDICES, apply_band_alignment, build_generator)
+from .model import (BAND_ALIGNMENTS, IDX_IM13, IDX_IM24, IDX_P11, IDX_P22,
+                    IDX_P33, IDX_P44, IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
+                    ModelParams, N_STATE, POPULATION_INDICES, QDM_ACTIVE,
+                    SQD_ACTIVE, apply_band_alignment, build_generator)
 from .observables import (_POPULATION_GUARD, absorption_fluxes, efficiency,
                           photovoltaic_point, supplied_power, voltage)
-from .steady import RESIDUAL_TOL, SteadyState, solve_steady
+from .steady import (RESIDUAL_TOL, TRACE_TOL, SteadyState, solve_steady)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -386,6 +397,233 @@ def relative_current_gain(params: ModelParams,
 
 
 @dataclass(frozen=True)
+class MaxPowerBatch:
+    """Maximum-power points of a batch of devices, one entry per device.
+
+    A device that failed is NaN in every array, and ``errors`` holds the
+    typed exception it raised (None where it succeeded).
+    """
+
+    Gamma_star: np.ndarray
+    j_mpp: np.ndarray
+    V_mpp: np.ndarray
+    P_m: np.ndarray
+    eta: np.ndarray
+    coh13: np.ndarray
+    coh24: np.ndarray
+    errors: tuple
+
+    def raise_first(self) -> None:
+        """Raise the error of the first device that failed, if any."""
+        for exc in self.errors:
+            if exc is not None:
+                raise exc
+
+
+# Coherences eliminated in closed form, (rho_a, rho_b, Re, Im).  Their
+# generator rows read d Re/dt = -D Re + Delta Im and
+# d Im/dt = -Delta Re - D Im + t (rho_a - rho_b).
+_COHERENCES = ((IDX_P11, IDX_P33, IDX_RE13, IDX_IM13),
+               (IDX_P22, IDX_P44, IDX_RE24, IDX_IM24))
+
+_ACTIVE = {"qdm": QDM_ACTIVE, "sqd": SQD_ACTIVE}
+
+
+def _fail(errors: list, bad: np.ndarray, make) -> None:
+    """Record ``make(k)`` for each device k flagged in ``bad`` that has not
+    failed yet."""
+    for k in np.flatnonzero(bad):
+        if errors[k] is None:
+            errors[k] = make(int(k))
+
+
+def _gth(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary weights of a stack of rate chains by Grassmann-Taksar-
+    Heyman elimination; ``Q[k, i, j]`` is chain k's rate i -> j, and its
+    diagonal is ignored.
+
+    Every step adds, multiplies or divides nonnegative numbers, so each
+    weight keeps a small relative error however small it is.  Returns the
+    weights, with state 0 at 1, and per chain whether every pivot was
+    positive; a zero pivot means the chain is reducible.
+    """
+    Q = Q.copy()
+    n_chain, n, _ = Q.shape
+    ok = np.ones(n_chain, dtype=bool)
+    for k in range(n - 1, 0, -1):
+        pivot = Q[:, k, :k].sum(axis=1)
+        ok &= pivot > 0.0
+        Q[:, :k, k] /= np.where(pivot > 0.0, pivot, 1.0)[:, None]
+        Q[:, :k, :k] += Q[:, :k, k, None] * Q[:, None, k, :k]
+    weights = np.zeros((n_chain, n))
+    weights[:, 0] = 1.0
+    for k in range(1, n):
+        weights[:, k] = (weights[:, :k] * Q[:, :k, k]).sum(axis=1)
+    return weights, ok
+
+
+def _chain_form(M: np.ndarray, active: tuple, errors: list) -> tuple:
+    """Load-free state x_a and load response x_b of each zero-load
+    generator in the stack ``M``, and their population sums S_a, S_b: the
+    stationary state at load Gamma is (x_a + Gamma x_b) / (S_a + Gamma S_b).
+
+    The coherences are eliminated in closed form, which leaves a rate
+    chain on the populations with a symmetric rate kappa = 2 t^2 D /
+    (D^2 + Delta^2) across each coherent pair.  By the Markov-chain tree
+    theorem every spanning tree rooted away from |5> leaves |5> by either
+    5 -> 3 (5 -> 1 for the single dot) or the load 5 -> 6, and those
+    rooted at |5> use neither.  So GTH on the chain gives x_a, and GTH on
+    the chain with the non-load exits of |5> replaced by a unit load gives
+    x_b, each scaled to a unit |5> weight; x_b[5] = 0.  Devices failing a
+    check are recorded in ``errors``.
+    """
+    pops = [i for i in active if i in POPULATION_INDICES]
+    c5, c6 = pops.index(IDX_P55), pops.index(IDX_P66)
+    scale = np.abs(M).max(axis=(1, 2))
+    trace = np.abs(M[:, POPULATION_INDICES, :].sum(axis=1)).max(axis=1)
+    _fail(errors, ~(trace <= TRACE_TOL * scale),
+          lambda k: NumericalSolveError(
+              "generator is not trace conserving: population rows sum to "
+              f"{trace[k]:.3e} (scale {scale[k]:.3e})"))
+
+    # The population rate i -> j sits at M[j, i].
+    Q = np.swapaxes(M[:, pops][:, :, pops], 1, 2).copy()
+    per_diff = []  # (a, b, re, im, Re and Im per unit rho_a - rho_b)
+    for a, b, re, im in _COHERENCES:
+        if im not in active:
+            continue
+        t, D, det = M[:, im, a], -M[:, re, re], M[:, re, im]
+        den = D * D + det * det
+        _fail(errors, ~(den > 0.0), lambda k: DegenerateSteadyStateError(
+            "undamped resonant coherence: multiple steady states"))
+        re_c, im_c = t * det / den, t * D / den
+        kappa = -M[:, a, im] * im_c
+        Q[:, pops.index(a), pops.index(b)] += kappa
+        Q[:, pops.index(b), pops.index(a)] += kappa
+        per_diff.append((a, b, re, im, re_c, im_c))
+
+    w_a, ok_a = _gth(Q)
+    Q[:, c5, :] = 0.0
+    Q[:, c5, c6] = 1.0
+    w_b, ok_b = _gth(Q)
+    _fail(errors, ~(ok_a & ok_b), lambda k: DegenerateSteadyStateError(
+        "reducible rate chain: a level cannot reach the others (zero "
+        "elimination pivot)"))
+    X = np.zeros((2,) + M.shape[:2])
+    X[0][:, pops] = w_a / w_a[:, c5, None]
+    X[1][:, pops] = w_b / w_b[:, c5, None]
+    X[1][:, IDX_P55] = 0.0
+    for a, b, re, im, re_c, im_c in per_diff:
+        diff = X[:, :, a] - X[:, :, b]
+        X[:, :, re] = re_c * diff
+        X[:, :, im] = im_c * diff
+    x_a, x_b = X
+
+    # M(Gamma) x(Gamma) = (c0 + Gamma c1) / (S_a + Gamma S_b): the load
+    # term acting on x_b vanishes because x_b[5] = 0.  Bounding c0 and c1
+    # bounds the residual at every load by RESIDUAL_TOL times the largest
+    # generator entry.
+    s_a, s_b = x_a[:, pops].sum(axis=1), x_b[:, pops].sum(axis=1)
+    c0 = np.abs(np.einsum("kij,kj->ki", M, x_a)).max(axis=1)
+    c1 = np.einsum("kij,kj->ki", M, x_b)
+    c1[:, IDX_P55] -= x_a[:, IDX_P55]
+    c1[:, IDX_P66] += x_a[:, IDX_P55]
+    c1 = np.abs(c1).max(axis=1)
+    _fail(errors, ~((c0 <= RESIDUAL_TOL * scale * s_a)
+                    & (c1 <= RESIDUAL_TOL * scale * s_b)),
+          lambda k: NumericalSolveError(
+              f"chain-form residual {c0[k] / s_a[k]:.3e} + Gamma "
+              f"{c1[k] / s_b[k]:.3e} exceeds {RESIDUAL_TOL:.0e} x largest "
+              f"generator entry {scale[k]:.3e}"))
+    return x_a, x_b, s_a, s_b
+
+
+def max_power_batch(devices, kind: str = "qdm",
+                    grid: GridSpec | None = None) -> MaxPowerBatch:
+    """Maximum-power points of a sequence of parameter sets, in one pass.
+
+    Each device becomes the chain form of ``_chain_form``, so that
+    j = Gamma/(S_a + Gamma S_b) and V = (E5 - E6) - kTc ln(a6 + Gamma b6).
+    dP/dGamma has the sign of
+    f = S_a V (a6 + Gamma b6) - kTc b6 Gamma (S_a + Gamma S_b), which is
+    concave in Gamma; f(gamma_min) > 0 > f(gamma_max) thus brackets one
+    maximum, found by bisection in ln(Gamma) to rounding.  Without that
+    bracket the maximum is not inside the load range, and the device
+    fails with ``BoundaryMaximumError``.  ``grid.n`` is not used.  eta is
+    taken as in ``max_power_point``.
+    """
+    if kind not in _ACTIVE:
+        raise DomainError(f"unknown model kind {kind!r}")
+    grid = grid or GridSpec()
+    n_dev = len(devices)
+    M = np.zeros((n_dev, N_STATE, N_STATE))
+    # e5 - e6, E12, E34 and kTc of each device.
+    consts = np.full((4, n_dev), np.nan)
+    errors = [None] * n_dev
+    for k, p in enumerate(devices):
+        try:
+            g = build_generator(p.replace(Gamma=0.0), kind)
+        except (DomainError, InvalidGeometryError) as exc:
+            errors[k] = exc
+            continue
+        M[k] = g.matrix
+        e = g.energies
+        consts[:, k] = e.e5_minus_e6, e.E12, e.E34, p.kTc
+    e56, E12, E34, kTc = consts
+
+    # Failed devices carry zeros, NaN or inf from here on.
+    with np.errstate(all="ignore"):
+        x_a, x_b, s_a, s_b = _chain_form(M, _ACTIVE[kind], errors)
+        a6, b6 = x_a[:, IDX_P66], x_b[:, IDX_P66]
+
+        def slope(gamma):
+            w6 = a6 + gamma * b6
+            return (s_a * (e56 - kTc * np.log(w6)) * w6
+                    - kTc * b6 * gamma * (s_a + gamma * s_b))
+
+        _fail(errors, ~(slope(grid.gamma_min) > 0.0),
+              lambda k: BoundaryMaximumError(
+                  f"power does not rise above Gamma = {grid.gamma_min:g}: "
+                  "no positive interior maximum; widen the load grid"))
+        _fail(errors, ~(slope(grid.gamma_max) < 0.0),
+              lambda k: BoundaryMaximumError(
+                  f"power still rises at Gamma = {grid.gamma_max:g}; "
+                  "widen the load grid"))
+        lo = np.full(n_dev, math.log(grid.gamma_min))
+        hi = np.full(n_dev, math.log(grid.gamma_max))
+        failed = np.array([e is not None for e in errors], dtype=bool)
+        hi[failed] = lo[failed]
+        while True:
+            mid = 0.5 * (lo + hi)
+            if ((mid == lo) | (mid == hi)).all():
+                break
+            rising = slope(np.exp(mid)) > 0.0
+            lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
+
+        gamma = np.exp(mid)
+        x = (x_a + gamma[:, None] * x_b) / (s_a + gamma * s_b)[:, None]
+        j = gamma * x[:, IDX_P55]
+        V = e56 - kTc * np.log(a6 + gamma * b6)
+        P = j * V
+        _fail(errors, ~(P > 0.0), lambda k: BoundaryMaximumError(
+            "no positive power at the maximum"))
+        # Net absorption fluxes, read off the pump entries as in
+        # ``absorption_fluxes``.
+        j1 = (M[:, IDX_P11, IDX_P22] * x[:, IDX_P22]
+              - M[:, IDX_P22, IDX_P11] * x[:, IDX_P11])
+        j2 = (M[:, IDX_P33, IDX_P44] * x[:, IDX_P44]
+              - M[:, IDX_P44, IDX_P33] * x[:, IDX_P33])
+        supplied = E12 * j1 + E34 * j2
+        _fail(errors, ~(supplied > 0.0), lambda k: UndefinedEfficiencyError(
+            "supplied power is zero; efficiency undefined"))
+        columns = np.array([gamma, j, V, P, P / supplied,
+                            np.hypot(x[:, IDX_RE13], x[:, IDX_IM13]),
+                            np.hypot(x[:, IDX_RE24], x[:, IDX_IM24])])
+    columns[:, [e is not None for e in errors]] = np.nan
+    return MaxPowerBatch(*columns, errors=tuple(errors))
+
+
+@dataclass(frozen=True)
 class GammaGridScan:
     """Relative current gain over an escape-rate grid."""
 
@@ -398,58 +636,53 @@ class GammaGridScan:
 def gamma_grid_scan(params: ModelParams,
                     gamma_c_grid: np.ndarray | None = None,
                     gamma_v_grid: np.ndarray | None = None,
-                    grid: GridSpec | None = None,
-                    sqd_cache: dict | None = None) -> GammaGridScan:
+                    grid: GridSpec | None = None) -> GammaGridScan:
     """Relative current gain on a log-log escape-rate grid.
 
-    Cells are evaluated in index order; per-cell failures are recorded,
-    not fatal.  ``sqd_cache`` (keyed by (gamma_c, gamma_v)) lets callers
-    reuse single-dot results across scans that only differ in tunneling.
+    Every cell's molecule and single dot go through one
+    ``max_power_batch`` call per kind.  Failed cells are NaN and recorded
+    in ``failures``, with the single dot's error first.
     """
     gc_vals = (np.logspace(0, math.log10(500.0), 40)
                if gamma_c_grid is None else np.asarray(gamma_c_grid, float))
     gv_vals = (np.logspace(-4, math.log10(20.0), 40)
                if gamma_v_grid is None else np.asarray(gamma_v_grid, float))
-    grid = grid or GridSpec(n=72)
-    cache = sqd_cache if sqd_cache is not None else {}
-
-    delta = np.full((len(gv_vals), len(gc_vals)), np.nan)
+    devices = [params.replace(gamma_c=gc, gamma_v=gv)
+               for gv in gv_vals for gc in gc_vals]
+    sqd = max_power_batch(devices, kind="sqd", grid=grid)
+    qdm = max_power_batch(devices, kind="qdm", grid=grid)
+    delta = (qdm.j_mpp - sqd.j_mpp) / sqd.j_mpp
     failures = []
-    for iv, gv in enumerate(gv_vals):
-        for ic, gc in enumerate(gc_vals):
-            p = params.replace(gamma_c=gc, gamma_v=gv)
-            try:
-                key = (float(gc), float(gv))
-                sqd = cache.get(key)
-                if sqd is None:
-                    sqd = max_power_point(p, kind="sqd", grid=grid)
-                    cache[key] = sqd
-                qdm = max_power_point(p, kind="qdm", grid=grid)
-                delta[iv, ic] = (qdm.j_mpp - sqd.j_mpp) / sqd.j_mpp
-            except Exception as exc:  # recorded per cell
-                failures.append((iv, ic, f"{type(exc).__name__}: {exc}"))
-
+    for k, (err_sqd, err_qdm) in enumerate(zip(sqd.errors, qdm.errors)):
+        exc = err_sqd or err_qdm
+        if exc is not None:
+            failures.append((*divmod(k, len(gc_vals)),
+                             f"{type(exc).__name__}: {exc}"))
     return GammaGridScan(gamma_c_values=gc_vals, gamma_v_values=gv_vals,
-                         delta_j=delta, failures=tuple(failures))
+                         delta_j=delta.reshape(len(gv_vals), len(gc_vals)),
+                         failures=tuple(failures))
 
 
 def efficiency_vs_distance(params: ModelParams,
                            d_grid=None, alignments=None,
                            grid: GridSpec | None = None) -> list:
-    """Maximum-power efficiency versus barrier width per band alignment."""
+    """Maximum-power efficiency versus barrier width per band alignment.
+
+    Raises the first device's error if any fails.
+    """
     d_grid = list(d_grid) if d_grid is not None else list(range(2, 11))
     alignments = tuple(alignments) if alignments is not None else BAND_ALIGNMENTS
-    rows = []
-    for alignment in alignments:
-        for d in d_grid:
-            p = apply_band_alignment(params, alignment).with_distance(float(d))
-            mpp = max_power_point(p, kind="qdm", grid=grid)
-            rows.append(ScenarioResult(
-                kind="qdm", alignment=alignment, d=float(d),
-                gamma_c=p.gamma_c, gamma_v=p.gamma_v,
-                P_m=mpp.P_m, eta=mpp.eta,
-                max_coh13=mpp.coh13, max_coh24=mpp.coh24))
-    return rows
+    cells = [(alignment, float(d)) for alignment in alignments
+             for d in d_grid]
+    devices = [apply_band_alignment(params, alignment).with_distance(d)
+               for alignment, d in cells]
+    mpp = max_power_batch(devices, kind="qdm", grid=grid)
+    mpp.raise_first()
+    return [ScenarioResult(
+        kind="qdm", alignment=alignment, d=d, gamma_c=p.gamma_c,
+        gamma_v=p.gamma_v, P_m=float(mpp.P_m[k]), eta=float(mpp.eta[k]),
+        max_coh13=float(mpp.coh13[k]), max_coh24=float(mpp.coh24[k]))
+        for k, ((alignment, d), p) in enumerate(zip(cells, devices))]
 
 
 def phonon_assisted_comparison(params: ModelParams,
@@ -460,24 +693,23 @@ def phonon_assisted_comparison(params: ModelParams,
     """Maximum power with incoherent interdot channels, versus without.
 
     Rows carry the relative gain of P_m over the coherent-only baseline
-    for each (escape-rate set, barrier width, assisted rate) cell.
+    for each (escape-rate set, barrier width, assisted rate) cell; the
+    baseline's own row has assisted rate 0.  Raises the first device's
+    error if any fails.
     """
+    g_phs = (0.0,) + tuple(rates)
+    cells = [(gc, gv, float(d), g_ph) for gc, gv in rate_sets
+             for d in distances for g_ph in g_phs]
+    devices = [params.replace(gamma_c=gc, gamma_v=gv, gamma_13=g_ph,
+                              gamma_24=g_ph).with_distance(d)
+               for gc, gv, d, g_ph in cells]
+    mpp = max_power_batch(devices, kind="qdm", grid=grid)
+    mpp.raise_first()
     rows = []
-    for gc, gv in rate_sets:
-        for d in distances:
-            base_p = params.replace(gamma_c=gc, gamma_v=gv,
-                                    gamma_13=0.0, gamma_24=0.0
-                                    ).with_distance(float(d))
-            base = max_power_point(base_p, kind="qdm", grid=grid)
-            rows.append(ScenarioResult(
-                kind="qdm", d=float(d), gamma_c=gc, gamma_v=gv,
-                gamma_13=0.0, gamma_24=0.0, P_m=base.P_m, eta=base.eta,
-                delta_Pm=0.0))
-            for g_ph in rates:
-                p = base_p.replace(gamma_13=g_ph, gamma_24=g_ph)
-                mpp = max_power_point(p, kind="qdm", grid=grid)
-                rows.append(ScenarioResult(
-                    kind="qdm", d=float(d), gamma_c=gc, gamma_v=gv,
-                    gamma_13=g_ph, gamma_24=g_ph, P_m=mpp.P_m, eta=mpp.eta,
-                    delta_Pm=(mpp.P_m - base.P_m) / base.P_m))
+    for k, (gc, gv, d, g_ph) in enumerate(cells):
+        base = mpp.P_m[k - k % len(g_phs)]
+        rows.append(ScenarioResult(
+            kind="qdm", d=d, gamma_c=gc, gamma_v=gv, gamma_13=g_ph,
+            gamma_24=g_ph, P_m=float(mpp.P_m[k]), eta=float(mpp.eta[k]),
+            delta_Pm=float((mpp.P_m[k] - base) / base)))
     return rows

@@ -107,8 +107,8 @@ class TestSaturationThreshold:
     def test_matches_numeric_argmax(self, delta, gamma0, gammap):
         w_ref = tls_saturation_threshold(delta, gamma0, gammap)
         ws = np.linspace(0.2 * w_ref, 5.0 * w_ref, 20001)
-        cohs = [tls_steady(TlsParams(W=w, delta=delta, gamma0=gamma0,
-                                     gammap=gammap)).coherence for w in ws]
+        cohs = tls_steady(TlsParams(W=ws, delta=delta, gamma0=gamma0,
+                                    gammap=gammap)).coherence
         w_num = ws[int(np.argmax(cohs))]
         assert abs(w_num - w_ref) <= 1e-3 * w_ref
 

@@ -14,8 +14,8 @@ from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      max_power_point, open_circuit_voltage,
                      phonon_assisted_comparison, relative_current_gain,
                      short_circuit_current, solve_steady, voltage)
-from qdmcell.model import IDX_P11, IDX_P55
-from qdmcell.sweeps import LoadSweep
+from qdmcell.model import IDX_P11, IDX_P55, IDX_P66, POPULATION_INDICES
+from qdmcell.sweeps import LoadSweep, _chain_form, max_power_batch
 
 GUIMARD_SQD = ModelParams(E12=920.0, gamma1=0.19, gamma_c=100.0,
                           gamma_v=0.05)
@@ -207,19 +207,33 @@ class TestGammaGridScan:
         band = scan.delta_j[(scan.delta_j >= 0.10) & (scan.delta_j <= 0.20)]
         assert band.size > 0
 
-    def test_sqd_cache_reused_across_scans(self):
+    def test_strong_tunneling_gains_at_least_weak(self):
         gc = np.logspace(1, 2, 3)
         gv = np.logspace(-1, 0, 3)
-        cache = {}
         a = gamma_grid_scan(ModelParams().with_distance(2.0),
-                            gamma_c_grid=gc, gamma_v_grid=gv,
-                            grid=GridSpec(n=60), sqd_cache=cache)
-        assert len(cache) == 9
+                            gamma_c_grid=gc, gamma_v_grid=gv)
         b = gamma_grid_scan(ModelParams().with_distance(10.0),
-                            gamma_c_grid=gc, gamma_v_grid=gv,
-                            grid=GridSpec(n=60), sqd_cache=cache)
-        assert len(cache) == 9  # single-dot results do not depend on d
+                            gamma_c_grid=gc, gamma_v_grid=gv)
+        assert not a.failures and not b.failures
         assert (a.delta_j >= b.delta_j - 1e-9).all()
+
+    def test_reducible_device_is_recorded_not_fatal(self):
+        # Without tunneling and dot-2 pumping the molecule's chain falls
+        # apart; the single dot does not use those parameters.
+        cut = dict(Te=0.0, Th=0.0, gamma2=0.0)
+        batch = max_power_batch(
+            [ModelParams(), ModelParams(**cut), ModelParams()], kind="qdm")
+        assert batch.errors[0] is None and batch.errors[2] is None
+        assert isinstance(batch.errors[1], DegenerateSteadyStateError)
+        assert np.isnan(batch.P_m[1])
+        assert np.isfinite(batch.P_m[[0, 2]]).all()
+        scan = gamma_grid_scan(ModelParams(**cut), gamma_c_grid=[10.0, 100.0],
+                               gamma_v_grid=[0.05, 5.0])
+        assert [(iv, ic) for iv, ic, _ in scan.failures] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)]
+        assert all(msg.startswith("DegenerateSteadyStateError: ")
+                   for _, _, msg in scan.failures)
+        assert np.isnan(scan.delta_j).all()
 
 
 class TestEfficiencyVsDistance:
@@ -239,6 +253,16 @@ class TestEfficiencyVsDistance:
         by_tag = {r.alignment: r for r in rows}
         assert by_tag["A2"].max_coh24 < 1e-3
         assert by_tag["A2"].max_coh24 < by_tag["0"].max_coh24 / 1000.0
+
+
+class TestScanErrors:
+    def test_scans_raise_first_typed_error(self):
+        # Every maximum lies above a load range that ends at 1e-3.
+        narrow = GridSpec(gamma_max=1e-3)
+        with pytest.raises(BoundaryMaximumError):
+            efficiency_vs_distance(ModelParams(), d_grid=(2.0,), grid=narrow)
+        with pytest.raises(BoundaryMaximumError):
+            phonon_assisted_comparison(ModelParams(), grid=narrow)
 
 
 class TestPhononAssistedComparison:
@@ -329,3 +353,53 @@ class TestLoadSweepProperties:
         assert voc.value >= mpp.V_mpp
         assert mpp.j_mpp <= jsc.value
         assert 0.0 <= mpp.eta < 1.0 - p.kTc / p.kTs
+
+
+# The same devices under a hot sun, where ``solve_steady`` (and so the
+# single-device path) is accurate to well below the tolerances.
+_hot_devices = st.builds(lambda p, kTs: p.replace(kTs=kTs), _devices,
+                         st.floats(min_value=100.0, max_value=500.0))
+
+
+class TestMaxPowerBatch:
+    @settings(max_examples=50, deadline=None)
+    @given(devices=st.lists(_hot_devices, min_size=1, max_size=3),
+           kind=_kinds)
+    def test_matches_max_power_point(self, devices, kind):
+        batch = max_power_batch(devices, kind=kind)
+        assert batch.errors == (None,) * len(devices)
+        for k, p in enumerate(devices):
+            mpp = max_power_point(p, kind=kind)
+            assert batch.P_m[k] == pytest.approx(mpp.P_m, rel=1e-9)
+            for name in ("j_mpp", "V_mpp", "eta", "coh13", "coh24"):
+                assert getattr(batch, name)[k] == pytest.approx(
+                    getattr(mpp, name), rel=2e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=_devices, kind=_kinds,
+           kTs=st.floats(min_value=25.9, max_value=500.0),
+           log_gamma=st.floats(min_value=-6.0, max_value=6.0))
+    def test_populations_match_high_precision_solve(self, p, kind, kTs,
+                                                    log_gamma):
+        mpmath = pytest.importorskip("mpmath")
+        p, gamma = p.replace(kTs=kTs), 10.0 ** log_gamma
+        g = build_generator(p.replace(Gamma=0.0), kind)
+        errors = [None]
+        x_a, x_b, s_a, s_b = _chain_form(g.matrix[None], g.active, errors)
+        assert errors == [None]
+        pops = [i for i in g.active if i in POPULATION_INDICES]
+        got = ((x_a + gamma * x_b) / (s_a + gamma * s_b))[0, pops]
+        # The same generator at load gamma, solved to 50 digits with the
+        # |6> row traded for the normalization.
+        active = list(g.active)
+        A = build_generator(p.replace(Gamma=gamma), kind).matrix
+        with mpmath.workdps(50):
+            B = mpmath.matrix(A[np.ix_(active, active)].tolist())
+            r6 = active.index(IDX_P66)
+            for c, i in enumerate(active):
+                B[r6, c] = 1 if i in POPULATION_INDICES else 0
+            rhs = mpmath.matrix([int(c == r6) for c in range(len(active))])
+            sol = mpmath.lu_solve(B, rhs)
+            want = np.array([float(sol[active.index(i)]) for i in pops])
+        assert (want > 0.0).all()
+        assert (np.abs(got - want) <= 1e-10 * want).all()
