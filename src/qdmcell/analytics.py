@@ -9,6 +9,7 @@ the drive grows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +56,15 @@ class TlsParams:
     gammap: float
 
     def __post_init__(self):
-        if np.any(np.less_equal(self.gamma0, 0.0)) or np.any(
-                np.less_equal(self.gammap, 0.0)):
-            raise DomainError("damping rates must be positive")
-        if np.any(np.less(self.W, 0.0)):
-            raise DomainError("drive W must be nonnegative")
+        # low <= value < inf, elementwise; NaN fails every bound.
+        for name, low, what in (
+                ("gamma0", math.ulp(0.0), "finite and positive"),
+                ("gammap", math.ulp(0.0), "finite and positive"),
+                ("W", 0.0, "finite and nonnegative"),
+                ("delta", -sys.float_info.max, "finite")):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not ((value >= low) & (value < math.inf)).all():
+                raise DomainError(f"{name} must be {what}")
 
 
 @dataclass(frozen=True)

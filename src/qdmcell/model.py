@@ -12,12 +12,20 @@ The reduced state is a real 12-vector:
 
 The two spare slots are always zero; they keep the layout identical for
 the molecule and the single-dot baseline.
+
+``build_generator`` builds one device's generator; it is the
+single-device path and the reference for everything else.  The
+parameter scans build all their devices at once with
+``build_generator_stack``, which takes a base parameter set plus arrays
+of the fields that vary and returns the zero-load generators as one
+(N, 12, 12) stack, entry for entry equal to the single-device builds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,16 +57,35 @@ PHONON_ENERGY_FLOOR = 0.01
 BAND_ALIGNMENTS = ("0", "A1", "A2", "B1", "B2")
 
 
-def bose_occupation(E: float, kT: float) -> float:
-    """Mean thermal occupation 1/(exp(E/kT) - 1) of a mode at energy E."""
-    if E <= 0.0:
-        raise DomainError(f"bose_occupation needs E > 0, got {E}")
-    if kT <= 0.0:
-        raise DomainError(f"bose_occupation needs kT > 0, got {kT}")
-    x = E / kT
+# 1/x is finite for every x at or above this.
+_SMALLEST_INVERTIBLE = 2.0 / sys.float_info.max
+
+
+def _bose_of_ratio(x: float) -> float:
     if x > 700.0:  # expm1 would overflow; occupation ~ e^-x
         return math.exp(-x)
-    return 1.0 / math.expm1(x)
+    em1 = math.expm1(x)
+    if not em1 >= _SMALLEST_INVERTIBLE:
+        raise DomainError(f"thermal occupation overflows at E/kT = {x}")
+    return 1.0 / em1
+
+
+def bose_occupation(E: float, kT: float) -> float:
+    """Mean thermal occupation 1/(exp(E/kT) - 1) of a mode at energy E."""
+    if not E > 0.0:
+        raise DomainError(f"bose_occupation needs E > 0, got {E}")
+    if not 0.0 < kT < math.inf:
+        raise DomainError(f"bose_occupation needs finite kT > 0, got {kT}")
+    return _bose_of_ratio(E / kT)
+
+
+def _bose_stack(E: np.ndarray, kT) -> np.ndarray:
+    # ``bose_occupation`` over arrays the domain checks already cover.  The
+    # exponentials go through ``math`` once per distinct ratio: numpy's
+    # vectorised exp/expm1 may differ from the C library's in the last bit,
+    # and a scan holds few distinct energies.
+    ratios, where = np.unique(E / kT, return_inverse=True)
+    return np.array([_bose_of_ratio(x) for x in ratios.tolist()])[where]
 
 
 def tunneling_from_distance(d: float) -> tuple[float, float]:
@@ -67,14 +94,29 @@ def tunneling_from_distance(d: float) -> tuple[float, float]:
     Half of the exponentially fitted anticrossing energies, following a
     two-level avoided-crossing picture.
     """
-    if d <= 0.0:
-        raise DomainError(f"barrier width must be positive, got {d}")
+    if not 0.0 < d < math.inf:
+        raise DomainError(f"barrier width must be finite and positive, "
+                          f"got {d}")
     amp_e, dec_e = TUNNELING_FIT_E
     amp_h, dec_h = TUNNELING_FIT_H
     return 0.5 * amp_e * math.exp(-d / dec_e), 0.5 * amp_h * math.exp(-d / dec_h)
 
 
 _TE_D2, _TH_D2 = 0.5 * 11.67 * math.exp(-2 / 7.14), 0.5 * 2.2 * math.exp(-2 / 3.37)
+
+
+# The domain of each parameter: lower bound <= value < inf.  Every bound
+# is closed, so "positive" uses the smallest positive float; NaN fails
+# every bound.  ``ModelParams`` checks floats, ``build_generator_stack``
+# arrays.
+_FIELD_RULES = (
+    (("gamma", "gamma1", "gamma2", "gamma_c", "gamma_v", "Gamma",
+      "gamma_13", "gamma_24"), 0.0, "rate {} must be finite and >= 0"),
+    (("kTs", "kTc", "E12", "hbar_gamma"), math.ulp(0.0),
+     "{} must be finite and positive"),
+    (("delta_e", "delta_h", "delta_c", "delta_v", "Te", "Th"),
+     -sys.float_info.max, "{} must be finite"),
+)
 
 
 @dataclass(frozen=True)
@@ -108,16 +150,11 @@ class ModelParams:
     gamma_24: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma", "gamma1", "gamma2", "gamma_c", "gamma_v",
-                     "Gamma", "gamma_13", "gamma_24"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"rate {name} must be >= 0")
-        if self.kTs <= 0.0 or self.kTc <= 0.0:
-            raise DomainError("temperatures kTs, kTc must be positive")
-        if self.E12 <= 0.0:
-            raise DomainError("E12 must be positive")
-        if self.hbar_gamma <= 0.0:
-            raise DomainError("hbar_gamma must be positive")
+        values, inf = self.__dict__, math.inf
+        for names, low, message in _FIELD_RULES:
+            for name in names:
+                if not low <= values[name] < inf:
+                    raise DomainError(message.format(name))
 
     def replace(self, **changes) -> "ModelParams":
         return replace(self, **changes)
@@ -126,6 +163,10 @@ class ModelParams:
         """Set both tunneling energies from the barrier width d (nm)."""
         te, th = tunneling_from_distance(d)
         return replace(self, Te=te, Th=th)
+
+
+# The fields a generator stack may vary: all but the load.
+_STACK_FIELDS = tuple(f.name for f in fields(ModelParams) if f.name != "Gamma")
 
 
 @dataclass(frozen=True)
@@ -171,6 +212,8 @@ def derive_level_energies(params: ModelParams) -> LevelEnergies:
     w4 = w2 + params.delta_h
     w5 = w3 - params.delta_c
     w6 = w2 + params.delta_v
+    if not (abs(w3) < math.inf and abs(w5) < math.inf):
+        raise DomainError(f"level energies overflow: w3 = {w3}, w5 = {w5}")
     energies = LevelEnergies(w1, w2, w3, w4, w5, w6)
     if energies.E34 <= 0.0:
         raise InvalidGeometryError(
@@ -386,3 +429,151 @@ def build_generator(params: ModelParams, kind: str) -> GeneratorMatrix:
     if kind == "sqd":
         return build_sqd_generator(params)
     raise DomainError(f"unknown model kind {kind!r}")
+
+
+@dataclass(frozen=True)
+class GeneratorStack:
+    """Zero-load generators of a batch of devices, with the energies that
+    the maximum-power search needs; one entry per device."""
+
+    matrix: np.ndarray  # (N, 12, 12)
+    active: tuple
+    e5_minus_e6: np.ndarray
+    E12: np.ndarray
+    E34: np.ndarray
+    kTc: np.ndarray
+
+
+def _stack_columns(params: ModelParams, varied: dict) -> tuple:
+    # Every field as an array over the devices, and per device whether
+    # the varied fields are in their domain.
+    unknown = set(varied) - set(_STACK_FIELDS)
+    if unknown:
+        raise DomainError(f"cannot vary {sorted(unknown)} in a generator "
+                          f"stack; fields: {', '.join(_STACK_FIELDS)}")
+    cols = {name: np.asarray(values, dtype=float)
+            for name, values in varied.items()}
+    shapes = {col.shape for col in cols.values()}
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        raise DomainError("varied fields need equal-length 1-D arrays, got "
+                          f"shapes {sorted(shapes)}")
+    n = shapes.pop()[0] if shapes else 1
+    ok = np.ones(n, dtype=bool)
+    for names, low, _ in _FIELD_RULES:
+        for name in names:
+            if name in cols:
+                ok &= (cols[name] >= low) & (cols[name] < math.inf)
+    for name in _STACK_FIELDS:
+        cols.setdefault(name, np.full(n, getattr(params, name)))
+    return cols, ok
+
+
+def build_generator_stack(params: ModelParams, kind: str,
+                          **varied) -> GeneratorStack:
+    """Zero-load generators of many devices in one array pass.
+
+    ``params`` sets every field that ``varied`` does not; ``varied`` maps
+    field names to equal-length arrays, one entry per device.  Entry for
+    entry the stack equals the matrices of
+    ``build_generator(device.replace(Gamma=0.0), kind)``, which stays the
+    single-device path and the reference: the same arithmetic runs in the
+    same order, on arrays.  An input error (``DomainError``,
+    ``InvalidGeometryError``) is raised once, for the first device that
+    has one, by building that device on the single-device path.
+    """
+    if kind not in ("qdm", "sqd"):
+        raise DomainError(f"unknown model kind {kind!r}")
+    c, ok = _stack_columns(params, varied)
+    n = len(ok)
+    # Level energies as in ``derive_level_energies`` (the single dot
+    # aliases |3>, |4> onto |1>, |2>), and the checks of both.
+    w1 = c["E12"]
+    w2 = np.zeros(n)
+    w6 = w2 + c["delta_v"]
+    with np.errstate(invalid="ignore", over="ignore"):
+        if kind == "qdm":
+            w3 = w1 - c["delta_e"]
+            w4 = w2 + c["delta_h"]
+            w5 = w3 - c["delta_c"]
+        else:
+            w3, w4 = w1, w2
+            w5 = w1 - c["delta_c"]
+        ok &= ((abs(w3) < math.inf) & (abs(w5) < math.inf)
+               & (w3 - w4 > 0.0) & (w3 - w5 > 0.0) & (w6 - w2 > 0.0))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        build_generator(params.replace(**{name: float(col[k])
+                                          for name, col in c.items()}), kind)
+        raise DomainError(f"device {k} is outside the model's domain")
+    g1, g2, gc, gv = c["gamma1"], c["gamma2"], c["gamma_c"], c["gamma_v"]
+    kTs, kTc = c["kTs"], c["kTc"]
+    # Devices on the last axis, so that M[i, j] is every device's entry
+    # and the single-device helpers apply as they are.
+    M = np.zeros((N_STATE, N_STATE, n))
+
+    n1 = _bose_stack(w1 - w2, kTs)
+    nc = _bose_stack(w3 - w5, kTc)
+    nv = _bose_stack(w6 - w2, kTc)
+    if kind == "sqd":
+        _add_thermal_channel(M, IDX_P11, IDX_P22, g1, n1)
+        _add_thermal_channel(M, IDX_P11, IDX_P55, gc, nc)
+        _add_thermal_channel(M, IDX_P66, IDX_P22, gv, nv)
+        return GeneratorStack(_devices_first(M), SQD_ACTIVE, w5 - w6,
+                              w1 - w2, w3 - w4, kTc)
+
+    n2 = _bose_stack(w3 - w4, kTs)
+    te = c["Te"] / c["hbar_gamma"]
+    th = c["Th"] / c["hbar_gamma"]
+    det_e = (w1 - w3) / c["hbar_gamma"]
+    det_h = (w2 - w4) / c["hbar_gamma"]
+
+    M[IDX_P11, IDX_IM13] += -2.0 * te
+    _add_thermal_channel(M, IDX_P11, IDX_P22, g1, n1)
+    M[IDX_P22, IDX_IM24] += -2.0 * th
+    _add_thermal_channel(M, IDX_P66, IDX_P22, gv, nv)
+    M[IDX_P33, IDX_IM13] += 2.0 * te
+    _add_thermal_channel(M, IDX_P33, IDX_P44, g2, n2)
+    _add_thermal_channel(M, IDX_P33, IDX_P55, gc, nc)
+    M[IDX_P44, IDX_IM24] += 2.0 * th
+
+    damp13 = 0.5 * (g1 * (n1 + 1.0) + g2 * (n2 + 1.0) + gc * (nc + 1.0))
+    M[IDX_RE13, IDX_RE13] += -damp13
+    M[IDX_RE13, IDX_IM13] += det_e
+    M[IDX_IM13, IDX_RE13] += -det_e
+    M[IDX_IM13, IDX_IM13] += -damp13
+    M[IDX_IM13, IDX_P33] += -te
+    M[IDX_IM13, IDX_P11] += te
+
+    damp24 = 0.5 * (g1 * n1 + g2 * n2 + gv * nv)
+    M[IDX_RE24, IDX_RE24] += -damp24
+    M[IDX_RE24, IDX_IM24] += det_h
+    M[IDX_IM24, IDX_RE24] += -det_h
+    M[IDX_IM24, IDX_IM24] += -damp24
+    M[IDX_IM24, IDX_P44] += -th
+    M[IDX_IM24, IDX_P22] += th
+
+    # ``_add_phonon_assisted`` on the stack: a channel downhill from the
+    # first level of the pair where its gap is >= 0, else from the second,
+    # and none where the rate is zero.
+    for rate, gap, (a, b), coherence in (
+            (c["gamma_13"], w1 - w3, (IDX_P11, IDX_P33),
+             (IDX_RE13, IDX_IM13)),
+            (c["gamma_24"], w2 - w4, (IDX_P22, IDX_P44),
+             (IDX_RE24, IDX_IM24))):
+        on = rate > 0.0
+        if not on.any():
+            continue
+        n_ph = np.zeros(n)
+        n_ph[on] = _bose_stack(
+            np.maximum(abs(gap[on]), PHONON_ENERGY_FLOOR), kTc[on])
+        from_a = gap >= 0
+        _add_thermal_channel(M, a, b, np.where(from_a, rate, 0.0), n_ph)
+        _add_thermal_channel(M, b, a, np.where(from_a, 0.0, rate), n_ph)
+        for k in coherence:
+            M[k, k] -= 0.5 * rate * (2.0 * n_ph + 1.0)
+    return GeneratorStack(_devices_first(M), QDM_ACTIVE, w5 - w6, w1 - w2,
+                          w3 - w4, kTc)
+
+
+def _devices_first(M: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(M, -1, 0))

@@ -9,10 +9,13 @@ evaluate it.
 
 The parameter scans (``gamma_grid_scan``, ``efficiency_vs_distance``,
 ``phonon_assisted_comparison``) treat the devices as a batch axis
-instead: ``max_power_batch`` eliminates the coherences of every device
-in closed form, solves the remaining six-state rate chain exactly by GTH
-elimination, and finds every maximum-power point in one vectorised call
-per model kind.
+instead.  A scan passes its base parameters and the arrays of the fields
+it varies to ``max_power_batch``, which takes the zero-load generators of
+all devices from one ``model.build_generator_stack`` call (equal, entry
+for entry, to ``build_generator``, the single-device path), eliminates
+the coherences in closed form, solves the remaining six-state rate chain
+exactly by GTH elimination, and finds every maximum-power point in one
+vectorised call per model kind.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BoundaryMaximumError, DegenerateSteadyStateError,
-                     DomainError, InvalidGeometryError, NumericalSolveError,
+                     DomainError, NumericalSolveError,
                      UndefinedEfficiencyError, VoltageUndefinedError)
 from .model import (BAND_ALIGNMENTS, IDX_IM13, IDX_IM24, IDX_P11, IDX_P22,
                     IDX_P33, IDX_P44, IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
-                    ModelParams, N_STATE, POPULATION_INDICES, QDM_ACTIVE,
-                    SQD_ACTIVE, apply_band_alignment, build_generator)
+                    ModelParams, N_STATE, POPULATION_INDICES,
+                    apply_band_alignment, build_generator,
+                    build_generator_stack, tunneling_from_distance)
 from .observables import (_POPULATION_GUARD, absorption_fluxes, efficiency,
                           photovoltaic_point, supplied_power, voltage)
 from .steady import (RESIDUAL_TOL, TRACE_TOL, SteadyState, solve_steady)
@@ -50,8 +54,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 50:
             raise DomainError("load grid needs at least 50 points")
-        if not 0.0 < self.gamma_min < self.gamma_max:
-            raise DomainError("need 0 < gamma_min < gamma_max")
+        if not 0.0 < self.gamma_min < self.gamma_max < math.inf:
+            raise DomainError("need 0 < gamma_min < gamma_max < inf")
 
     def values(self) -> np.ndarray:
         return np.logspace(math.log10(self.gamma_min),
@@ -426,8 +430,6 @@ class MaxPowerBatch:
 _COHERENCES = ((IDX_P11, IDX_P33, IDX_RE13, IDX_IM13),
                (IDX_P22, IDX_P44, IDX_RE24, IDX_IM24))
 
-_ACTIVE = {"qdm": QDM_ACTIVE, "sqd": SQD_ACTIVE}
-
 
 def _fail(errors: list, bad: np.ndarray, make) -> None:
     """Record ``make(k)`` for each device k flagged in ``bad`` that has not
@@ -462,6 +464,38 @@ def _gth(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights, ok
 
 
+def _population_difference(M: np.ndarray, X: np.ndarray, pops: list,
+                           a: int, b: int, kappa: np.ndarray) -> np.ndarray:
+    """rho_a - rho_b of the states X (stacked over M's devices), for the
+    levels a, b that a coherence couples with the rate kappa.
+
+    Taken directly the difference cancels where the coherent rate locks
+    the two populations together.  The balance of a, or of b, gives it
+    from the net flow J through the other links instead:
+    (kappa + r_ba) (rho_a - rho_b) = J - (r_ab - r_ba) rho_a, with r the
+    incoherent rates of the link.  Every population carries a small
+    relative error, so of the three sums the one that cancels least, by
+    sum |terms| / |sum|, is the most accurate and is used.
+    """
+    js = [j for j in pops if j not in (a, b)]
+    xa, xb, xj = X[..., a, None], X[..., b, None], X[..., js]
+    r_ba = M[:, a, b]
+    link = ((r_ba - M[:, b, a]) * X[..., a])[..., None]
+    den = kappa + r_ba
+    diff = X[..., a] - X[..., b]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cancel = (np.abs(X[..., a]) + np.abs(X[..., b])) / np.abs(diff)
+        for parts in ((M[:, js, b] * xb, -M[:, b, js] * xj, link),
+                      (M[:, a, js] * xj, -M[:, js, a] * xa, link)):
+            terms = np.concatenate(parts, axis=-1)
+            flow = terms.sum(axis=-1)
+            flow_cancel = np.abs(terms).sum(axis=-1) / np.abs(flow)
+            better = (flow_cancel < cancel) & (den > 0.0)
+            diff = np.where(better, flow / den, diff)
+            cancel = np.where(better, flow_cancel, cancel)
+    return diff
+
+
 def _chain_form(M: np.ndarray, active: tuple, errors: list) -> tuple:
     """Load-free state x_a and load response x_b of each zero-load
     generator in the stack ``M``, and their population sums S_a, S_b: the
@@ -488,7 +522,7 @@ def _chain_form(M: np.ndarray, active: tuple, errors: list) -> tuple:
 
     # The population rate i -> j sits at M[j, i].
     Q = np.swapaxes(M[:, pops][:, :, pops], 1, 2).copy()
-    per_diff = []  # (a, b, re, im, Re and Im per unit rho_a - rho_b)
+    per_diff = []  # (a, b, re, im, Re and Im per unit rho_a - rho_b, kappa)
     for a, b, re, im in _COHERENCES:
         if im not in active:
             continue
@@ -500,7 +534,7 @@ def _chain_form(M: np.ndarray, active: tuple, errors: list) -> tuple:
         kappa = -M[:, a, im] * im_c
         Q[:, pops.index(a), pops.index(b)] += kappa
         Q[:, pops.index(b), pops.index(a)] += kappa
-        per_diff.append((a, b, re, im, re_c, im_c))
+        per_diff.append((a, b, re, im, re_c, im_c, kappa))
 
     w_a, ok_a = _gth(Q)
     Q[:, c5, :] = 0.0
@@ -513,8 +547,8 @@ def _chain_form(M: np.ndarray, active: tuple, errors: list) -> tuple:
     X[0][:, pops] = w_a / w_a[:, c5, None]
     X[1][:, pops] = w_b / w_b[:, c5, None]
     X[1][:, IDX_P55] = 0.0
-    for a, b, re, im, re_c, im_c in per_diff:
-        diff = X[:, :, a] - X[:, :, b]
+    for a, b, re, im, re_c, im_c, kappa in per_diff:
+        diff = _population_difference(M, X, pops, a, b, kappa)
         X[:, :, re] = re_c * diff
         X[:, :, im] = im_c * diff
     x_a, x_b = X
@@ -538,9 +572,15 @@ def _chain_form(M: np.ndarray, active: tuple, errors: list) -> tuple:
     return x_a, x_b, s_a, s_b
 
 
-def max_power_batch(devices, kind: str = "qdm",
-                    grid: GridSpec | None = None) -> MaxPowerBatch:
-    """Maximum-power points of a sequence of parameter sets, in one pass.
+def max_power_batch(params: ModelParams, kind: str = "qdm",
+                    grid: GridSpec | None = None,
+                    **varied) -> MaxPowerBatch:
+    """Maximum-power points of a batch of devices, in one pass.
+
+    The devices are ``params`` with the fields in ``varied`` set from
+    equal-length arrays, one entry per device (see
+    ``build_generator_stack``).  An input error in any device raises at
+    once; only numerical failures are recorded per device.
 
     Each device becomes the chain form of ``_chain_form``, so that
     j = Gamma/(S_a + Gamma S_b) and V = (E5 - E6) - kTc ln(a6 + Gamma b6).
@@ -552,28 +592,16 @@ def max_power_batch(devices, kind: str = "qdm",
     fails with ``BoundaryMaximumError``.  ``grid.n`` is not used.  eta is
     taken as in ``max_power_point``.
     """
-    if kind not in _ACTIVE:
-        raise DomainError(f"unknown model kind {kind!r}")
     grid = grid or GridSpec()
-    n_dev = len(devices)
-    M = np.zeros((n_dev, N_STATE, N_STATE))
-    # e5 - e6, E12, E34 and kTc of each device.
-    consts = np.full((4, n_dev), np.nan)
+    stack = build_generator_stack(params, kind, **varied)
+    M = stack.matrix
+    e56, E12, E34, kTc = stack.e5_minus_e6, stack.E12, stack.E34, stack.kTc
+    n_dev = len(M)
     errors = [None] * n_dev
-    for k, p in enumerate(devices):
-        try:
-            g = build_generator(p.replace(Gamma=0.0), kind)
-        except (DomainError, InvalidGeometryError) as exc:
-            errors[k] = exc
-            continue
-        M[k] = g.matrix
-        e = g.energies
-        consts[:, k] = e.e5_minus_e6, e.E12, e.E34, p.kTc
-    e56, E12, E34, kTc = consts
 
     # Failed devices carry zeros, NaN or inf from here on.
     with np.errstate(all="ignore"):
-        x_a, x_b, s_a, s_b = _chain_form(M, _ACTIVE[kind], errors)
+        x_a, x_b, s_a, s_b = _chain_form(M, stack.active, errors)
         a6, b6 = x_a[:, IDX_P66], x_b[:, IDX_P66]
 
         def slope(gamma):
@@ -647,10 +675,10 @@ def gamma_grid_scan(params: ModelParams,
                if gamma_c_grid is None else np.asarray(gamma_c_grid, float))
     gv_vals = (np.logspace(-4, math.log10(20.0), 40)
                if gamma_v_grid is None else np.asarray(gamma_v_grid, float))
-    devices = [params.replace(gamma_c=gc, gamma_v=gv)
-               for gv in gv_vals for gc in gc_vals]
-    sqd = max_power_batch(devices, kind="sqd", grid=grid)
-    qdm = max_power_batch(devices, kind="qdm", grid=grid)
+    gc_cells, gv_cells = np.meshgrid(gc_vals, gv_vals)
+    cells = dict(gamma_c=gc_cells.ravel(), gamma_v=gv_cells.ravel())
+    sqd = max_power_batch(params, kind="sqd", grid=grid, **cells)
+    qdm = max_power_batch(params, kind="qdm", grid=grid, **cells)
     delta = (qdm.j_mpp - sqd.j_mpp) / sqd.j_mpp
     failures = []
     for k, (err_sqd, err_qdm) in enumerate(zip(sqd.errors, qdm.errors)):
@@ -674,15 +702,20 @@ def efficiency_vs_distance(params: ModelParams,
     alignments = tuple(alignments) if alignments is not None else BAND_ALIGNMENTS
     cells = [(alignment, float(d)) for alignment in alignments
              for d in d_grid]
-    devices = [apply_band_alignment(params, alignment).with_distance(d)
-               for alignment, d in cells]
-    mpp = max_power_batch(devices, kind="qdm", grid=grid)
+    aligned = {a: apply_band_alignment(params, a) for a in alignments}
+    tunnelings = {d: tunneling_from_distance(d) for _, d in cells}
+    mpp = max_power_batch(
+        params, kind="qdm", grid=grid,
+        delta_e=[aligned[a].delta_e for a, _ in cells],
+        delta_h=[aligned[a].delta_h for a, _ in cells],
+        Te=[tunnelings[d][0] for _, d in cells],
+        Th=[tunnelings[d][1] for _, d in cells])
     mpp.raise_first()
     return [ScenarioResult(
-        kind="qdm", alignment=alignment, d=d, gamma_c=p.gamma_c,
-        gamma_v=p.gamma_v, P_m=float(mpp.P_m[k]), eta=float(mpp.eta[k]),
+        kind="qdm", alignment=alignment, d=d, gamma_c=params.gamma_c,
+        gamma_v=params.gamma_v, P_m=float(mpp.P_m[k]), eta=float(mpp.eta[k]),
         max_coh13=float(mpp.coh13[k]), max_coh24=float(mpp.coh24[k]))
-        for k, ((alignment, d), p) in enumerate(zip(cells, devices))]
+        for k, (alignment, d) in enumerate(cells)]
 
 
 def phonon_assisted_comparison(params: ModelParams,
@@ -700,10 +733,11 @@ def phonon_assisted_comparison(params: ModelParams,
     g_phs = (0.0,) + tuple(rates)
     cells = [(gc, gv, float(d), g_ph) for gc, gv in rate_sets
              for d in distances for g_ph in g_phs]
-    devices = [params.replace(gamma_c=gc, gamma_v=gv, gamma_13=g_ph,
-                              gamma_24=g_ph).with_distance(d)
-               for gc, gv, d, g_ph in cells]
-    mpp = max_power_batch(devices, kind="qdm", grid=grid)
+    gc_col, gv_col, d_col, g_ph_col = np.array(cells).T
+    te, th = np.array([tunneling_from_distance(d) for d in d_col]).T
+    mpp = max_power_batch(params, kind="qdm", grid=grid, gamma_c=gc_col,
+                          gamma_v=gv_col, Te=te, Th=th, gamma_13=g_ph_col,
+                          gamma_24=g_ph_col)
     mpp.raise_first()
     rows = []
     for k, (gc, gv, d, g_ph) in enumerate(cells):

@@ -91,6 +91,13 @@ class TestTlsSteadyState:
         with pytest.raises(DomainError):
             TlsParams(W=-1.0, delta=0.0, gamma0=1.0, gammap=1.0)
 
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(DomainError):
+            TlsParams(W=1.0, delta=0.0, gamma0=math.nan, gammap=1.0)
+        with pytest.raises(DomainError):
+            TlsParams(W=np.array([1.0, math.inf]), delta=0.0, gamma0=1.0,
+                      gammap=1.0)
+
 
 class TestSaturationThreshold:
     def test_symmetric_resonant_case(self):

@@ -2,7 +2,9 @@
 
 import pytest
 
-from qdmcell.cli import build_config, main, read_config_file
+from qdmcell.cli import _KEY_UNITS, build_config, main, read_config_file
+
+NUMERIC_KEYS = [k for k in _KEY_UNITS if k not in ("kind", "alignment")]
 
 IV_HEADER = "Gamma_over_gamma,j_over_egamma,V_mV,P_over_gamma_meV,coh13,coh24"
 
@@ -112,6 +114,30 @@ class TestExitCodes:
     def test_invalid_geometry_is_config_error(self, capsys):
         code, _, err = _run(capsys, "iv-curve", "--set", "delta_c=-1")
         assert code == 2
+
+    def test_scan_invalid_geometry_is_one_config_error(self, capsys):
+        # Every cell shares the geometry: one error, no partial CSV.
+        code, out, err = _run(capsys, "gamma-grid", "--set", "delta_c=-1")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command", ["max-power", "gamma-grid"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_non_finite_value_is_config_error(self, capsys, command, value,
+                                              key):
+        code, out, err = _run(capsys, command, "--set", f"{key}={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
+    def test_overflowing_occupation_is_config_error(self, capsys):
+        code, _, err = _run(capsys, "max-power", "--set", "delta_v=1e-320")
+        assert code == 2
+        assert err.startswith("config error: ")
 
 
 class TestCalibrateAndVerify:

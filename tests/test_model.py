@@ -1,15 +1,18 @@
 """Generator construction: occupations, energies, alignments, structure."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdmcell import (DomainError, InvalidGeometryError, ModelParams,
-                     apply_band_alignment, bose_occupation,
-                     build_generator, build_qdm_generator,
-                     build_sqd_generator, derive_level_energies,
-                     thermal_occupations, tunneling_from_distance)
+from qdmcell import (BAND_ALIGNMENTS, DomainError, InvalidGeometryError,
+                     ModelParams, apply_band_alignment, bose_occupation,
+                     build_generator, build_generator_stack,
+                     build_qdm_generator, build_sqd_generator,
+                     derive_level_energies, thermal_occupations,
+                     tunneling_from_distance)
 from qdmcell.model import (IDX_IM13, IDX_P22, IDX_P66,
                            POPULATION_INDICES, QDM_ACTIVE, SQD_ACTIVE)
 from qdmcell.steady import solve_steady
@@ -34,6 +37,11 @@ class TestBoseOccupation:
             bose_occupation(0.0, 1.0)
         with pytest.raises(DomainError):
             bose_occupation(1.0, 0.0)
+        # The last pair's occupation would overflow to inf.
+        for E, kT in ((math.nan, 1.0), (1.0, math.nan), (1.0, math.inf),
+                      (1e-320, 25.9)):
+            with pytest.raises(DomainError):
+                bose_occupation(E, kT)
 
 
 class TestTunnelingFit:
@@ -58,8 +66,9 @@ class TestTunnelingFit:
                    for a, b in zip(pairs, pairs[1:]))
 
     def test_invalid_width(self):
-        with pytest.raises(DomainError):
-            tunneling_from_distance(0.0)
+        for d in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                tunneling_from_distance(d)
 
 
 class TestLevelEnergies:
@@ -275,7 +284,111 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             ModelParams(kTc=-1.0)
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelParams)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(DomainError):
+            ModelParams(**{name: value})
+
+    def test_overflowing_level_energies_rejected(self):
+        with pytest.raises(DomainError):
+            derive_level_energies(ModelParams(E12=1e308, delta_e=-1e308))
+
     def test_with_distance_sets_both_tunnelings(self):
         p = ModelParams().with_distance(5.0)
         te, th = tunneling_from_distance(5.0)
         assert (p.Te, p.Th) == (te, th)
+
+
+def _stack_fields(devices) -> dict:
+    """Every field but the load of each device, as batch arrays."""
+    return {f.name: np.array([getattr(p, f.name) for p in devices])
+            for f in fields(ModelParams) if f.name != "Gamma"}
+
+
+# Devices over the scans' ranges; kTs reaches 1.5 meV, where E12/kTs > 700
+# takes the exp(-x) branch of the occupation, and gamma_13 = gamma_24 = 0.1
+# opens phonon-assisted gaps of both signs across the alignments.
+_stack_devices = st.builds(
+    lambda d, gc, gv, g_ph, kTs, alignment: apply_band_alignment(
+        ModelParams(gamma_c=gc, gamma_v=gv, gamma_13=g_ph, gamma_24=g_ph,
+                    kTs=kTs), alignment).with_distance(d),
+    d=st.floats(min_value=2.0, max_value=10.0),
+    gc=st.floats(min_value=0.0, max_value=math.log10(500.0)).map(
+        lambda e: 10.0 ** e),
+    gv=st.floats(min_value=-4.0, max_value=math.log10(20.0)).map(
+        lambda e: 10.0 ** e),
+    g_ph=st.sampled_from((0.0, 1e-3, 0.1)),
+    kTs=st.floats(min_value=1.5, max_value=500.0),
+    alignment=st.sampled_from(BAND_ALIGNMENTS))
+_kinds = st.sampled_from(("qdm", "sqd"))
+
+# One bad field each; whether and how a device fails is decided by the
+# single-device path (the single dot ignores delta_e, for one).
+_BAD_FIELDS = (("gamma_c", -1.0), ("gamma_v", math.nan), ("kTs", math.inf),
+               ("Te", -math.inf), ("E12", 0.0), ("delta_c", -1.0),
+               ("delta_v", 0.0), ("delta_e", 2000.0))
+
+
+def _single_device_error(values: dict, kind: str):
+    try:
+        build_generator(ModelParams(**values), kind)
+    except (DomainError, InvalidGeometryError) as exc:
+        return exc
+    return None
+
+
+class TestGeneratorStack:
+    @settings(max_examples=100, deadline=None)
+    @given(devices=st.lists(_stack_devices, min_size=1, max_size=4),
+           kind=_kinds)
+    def test_equals_single_device_builds(self, devices, kind):
+        stack = build_generator_stack(ModelParams(), kind,
+                                      **_stack_fields(devices))
+        singles = [build_generator(p.replace(Gamma=0.0), kind)
+                   for p in devices]
+        assert np.array_equal(stack.matrix,
+                              np.array([g.matrix for g in singles]))
+        assert stack.active == singles[0].active
+        for name, want in (
+                ("e5_minus_e6", [g.energies.e5_minus_e6 for g in singles]),
+                ("E12", [g.energies.E12 for g in singles]),
+                ("E34", [g.energies.E34 for g in singles]),
+                ("kTc", [p.kTc for p in devices])):
+            assert np.array_equal(getattr(stack, name), want)
+
+    @pytest.mark.parametrize("kind", ["qdm", "sqd"])
+    @pytest.mark.parametrize("name, value", _BAD_FIELDS)
+    @settings(max_examples=5, deadline=None)
+    @given(devices=st.lists(_stack_devices, min_size=1, max_size=4),
+           data=st.data())
+    def test_invalid_device_raises_its_single_device_error(
+            self, kind, name, value, devices, data):
+        k = data.draw(st.integers(min_value=0, max_value=len(devices) - 1))
+        varied = _stack_fields(devices)
+        varied[name][k] = value
+        want = _single_device_error(
+            {f: float(v[k]) for f, v in varied.items()}, kind)
+        if want is None:
+            build_generator_stack(ModelParams(), kind, **varied)
+            return
+        with pytest.raises(type(want)) as got:
+            build_generator_stack(ModelParams(), kind, **varied)
+        assert str(got.value) == str(want)
+
+    def test_base_fields_fill_the_rest(self):
+        base = ModelParams().with_distance(4.0)
+        stack = build_generator_stack(base, "qdm", gamma_c=[1.0, 50.0])
+        for k, gc in enumerate((1.0, 50.0)):
+            want = build_generator(base.replace(gamma_c=gc, Gamma=0.0),
+                                   "qdm").matrix
+            assert np.array_equal(stack.matrix[k], want)
+
+    def test_bad_requests_rejected(self):
+        with pytest.raises(DomainError):
+            build_generator_stack(ModelParams(), "qdm", Gamma=[1.0])
+        with pytest.raises(DomainError):
+            build_generator_stack(ModelParams(), "qdm", gamma_c=[1.0, 2.0],
+                                  gamma_v=[1.0])
+        with pytest.raises(DomainError):
+            build_generator_stack(ModelParams(), "dqd", gamma_c=[1.0])

@@ -1,12 +1,14 @@
 """Load sweeps, maximum-power search, and parameter scans."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      DegenerateSteadyStateError,
-                     DomainError, GridSpec, ModelParams,
+                     DomainError, GridSpec, InvalidGeometryError, ModelParams,
                      UndefinedEfficiencyError, absorption_fluxes,
                      apply_band_alignment, build_generator,
                      build_qdm_generator,
@@ -14,7 +16,8 @@ from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      max_power_point, open_circuit_voltage,
                      phonon_assisted_comparison, relative_current_gain,
                      short_circuit_current, solve_steady, voltage)
-from qdmcell.model import IDX_P11, IDX_P55, IDX_P66, POPULATION_INDICES
+from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P55, IDX_P66,
+                           IDX_RE13, IDX_RE24, POPULATION_INDICES)
 from qdmcell.sweeps import LoadSweep, _chain_form, max_power_batch
 
 GUIMARD_SQD = ModelParams(E12=920.0, gamma1=0.19, gamma_c=100.0,
@@ -220,14 +223,15 @@ class TestGammaGridScan:
     def test_reducible_device_is_recorded_not_fatal(self):
         # Without tunneling and dot-2 pumping the molecule's chain falls
         # apart; the single dot does not use those parameters.
-        cut = dict(Te=0.0, Th=0.0, gamma2=0.0)
+        cut = ModelParams(Te=0.0, Th=0.0, gamma2=0.0)
         batch = max_power_batch(
-            [ModelParams(), ModelParams(**cut), ModelParams()], kind="qdm")
+            ModelParams(), kind="qdm",
+            **_batch_fields([ModelParams(), cut, ModelParams()]))
         assert batch.errors[0] is None and batch.errors[2] is None
         assert isinstance(batch.errors[1], DegenerateSteadyStateError)
         assert np.isnan(batch.P_m[1])
         assert np.isfinite(batch.P_m[[0, 2]]).all()
-        scan = gamma_grid_scan(ModelParams(**cut), gamma_c_grid=[10.0, 100.0],
+        scan = gamma_grid_scan(cut, gamma_c_grid=[10.0, 100.0],
                                gamma_v_grid=[0.05, 5.0])
         assert [(iv, ic) for iv, ic, _ in scan.failures] == [
             (0, 0), (0, 1), (1, 0), (1, 1)]
@@ -256,6 +260,17 @@ class TestEfficiencyVsDistance:
 
 
 class TestScanErrors:
+    def test_input_errors_raise_once(self):
+        # A geometry shared by every cell is one input error, not a failed
+        # cell each.
+        with pytest.raises(InvalidGeometryError):
+            gamma_grid_scan(ModelParams(delta_c=-1.0),
+                            gamma_c_grid=[10.0, 100.0],
+                            gamma_v_grid=[0.05, 5.0])
+        with pytest.raises(DomainError):
+            max_power_batch(ModelParams(), kind="qdm",
+                            gamma_c=[100.0, -1.0, np.nan])
+
     def test_scans_raise_first_typed_error(self):
         # Every maximum lies above a load range that ends at 1e-3.
         narrow = GridSpec(gamma_max=1e-3)
@@ -288,6 +303,12 @@ class TestPhononAssistedComparison:
                                           grid=GridSpec(n=100))
         gain = next(r.delta_Pm for r in rows if r.gamma_13 > 0.0)
         assert abs(gain) < 0.01
+
+
+def _batch_fields(devices) -> dict:
+    """Every field but the load of each device, as batch arrays."""
+    return {f.name: np.array([getattr(p, f.name) for p in devices])
+            for f in fields(ModelParams) if f.name != "Gamma"}
 
 
 # Devices across the escape-rate ranges of the scans, with optional
@@ -366,7 +387,8 @@ class TestMaxPowerBatch:
     @given(devices=st.lists(_hot_devices, min_size=1, max_size=3),
            kind=_kinds)
     def test_matches_max_power_point(self, devices, kind):
-        batch = max_power_batch(devices, kind=kind)
+        batch = max_power_batch(ModelParams(), kind=kind,
+                                **_batch_fields(devices))
         assert batch.errors == (None,) * len(devices)
         for k, p in enumerate(devices):
             mpp = max_power_point(p, kind=kind)
@@ -403,3 +425,37 @@ class TestMaxPowerBatch:
             want = np.array([float(sol[active.index(i)]) for i in pops])
         assert (want > 0.0).all()
         assert (np.abs(got - want) <= 1e-10 * want).all()
+
+    def test_coherences_match_high_precision_solve(self):
+        # In the resonant alignments a coherent rate can lock two
+        # populations together; their difference, and so the coherence,
+        # is then read off the net flows.  Taken directly it lost up to
+        # 2 % there, in about one device in six of this sample (drawn
+        # uniformly: hypothesis rarely reaches the middle of the ranges).
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        while checked < 30:
+            p = apply_band_alignment(ModelParams(
+                gamma_c=10.0 ** rng.uniform(0.0, np.log10(500.0)),
+                gamma_v=10.0 ** rng.uniform(-4.0, np.log10(20.0)),
+                gamma_13=(g_ph := rng.choice((0.0, 0.001, 0.1))),
+                gamma_24=g_ph, kTs=rng.uniform(25.9, 500.0)),
+                rng.choice(("A1", "A2"))).with_distance(rng.uniform(2.0, 10.0))
+            batch = max_power_batch(p, kind="qdm")
+            if batch.errors != (None,):
+                continue  # no interior maximum to test at
+            checked += 1
+            A = build_generator(p.replace(Gamma=float(batch.Gamma_star[0])),
+                                "qdm").matrix[:10, :10]
+            with mpmath.workdps(50):
+                B = mpmath.matrix(A.tolist())
+                for c in range(10):
+                    B[IDX_P66, c] = 1 if c in POPULATION_INDICES else 0
+                sol = mpmath.lu_solve(B, mpmath.matrix(
+                    [int(c == IDX_P66) for c in range(10)]))
+                want = [float(mpmath.hypot(sol[re], sol[im]))
+                        for re, im in ((IDX_RE13, IDX_IM13),
+                                       (IDX_RE24, IDX_IM24))]
+            for got, w in zip((batch.coh13[0], batch.coh24[0]), want):
+                assert got == pytest.approx(w, rel=1e-9, abs=0.0)
