@@ -31,7 +31,7 @@ _KEY_UNITS = {
     "d": "nm (sets Te, Th from the exponential fit)",
     "E12": "meV", "delta_e": "meV", "delta_h": "meV",
     "delta_c": "meV", "delta_v": "meV", "Te": "meV", "Th": "meV",
-    "gamma": "gamma", "gamma1": "gamma", "gamma2": "gamma",
+    "gamma1": "gamma", "gamma2": "gamma",
     "gamma_c": "gamma", "gamma_v": "gamma", "Gamma": "gamma",
     "gamma_13": "gamma", "gamma_24": "gamma",
     "kTs": "meV", "kTc": "meV", "hbar_gamma": "meV",

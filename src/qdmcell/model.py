@@ -60,6 +60,10 @@ BAND_ALIGNMENTS = ("0", "A1", "A2", "B1", "B2")
 # 1/x is finite for every x at or above this.
 _SMALLEST_INVERTIBLE = 2.0 / sys.float_info.max
 
+# Bound on the generator entries: eliminating the coherences adds squares
+# of them (D^2 + Delta^2), which stays finite below this.
+_RATE_LIMIT = math.sqrt(sys.float_info.max / 2.0)
+
 
 def _bose_of_ratio(x: float) -> float:
     if x > 700.0:  # expm1 would overflow; occupation ~ e^-x
@@ -110,8 +114,8 @@ _TE_D2, _TH_D2 = 0.5 * 11.67 * math.exp(-2 / 7.14), 0.5 * 2.2 * math.exp(-2 / 3.
 # every bound.  ``ModelParams`` checks floats, ``build_generator_stack``
 # arrays.
 _FIELD_RULES = (
-    (("gamma", "gamma1", "gamma2", "gamma_c", "gamma_v", "Gamma",
-      "gamma_13", "gamma_24"), 0.0, "rate {} must be finite and >= 0"),
+    (("gamma1", "gamma2", "gamma_c", "gamma_v", "Gamma", "gamma_13",
+      "gamma_24"), 0.0, "rate {} must be finite and >= 0"),
     (("kTs", "kTc", "E12", "hbar_gamma"), math.ulp(0.0),
      "{} must be finite and positive"),
     (("delta_e", "delta_h", "delta_c", "delta_v", "Te", "Th"),
@@ -124,7 +128,7 @@ class ModelParams:
     """All physical inputs.
 
     Energies in meV; every rate is a multiple of the reference radiative
-    rate ``gamma``.  ``hbar_gamma`` converts tunneling/detuning energies
+    rate gamma.  ``hbar_gamma`` converts tunneling/detuning energies
     into that rate unit.  Defaults are the reference operating point:
     dot-1 gap 1115 meV, 3 meV interdot detunings, 2 meV contact offsets,
     tunnelings for a 2 nm barrier, sun at 500 meV, lattice at 25.9 meV.
@@ -137,7 +141,6 @@ class ModelParams:
     delta_v: float = 2.0
     Te: float = _TE_D2
     Th: float = _TH_D2
-    gamma: float = 1.0
     gamma1: float = 1.0
     gamma2: float = 1.0
     gamma_c: float = 100.0
@@ -304,11 +307,15 @@ class GeneratorMatrix:
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+        if not self.max_rate < _RATE_LIMIT:
+            raise DomainError(
+                f"generator entry {self.max_rate:.3e} (gamma units) is not "
+                f"below {_RATE_LIMIT:.3e}: a rate, or a tunneling or "
+                "detuning over hbar_gamma, overflows")
 
     @property
     def max_rate(self) -> float:
-        m = float(np.abs(self.matrix).max())
-        return m
+        return float(np.abs(self.matrix).max())
 
 
 def _add_thermal_channel(M: np.ndarray, upper: int, lower: int,
@@ -468,6 +475,18 @@ def _stack_columns(params: ModelParams, varied: dict) -> tuple:
     return cols, ok
 
 
+def _raise_first_invalid(params: ModelParams, cols: dict, ok: np.ndarray,
+                         kind: str) -> None:
+    # The first device not ``ok`` raises its single-device input error.
+    if not ok.all():
+        k = int(np.argmin(ok))
+        build_generator(params.replace(
+            **{name: float(col[k]) for name, col in cols.items()}), kind)
+        raise DomainError(f"device {k} is outside the model's domain")
+
+
+# Overflow and invalid values end up in entries that the checks reject.
+@np.errstate(over="ignore", invalid="ignore")
 def build_generator_stack(params: ModelParams, kind: str,
                           **varied) -> GeneratorStack:
     """Zero-load generators of many devices in one array pass.
@@ -490,21 +509,16 @@ def build_generator_stack(params: ModelParams, kind: str,
     w1 = c["E12"]
     w2 = np.zeros(n)
     w6 = w2 + c["delta_v"]
-    with np.errstate(invalid="ignore", over="ignore"):
-        if kind == "qdm":
-            w3 = w1 - c["delta_e"]
-            w4 = w2 + c["delta_h"]
-            w5 = w3 - c["delta_c"]
-        else:
-            w3, w4 = w1, w2
-            w5 = w1 - c["delta_c"]
-        ok &= ((abs(w3) < math.inf) & (abs(w5) < math.inf)
-               & (w3 - w4 > 0.0) & (w3 - w5 > 0.0) & (w6 - w2 > 0.0))
-    if not ok.all():
-        k = int(np.argmin(ok))
-        build_generator(params.replace(**{name: float(col[k])
-                                          for name, col in c.items()}), kind)
-        raise DomainError(f"device {k} is outside the model's domain")
+    if kind == "qdm":
+        w3 = w1 - c["delta_e"]
+        w4 = w2 + c["delta_h"]
+        w5 = w3 - c["delta_c"]
+    else:
+        w3, w4 = w1, w2
+        w5 = w1 - c["delta_c"]
+    ok &= ((abs(w3) < math.inf) & (abs(w5) < math.inf)
+           & (w3 - w4 > 0.0) & (w3 - w5 > 0.0) & (w6 - w2 > 0.0))
+    _raise_first_invalid(params, c, ok, kind)
     g1, g2, gc, gv = c["gamma1"], c["gamma2"], c["gamma_c"], c["gamma_v"]
     kTs, kTc = c["kTs"], c["kTc"]
     # Devices on the last axis, so that M[i, j] is every device's entry
@@ -518,8 +532,8 @@ def build_generator_stack(params: ModelParams, kind: str,
         _add_thermal_channel(M, IDX_P11, IDX_P22, g1, n1)
         _add_thermal_channel(M, IDX_P11, IDX_P55, gc, nc)
         _add_thermal_channel(M, IDX_P66, IDX_P22, gv, nv)
-        return GeneratorStack(_devices_first(M), SQD_ACTIVE, w5 - w6,
-                              w1 - w2, w3 - w4, kTc)
+        return GeneratorStack(_devices_first(M, params, c, kind),
+                              SQD_ACTIVE, w5 - w6, w1 - w2, w3 - w4, kTc)
 
     n2 = _bose_stack(w3 - w4, kTs)
     te = c["Te"] / c["hbar_gamma"]
@@ -571,9 +585,14 @@ def build_generator_stack(params: ModelParams, kind: str,
         _add_thermal_channel(M, b, a, np.where(from_a, 0.0, rate), n_ph)
         for k in coherence:
             M[k, k] -= 0.5 * rate * (2.0 * n_ph + 1.0)
-    return GeneratorStack(_devices_first(M), QDM_ACTIVE, w5 - w6, w1 - w2,
-                          w3 - w4, kTc)
+    return GeneratorStack(_devices_first(M, params, c, kind), QDM_ACTIVE,
+                          w5 - w6, w1 - w2, w3 - w4, kTc)
 
 
-def _devices_first(M: np.ndarray) -> np.ndarray:
+def _devices_first(M: np.ndarray, params: ModelParams, cols: dict,
+                   kind: str) -> np.ndarray:
+    # Devices first, once every device's entries are in the range that
+    # ``GeneratorMatrix`` accepts.
+    _raise_first_invalid(params, cols,
+                         np.abs(M).max(axis=(0, 1)) < _RATE_LIMIT, kind)
     return np.ascontiguousarray(np.moveaxis(M, -1, 0))

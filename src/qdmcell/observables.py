@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import UndefinedEfficiencyError, VoltageUndefinedError
-from .model import (GeneratorMatrix, IDX_P11, IDX_P22, IDX_P33, IDX_P44,
-                    IDX_P55, IDX_P66, LevelEnergies)
+from .model import (IDX_P11, IDX_P22, IDX_P33, IDX_P44, IDX_P55, IDX_P66,
+                    LevelEnergies)
 from .steady import SteadyState
 
 _POPULATION_GUARD = 1e-300
@@ -57,9 +57,9 @@ def supplied_power(j: float, E: float) -> float:
     return j * E
 
 
-def absorption_fluxes(state: SteadyState,
-                      generator: GeneratorMatrix) -> tuple[float, float]:
-    """Net photon absorption fluxes (J1, J2) of the two optical channels.
+def absorption_fluxes(x, M) -> tuple:
+    """Net photon absorption fluxes (J1, J2) of the state vector x under
+    the generator matrix M (either may be stacked, one per device).
 
     Read off the generator's pump entries: J1 = M[1,2] rho22 - M[2,1] rho11
     for |2>->|1> at E12 and J2 = M[3,4] rho44 - M[4,3] rho33 for |4>->|3>
@@ -68,10 +68,11 @@ def absorption_fluxes(state: SteadyState,
     channels move carriers between the dots without exchanging photons.
     The load enters no pump entry, so any load rate's generator will do.
     """
-    M, x = generator.matrix, state.x
-    j1 = M[IDX_P11, IDX_P22] * x[IDX_P22] - M[IDX_P22, IDX_P11] * x[IDX_P11]
-    j2 = M[IDX_P33, IDX_P44] * x[IDX_P44] - M[IDX_P44, IDX_P33] * x[IDX_P33]
-    return float(j1), float(j2)
+    j1 = (M[..., IDX_P11, IDX_P22] * x[..., IDX_P22]
+          - M[..., IDX_P22, IDX_P11] * x[..., IDX_P11])
+    j2 = (M[..., IDX_P33, IDX_P44] * x[..., IDX_P44]
+          - M[..., IDX_P44, IDX_P33] * x[..., IDX_P33])
+    return j1, j2
 
 
 def efficiency(Pm: float, P_S_at_mpp: float) -> float:

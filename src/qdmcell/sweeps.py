@@ -1,21 +1,13 @@
-"""Load-rate sweeps and parameter scans.
+"""Load-rate sweeps and parameter scans on the exact rate chain.
 
-Once the |6> row is traded for the normalization, the load rate enters
-the constrained system at the single entry (5,5).  ``LoadSweep`` thus
-gives the stationary state of one device at any load in closed form
-(Sherman-Morrison) from one solve at a reference load, and the
-single-device functions (``iv_curve``, ``max_power_point``, ...)
-evaluate it.
-
-The parameter scans (``gamma_grid_scan``, ``efficiency_vs_distance``,
-``phonon_assisted_comparison``) treat the devices as a batch axis
-instead.  A scan passes its base parameters and the arrays of the fields
-it varies to ``max_power_batch``, which takes the zero-load generators of
-all devices from one ``model.build_generator_stack`` call (equal, entry
-for entry, to ``build_generator``, the single-device path), eliminates
-the coherences in closed form, solves the remaining six-state rate chain
-exactly by GTH elimination, and finds every maximum-power point in one
-vectorised call per model kind.
+Every stationary state here is rho(Gamma) = (x_a + Gamma x_b) /
+(S_a + Gamma S_b), the chain form of ``_chain_form``.  The single-device
+functions (``iv_curve``, ``max_power_point``, ``open_circuit_voltage``,
+``short_circuit_current``) read it for one ``build_generator`` call; the
+parameter scans treat the devices as a batch axis and read it for one
+``model.build_generator_stack`` call (equal, entry for entry, to
+``build_generator``) in ``max_power_batch``.  Both find the maximum-power
+load by the same Newton iteration (``_max_power``).
 """
 
 from __future__ import annotations
@@ -30,17 +22,19 @@ from .errors import (BoundaryMaximumError, DegenerateSteadyStateError,
                      UndefinedEfficiencyError, VoltageUndefinedError)
 from .model import (BAND_ALIGNMENTS, IDX_IM13, IDX_IM24, IDX_P11, IDX_P22,
                     IDX_P33, IDX_P44, IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
-                    ModelParams, N_STATE, POPULATION_INDICES,
-                    apply_band_alignment, build_generator,
-                    build_generator_stack, tunneling_from_distance)
-from .observables import (_POPULATION_GUARD, absorption_fluxes, efficiency,
-                          photovoltaic_point, supplied_power, voltage)
-from .steady import (RESIDUAL_TOL, TRACE_TOL, SteadyState, solve_steady)
+                    N_STATE, POPULATION_INDICES, QDM_ACTIVE, SQD_ACTIVE,
+                    GeneratorStack, ModelParams, apply_band_alignment,
+                    build_generator, build_generator_stack,
+                    tunneling_from_distance)
+from .observables import (_POPULATION_GUARD, absorption_fluxes,
+                          supplied_power)
+from .steady import RESIDUAL_TOL, TRACE_TOL
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# Load rate of the one validated solve behind every sweep.
-_GAMMA_REF = 1.0
+# Far above the maximum a Newton step about halves Gamma (the power slope
+# is close to a quadratic there).  No float range needs 2 100 halvings.
+_NEWTON_STEPS = 2200
+# Where the maximum-power search samples its bracket, in ln Gamma.
+_SPACING = np.linspace(0.0, 1.0, 9)
 
 
 @dataclass(frozen=True)
@@ -62,121 +56,35 @@ class GridSpec:
                            math.log10(self.gamma_max), self.n)
 
 
-class LoadSweep:
-    """Exact stationary states of one parameter set at every load rate.
-
-    With the |6> row traded for the normalization (as in ``solve_steady``)
-    the constrained matrix is B(Gamma) = B(Gr) - (Gamma - Gr) e5 e5^T for
-    the reference load Gr.  From x0 = B(Gr)^-1 b and y = B(Gr)^-1 e5,
-    Sherman-Morrison gives x(Gamma) = x0 + t y with
-    t = (Gamma - Gr) rho55 and rho55 = x0[5] / (1 - (Gamma - Gr) y5).
+@dataclass(frozen=True, eq=False)
+class ChainForm:
+    """Stationary states of a stack of devices at every load rate: device
+    k's state at load Gamma is (x_a[k] + Gamma x_b[k]) / (s_a[k] +
+    Gamma s_b[k]), with |5> at weight 1 in x_a and 0 in x_b.  A device
+    whose contact |5> is empty at every load has x_a = x_b = 0, s_a = 1.
     """
 
-    def __init__(self, params: ModelParams, kind: str):
-        self.params = params
-        # Trace conservation, degeneracy and the residual are checked once,
-        # at the reference load; adding load only ever adds couplings.  The
-        # load enters no pump entry, so this generator also serves
-        # ``absorption_fluxes`` at every load.
-        self.generator = build_generator(params.replace(Gamma=_GAMMA_REF),
-                                         kind)
-        solve_steady(self.generator)
-        self.active = active = list(self.generator.active)
-        self.A = self.generator.matrix[np.ix_(active, active)]
-        self.r5, self.r6 = active.index(IDX_P55), active.index(IDX_P66)
-        B = self.A.copy()
-        B[self.r6] = [float(i in POPULATION_INDICES) for i in active]
-        # Right-hand sides b (the normalization) and e5.
-        sol = np.linalg.solve(B, np.eye(len(active))[:, [self.r6, self.r5]])
-        self.x0, self.y = sol[:, 0], sol[:, 1]
-        self.y5 = float(self.y[self.r5])
-        if not self.y5 < 0.0:
-            raise NumericalSolveError(
-                f"load response y5 = {self.y5:.3e} is not negative")
-        # Largest generator entry apart from the two the load changes.
-        rest = np.abs(self.A)
-        rest[[self.r5, self.r6], self.r5] = 0.0
-        self._rest_scale = float(rest.max())
+    stack: GeneratorStack
+    x_a: np.ndarray
+    x_b: np.ndarray
+    s_a: np.ndarray
+    s_b: np.ndarray
 
-    def contacts(self, gamma):
-        """(rho55, rho66) at load rate(s) ``gamma``.  The denominator grows
-        with Gamma (y5 < 0): it is positive above any load checked in
-        ``states``."""
-        d = gamma - _GAMMA_REF
-        p55 = self.x0[self.r5] / (1.0 - d * self.y5)
-        return p55, self.x0[self.r6] + d * p55 * self.y[self.r6]
+    # A load so large that the weights overflow leaves rho55 at 0 or NaN,
+    # below any guard, as its true value is.
+    @np.errstate(over="ignore", invalid="ignore")
+    def states(self, gamma) -> np.ndarray:
+        """States at load(s) ``gamma``, which broadcast against the
+        devices: one load per device, or any number for a single one."""
+        gamma = np.asarray(gamma, dtype=float)
+        return ((self.x_a + gamma[..., None] * self.x_b)
+                / (self.s_a + gamma * self.s_b)[..., None])
 
-    def states(self, gammas) -> tuple[np.ndarray, np.ndarray]:
-        """Stationary states (one full-layout row per load) and the max-norm
-        residual of the full generator at each load."""
-        gammas = np.asarray(gammas, dtype=float)
-        d = gammas - _GAMMA_REF
-        if not (1.0 - d * self.y5 > 0.0).all():
-            raise NumericalSolveError(
-                "load rate below the range of the rank-one sweep: "
-                f"1 - (Gamma - {_GAMMA_REF:g}) y5 <= 0 at y5 = {self.y5:.3e}")
-        p55, _ = self.contacts(gammas)
-        X = self.x0 + (d * p55)[:, None] * self.y
-        X[:, self.r5] = p55
-        # M(Gamma) x = M(Gr) x plus the load's transfer of d*rho55 from |5>
-        # to |6>.
-        R = X @ self.A.T
-        R[:, self.r5] -= d * p55
-        R[:, self.r6] += d * p55
-        res = np.abs(R).max(axis=1)
-        scale = np.maximum(self._rest_scale, np.maximum(
-            np.abs(self.A[self.r5, self.r5] - d),
-            np.abs(self.A[self.r6, self.r5] + d)))
-        bad = np.flatnonzero(res > RESIDUAL_TOL * scale)
-        if bad.size:
-            k = int(bad[0])
-            raise NumericalSolveError(
-                f"steady solve residual {res[k]:.3e} at Gamma = {gammas[k]:g}")
-        full = np.zeros((len(gammas), N_STATE))
-        full[:, self.active] = X
-        return full, res
-
-    def state(self, gamma: float) -> SteadyState:
-        X, res = self.states([gamma])
-        return SteadyState(x=X[0], residual=float(res[0]),
-                           condition_estimate=float("nan"))
-
-    def voltage(self, p55, p66):
-        """Photovoltage (E5 - E6) + kTc ln(rho55/rho66); populations must
-        exceed the voltage guard."""
-        return (self.generator.energies.e5_minus_e6
-                + self.params.kTc * np.log(p55 / p66))
-
-    def power(self, gamma: float) -> float:
-        """Delivered power at one load rate; -inf where V is undefined."""
-        p55, p66 = self.contacts(gamma)
-        if not (p55 > _POPULATION_GUARD and p66 > _POPULATION_GUARD):
-            return -math.inf
-        return float(gamma * p55 * self.voltage(p55, p66))
-
-    def short_circuit(self) -> tuple[float, float]:
-        """(Gamma, j) where V = 0, i.e. rho55 = r rho66 with
-        r = exp(-(E5 - E6)/kTc).
-
-        Along the sweep rho66 = x0[6] + (rho55 - x0[5]) y6/y5, so the
-        crossing is solved for rho55 directly.  Solving for t instead would
-        cancel x0[5] against t*y5, as rho55 ~ r is tiny there.
-        """
-        r = math.exp(-self.generator.energies.e5_minus_e6 / self.params.kTc)
-        x55, x66 = self.x0[self.r5], self.x0[self.r6]
-        ratio = self.y[self.r6] / self.y5
-        p66_inf = x66 - x55 * ratio  # rho66 at infinite load
-        den = 1.0 - r * ratio
-        if not (r > 0.0 and p66_inf > 0.0 and den > 0.0):
-            raise NumericalSolveError(
-                f"no short-circuit load: r = {r:.3e}, rho66 at infinite "
-                f"load {p66_inf:.3e}, denominator {den:.3e}")
-        p55 = r * p66_inf / den
-        gamma = _GAMMA_REF + (p55 - x55) / (p55 * self.y5)
-        if not gamma > 0.0:
-            raise NumericalSolveError(
-                f"voltage vanishes only at negative load {gamma:.3e}")
-        return gamma, float(gamma * p55)
+    def voltage(self, gamma) -> np.ndarray:
+        """(E5 - E6) + kTc ln(rho55/rho66), where rho55/rho66 is
+        1/(a6 + Gamma b6); the contact populations must be positive."""
+        return self.stack.e5_minus_e6 - self.stack.kTc * np.log(
+            self.x_a[:, IDX_P66] + gamma * self.x_b[:, IDX_P66])
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +92,8 @@ class IVCurve:
     """Current-voltage characteristic over a load grid.
 
     ``columns`` maps Gamma, j, V, P, coh13 and coh24 to read-only arrays
-    over the kept load points; ``sweep`` evaluates any other load.
+    over the kept load points; ``chain`` (one device) gives the state at
+    any other load.
     """
 
     columns: dict
@@ -192,7 +101,7 @@ class IVCurve:
     kind: str
     alignment: str
     grid: GridSpec
-    sweep: LoadSweep
+    chain: ChainForm
     n_dropped: int = 0
 
     def __post_init__(self):
@@ -220,6 +129,30 @@ class MaxPowerPoint:
     eta: float
     coh13: float = 0.0
     coh24: float = 0.0
+
+
+@dataclass(frozen=True)
+class MaxPowerBatch:
+    """Maximum-power points of a batch of devices, one entry per device.
+
+    A device that failed is NaN in every array, and ``errors`` holds the
+    typed exception it raised (None where it succeeded).
+    """
+
+    Gamma_star: np.ndarray
+    j_mpp: np.ndarray
+    V_mpp: np.ndarray
+    P_m: np.ndarray
+    eta: np.ndarray
+    coh13: np.ndarray
+    coh24: np.ndarray
+    errors: tuple
+
+    def raise_first(self) -> None:
+        """Raise the error of the first device that failed, if any."""
+        for exc in self.errors:
+            if exc is not None:
+                raise exc
 
 
 @dataclass(frozen=True)
@@ -261,50 +194,330 @@ class ScenarioResult:
     max_coh24: float | None = None
 
 
+# Coherences eliminated in closed form, (rho_a, rho_b, Re, Im).  Their
+# generator rows read d Re/dt = -D Re + Delta Im and
+# d Im/dt = -Delta Re - D Im + t (rho_a - rho_b).
+_COHERENCES = ((IDX_P11, IDX_P33, IDX_RE13, IDX_IM13),
+               (IDX_P22, IDX_P44, IDX_RE24, IDX_IM24))
+
+
+def _chain_layout(active: tuple) -> tuple:
+    # The state-vector index of each chain state, |5> first; per coherent
+    # pair (a, b, re, im) and the chain positions of a and b; a mask, 0 on
+    # the diagonal and the coherent links; flat generator indices (row *
+    # N_STATE + column) of the population rates and of t, -D, Delta, -2 t.
+    pops = [IDX_P55] + [i for i in active
+                        if i in POPULATION_INDICES and i != IDX_P55]
+    pairs = [(a, b, re, im, pops.index(a), pops.index(b))
+             for a, b, re, im in _COHERENCES if im in active]
+    pairs = tuple(np.array(col) for col in zip(*pairs))
+    a, b, re, im, ia, ib = pairs or (np.zeros(0, dtype=int),) * 6
+    others = 1.0 - np.eye(len(pops))
+    others[ia, ib] = others[ib, ia] = 0.0
+    index = np.array(pops) * N_STATE
+    return (pops, pairs, others[:, :, None], index[:, None] + pops,
+            np.array([im * N_STATE + a, re * N_STATE + re,
+                      re * N_STATE + im, a * N_STATE + im]))
+
+
+_LAYOUTS = {active: _chain_layout(active)
+            for active in (QDM_ACTIVE, SQD_ACTIVE)}
+
+
+def _fail(errors: list, bad: np.ndarray, make) -> None:
+    """Record ``make(k)`` for each device k flagged in ``bad`` that has not
+    failed yet."""
+    if np.count_nonzero(bad):
+        for k in np.flatnonzero(bad):
+            if errors[k] is None:
+                errors[k] = make(int(k))
+
+
+def _gth(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary weights ``w[i, k]`` (state 0 at 1) of rate chains by
+    Grassmann-Taksar-Heyman elimination, and per chain whether every
+    pivot was positive: whether every state reaches state 0.
+    ``R[j, i, k]`` is chain k's rate i -> j; the diagonal is ignored.
+    Every step adds, multiplies or divides nonnegative numbers, so each
+    weight keeps a small relative error however small it is.
+    """
+    R = R.copy()
+    n = len(R)
+    pivots, entries = [], []
+    for k in range(n - 1, 0, -1):
+        pivot = np.add.reduce(R[:k, k])
+        # Rates into k, per unit of k's exit rate to the states left.
+        into = R[k, :k] / pivot
+        R[:k, :k] += R[:k, k, None] * into
+        pivots.append(pivot)
+        entries.append(into)
+    weights = np.ones(R.shape[1:])
+    for k, into in zip(range(1, n), reversed(entries)):
+        weights[k] = np.add.reduce(weights[:k] * into)
+    return weights, np.minimum.reduce(pivots) > 0.0
+
+
+def _closed_classes(R: np.ndarray) -> np.ndarray:
+    """Per chain of ``R`` (laid out as in ``_gth``): whether it has one
+    closed class of states."""
+    # reach[k, i, j]: in chain k, state i reaches state j.
+    reach = (R.transpose(2, 1, 0) > 0.0) | np.eye(len(R), dtype=bool)
+    for _ in range(3):  # paths of up to eight links cover six states
+        reach = reach @ reach
+    recurrent = (~reach | reach.transpose(0, 2, 1)).all(axis=2)
+    return (reach | ~recurrent[:, :, None]
+            | ~recurrent[:, None, :]).all(axis=(1, 2))
+
+
+def _population_difference(rates: np.ndarray, others: np.ndarray,
+                           W: np.ndarray, a: np.ndarray, b: np.ndarray,
+                           kappa: np.ndarray) -> np.ndarray:
+    """rho_a - rho_b of the chain weights ``W[i, s, k]`` (state i of x_a,
+    s = 0, or of x_b, s = 1, of device k) for each pair of chain states
+    a[p], b[p] that a coherence couples with the rate kappa[p].
+    ``rates[j, i, k]`` is device k's incoherent rate i -> j, and
+    ``others`` the same without the coherent links and the diagonal.
+
+    Taken directly the difference cancels where the coherent rate locks
+    the two populations together.  The balance of a, or of b, gives it
+    from the net flow J through the other links instead,
+    (kappa + r_ba) (rho_a - rho_b) = J - (r_ab - r_ba) rho_a; of the
+    three sums, the one that cancels least is used.
+    """
+    # Each state's flows from and to the other states; all terms >= 0.
+    pair, n = np.concatenate([a, b]), len(a)
+    inflow = np.einsum("jik,isk->jsk", others, W)[pair]
+    outflow = np.add.reduce(others)[pair, None] * W[pair]
+    xa, xb = W[a], W[b]
+    r_ba = rates[a, b][:, None]
+    link = (r_ba - rates[b, a][:, None]) * xa
+    den = kappa[:, None] + r_ba
+    usable, link_size = den > 0.0, np.abs(link)
+    diff = xa - xb
+    cancel = (xa + xb) / np.abs(diff)
+    for flow, size in ((outflow[n:] - inflow[n:], outflow[n:] + inflow[n:]),
+                       (inflow[:n] - outflow[:n], inflow[:n] + outflow[:n])):
+        flow = flow + link
+        flow_cancel = (size + link_size) / np.abs(flow)
+        better = (flow_cancel < cancel) & usable
+        diff = np.where(better, flow / den, diff)
+        cancel = np.where(better, flow_cancel, cancel)
+    return diff
+
+
+@np.errstate(all="ignore")
+def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
+    """The chain form of every zero-load generator in ``stack``.
+
+    The coherences obey a linear system that the load does not enter, so
+    they are eliminated in closed form and leave a rate chain on the
+    populations with a symmetric rate kappa = 2 t^2 D / (D^2 + Delta^2)
+    across each coherent pair.  By the Markov-chain tree theorem every
+    spanning tree rooted away from |5> leaves |5> by either 5 -> 3 (5 -> 1
+    for the single dot) or the load, and those rooted at |5> use neither.
+    So GTH rooted at |5> gives x_a on the chain, and x_b on the chain with
+    the non-load exits of |5> replaced by a unit load; x_b[5] = 0.  A zero
+    pivot means some level cannot reach |5>: the device fails if it has
+    more than one closed class of levels.  Failures are recorded in
+    ``errors``; failed devices carry zeros, NaN or inf, which checks flag.
+    """
+    pops, pairs, mask, rate_entries, pair_entries = _LAYOUTS[stack.active]
+    # Devices on the last axis: M[i, j] is every device's entry.
+    M = stack.matrix.transpose(1, 2, 0)
+    n_dev = M.shape[-1]
+    flat = M.reshape(-1, n_dev)
+    scale = np.abs(M).max(axis=(0, 1))
+    trace = np.abs(np.add.reduce(M[IDX_P11:IDX_P66 + 1])).max(axis=0)
+    _fail(errors, ~(trace <= TRACE_TOL * scale),
+          lambda k: NumericalSolveError(
+              "generator is not trace conserving: population rows sum to "
+              f"{trace[k]:.3e} (scale {scale[k]:.3e})"))
+
+    # rates[j, i] is the incoherent rate i -> j between chain states.
+    rates = flat[rate_entries]
+    chain = rates.copy()
+    if pairs:  # the single dot has no coherences
+        a, b, re, im, ia, ib = pairs
+        t, D, det, two_t = flat[pair_entries]
+        D = -D
+        den = D * D + det * det
+        _fail(errors, ~(den > 0.0).all(axis=0),
+              lambda k: DegenerateSteadyStateError(
+                  "undamped resonant coherence: multiple steady states"))
+        # Re and Im of each coherence per unit rho_a - rho_b.
+        re_c, im_c = t * det / den, t * D / den
+        kappa = -two_t * im_c
+        chain[ia, ib] += kappa
+        chain[ib, ia] += kappa
+    # The chains of x_a, then of x_b, whose |5> leaves only by a unit load.
+    chains = np.concatenate([chain, chain], axis=-1)
+    chains[:, 0, n_dev:] = 0.0
+    chains[pops.index(IDX_P66), 0, n_dev:] = 1.0
+    W, ok = _gth(chains)
+    W = W.reshape(len(pops), 2, n_dev)
+    ok = ok[:n_dev] & ok[n_dev:]
+    # Weights of x_a that overflow, as they do behind a zero pivot, leave
+    # rho55 at 0 to working precision: the empty form.
+    empty = ~np.isfinite(np.add.reduce(W[:, 0]))
+    if not ok.all():
+        _fail(errors, ~ok & ~_closed_classes(
+            chains[..., :n_dev] + chains[..., n_dev:]),
+            lambda k: DegenerateSteadyStateError(
+                "reducible rate chain: more than one closed class of "
+                "levels, so more than one steady state"))
+    W[..., empty] = 0.0
+    W[0, 1] = 0.0
+    X = np.zeros((len(M), 2, n_dev))
+    X[pops] = W
+    if pairs:
+        diff = _population_difference(rates, rates * mask, W, ia, ib, kappa)
+        X[re] = re_c[:, None] * diff
+        X[im] = im_c[:, None] * diff
+    s_a, s_b = np.add.reduce(W)
+    s_a[empty] = 1.0
+
+    # M(Gamma) x(Gamma) = (c0 + Gamma c1) / (S_a + Gamma S_b): the load
+    # term acting on x_b vanishes because x_b[5] = 0.  Bounding c0 and c1
+    # bounds the residual at every load by RESIDUAL_TOL times the largest
+    # generator entry.
+    R = np.einsum("ijk,jsk->isk", M, X)
+    R[IDX_P55, 1] -= X[IDX_P55, 0]
+    R[IDX_P66, 1] += X[IDX_P55, 0]
+    c0, c1 = np.abs(R).max(axis=0)
+    _fail(errors, ~((c0 <= RESIDUAL_TOL * scale * s_a)
+                    & (c1 <= RESIDUAL_TOL * scale * s_b)),
+          lambda k: NumericalSolveError(
+              f"chain-form residual {c0[k] / s_a[k]:.3e} + Gamma "
+              f"{c1[k] / s_b[k]:.3e} exceeds {RESIDUAL_TOL:.0e} x largest "
+              f"generator entry {scale[k]:.3e}"))
+    return ChainForm(stack, *X.transpose(1, 2, 0), s_a, s_b)
+
+
+def _device_chain(params: ModelParams, kind: str) -> ChainForm:
+    """Chain form of one device, from ``build_generator``; raises the
+    device's error if it fails."""
+    g = build_generator(params.replace(Gamma=0.0), kind)
+    e = g.energies
+    stack = GeneratorStack(g.matrix[None], g.active, *(
+        np.array([v]) for v in (e.e5_minus_e6, e.E12, e.E34, params.kTc)))
+    errors = [None]
+    chain = _chain_form(stack, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return chain
+
+
+@np.errstate(all="ignore")  # as in ``_chain_form``
+def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
+               errors: list) -> MaxPowerBatch:
+    """Maximum-power point of each device of ``chain`` between the loads
+    ``lo`` and ``hi``, one pair per device.
+
+    With j = Gamma/(s_a + Gamma s_b) and V = (E5 - E6) - kTc ln w6,
+    w6 = a6 + Gamma b6, dP/dGamma has the sign of the concave
+    f = s_a V w6 - kTc b6 Gamma (s_a + Gamma s_b), so f(lo) > 0 > f(hi)
+    brackets one maximum (else ``BoundaryMaximumError``).  A concave
+    function lies below its tangents, so Newton's method on f from a
+    point where f < 0 falls monotonically onto the root until rounding
+    stops it.  eta is P_m over E12*J1 + E34*J2, the absorbed power.
+    """
+    # f and df/dGamma over s_a b6 > 0, with w6 = b6 (A + Gamma).
+    b6, kTc = chain.x_b[:, IDX_P66], chain.stack.kTc
+    A, r = chain.x_a[:, IDX_P66] / b6, chain.s_b / chain.s_a
+    e56 = chain.stack.e5_minus_e6 - kTc * np.log(b6)
+
+    def slope(gamma):
+        v = e56 - kTc * np.log(A + gamma)
+        q = 1.0 + r * gamma
+        return v * (A + gamma) - kTc * gamma * q, v - 2.0 * kTc * q
+
+    # f at points spaced evenly in ln Gamma from lo to hi; Newton starts
+    # from the first point right of the maximum.
+    points = lo ** (1.0 - _SPACING[:, None]) * hi ** _SPACING[:, None]
+    f = slope(points)[0]
+    first = (f < 0.0).argmax(axis=0), np.arange(len(lo))
+    gamma, f_start = points[first], f[first]
+
+    def unbracketed(k):
+        if not chain.x_a[k, IDX_P55] > 0.0:
+            return BoundaryMaximumError(
+                "the conduction contact is empty at every load: no power")
+        if not f[0, k] > 0.0:
+            return BoundaryMaximumError(
+                f"power does not rise above Gamma = {lo[k]:g}: no positive "
+                "interior maximum; widen the load grid")
+        if not f[-1, k] < 0.0:
+            return BoundaryMaximumError(
+                f"power still rises at Gamma = {hi[k]:g}; widen the load grid")
+        return NumericalSolveError(
+            f"power slope overflows at Gamma = {gamma[k]:g}")
+
+    _fail(errors, ~((f[0] > 0.0) & (f[-1] < 0.0) & (-np.inf < f_start)),
+          unbracketed)
+    moving = np.array([e is None for e in errors], dtype=bool)
+    if len(gamma) == 1:
+        # A lone device iterates on numpy scalars, the same arithmetic
+        # without most of the per-call cost of one-element arrays.
+        A, r, e56, kTc, gamma, moving = (
+            v[0] for v in (A, r, e56, kTc, gamma, moving))
+    for _ in range(_NEWTON_STEPS):
+        if not np.count_nonzero(moving):
+            break
+        f, df = slope(gamma)
+        step = gamma - f / df
+        moving &= step < gamma
+        # A device whose step no longer falls stays where it is, and so
+        # keeps failing that test; failed devices' values are dropped.
+        gamma = np.fmin(step, gamma)
+    gamma, moving = np.atleast_1d(gamma), np.atleast_1d(moving)
+    _fail(errors, moving, lambda k: NumericalSolveError(
+        f"maximum-power search still moving after {_NEWTON_STEPS} steps"))
+
+    x = chain.states(gamma)
+    j = gamma * x[:, IDX_P55]
+    V = chain.voltage(gamma)
+    P = j * V
+    j1, j2 = absorption_fluxes(x, chain.stack.matrix)
+    supplied = (supplied_power(j1, chain.stack.E12)
+                + supplied_power(j2, chain.stack.E34))
+    _fail(errors, ~((P > 0.0) & (supplied > 0.0)),
+          lambda k: BoundaryMaximumError("no positive power at the maximum")
+          if not P[k] > 0.0 else UndefinedEfficiencyError(
+              "supplied power is zero; efficiency undefined"))
+    columns = np.array([gamma, j, V, P, P / supplied,
+                        np.hypot(x[:, IDX_RE13], x[:, IDX_IM13]),
+                        np.hypot(x[:, IDX_RE24], x[:, IDX_IM24])])
+    failed = [e is not None for e in errors]
+    if any(failed):
+        columns[:, failed] = np.nan
+    return MaxPowerBatch(*columns, errors=tuple(errors))
+
+
 def iv_curve(params: ModelParams, kind: str = "qdm",
              grid: GridSpec | None = None,
              alignment: str = "0") -> IVCurve:
-    """Stationary observables at every load rate of a log grid.
-
-    All loads are evaluated at once from the closed form of one
-    ``LoadSweep``, with the residual of the full generator checked at
-    each.  Points where the entropic voltage term is undefined (vanishing
-    contact population) are dropped and counted in ``n_dropped``.
+    """Stationary observables at every load rate of a log grid, all read
+    at once from the device's chain form.  Points where the voltage is
+    undefined (vanishing contact population) are dropped and counted in
+    ``n_dropped``.
     """
     grid = grid or GridSpec()
     params = apply_band_alignment(params, alignment)
-    sweep = LoadSweep(params, kind)
+    chain = _device_chain(params, kind)
     gammas = grid.values()
-    X, _ = sweep.states(gammas)
+    X = chain.states(gammas)
     keep = ((X[:, IDX_P55] > _POPULATION_GUARD)
             & (X[:, IDX_P66] > _POPULATION_GUARD))
-    X, gammas = X[keep], gammas[keep]
+    if not keep.all():
+        X, gammas = X[keep], gammas[keep]
     j = gammas * X[:, IDX_P55]
-    V = sweep.voltage(X[:, IDX_P55], X[:, IDX_P66])
+    V = chain.voltage(gammas)
     columns = {"Gamma": gammas, "j": j, "V": V, "P": j * V,
                "coh13": np.hypot(X[:, IDX_RE13], X[:, IDX_IM13]),
                "coh24": np.hypot(X[:, IDX_RE24], X[:, IDX_IM24])}
     return IVCurve(columns=columns, params=params, kind=kind,
-                   alignment=alignment, grid=grid, sweep=sweep,
+                   alignment=alignment, grid=grid, chain=chain,
                    n_dropped=int(len(keep) - keep.sum()))
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-6):
-    """Golden-section maximization on [lo, hi]; returns (x, f(x))."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
 
 
 def max_power_point(params: ModelParams | None = None, kind: str = "qdm",
@@ -313,18 +526,14 @@ def max_power_point(params: ModelParams | None = None, kind: str = "qdm",
                     alignment: str = "0") -> MaxPowerPoint:
     """Locate the interior power maximum of the load sweep.
 
-    The grid argmax is refined by golden-section search on log(Gamma) to
-    1e-6 relative tolerance, each step one closed-form evaluation of the
-    curve's ``LoadSweep``.  A maximum on the grid boundary raises; the
-    grid must be widened.  The efficiency divides P_m by the power the
-    two optical channels absorb at that state, E12*J1 + E34*J2; a
-    non-positive supplied power raises ``UndefinedEfficiencyError``.
+    The grid argmax and its two neighbours bracket the maximum, which
+    ``_max_power`` then solves for to rounding on the curve's chain form.
+    A maximum on the grid boundary raises; the grid must be widened.
     """
     if curve is None:
         if params is None:
             raise DomainError("need either params or a precomputed curve")
         curve = iv_curve(params, kind=kind, grid=grid, alignment=alignment)
-    sweep = curve.sweep
     gammas, powers = curve.column("Gamma"), curve.column("P")
     if len(powers) == 0:
         raise BoundaryMaximumError("curve has no valid points")
@@ -335,41 +544,42 @@ def max_power_point(params: ModelParams | None = None, kind: str = "qdm",
         raise BoundaryMaximumError(
             f"power maximum at grid edge Gamma = {gammas[k]:g}; "
             "widen the load grid")
-
-    u_star, p_star = _golden_max(lambda u: sweep.power(math.exp(u)),
-                                 math.log(gammas[k - 1]),
-                                 math.log(gammas[k + 1]))
-    gamma = math.exp(u_star) if p_star >= powers[k] else float(gammas[k])
-    energies = sweep.generator.energies
-    best = photovoltaic_point(sweep.state(gamma), gamma, energies,
-                              curve.params.kTc)
-    j1, j2 = absorption_fluxes(best.state, sweep.generator)
-    eta = efficiency(best.P, supplied_power(j1, energies.E12)
-                     + supplied_power(j2, energies.E34))
-    return MaxPowerPoint(Gamma_star=best.Gamma, j_mpp=best.j, V_mpp=best.V,
-                         P_m=best.P, eta=eta, coh13=best.coh13,
-                         coh24=best.coh24)
+    mpp = _max_power(curve.chain, gammas[[k - 1]], gammas[[k + 1]], [None])
+    mpp.raise_first()
+    return MaxPowerPoint(*(float(getattr(mpp, name)[0]) for name in (
+        "Gamma_star", "j_mpp", "V_mpp", "P_m", "eta", "coh13", "coh24")))
 
 
 def open_circuit_voltage(params: ModelParams,
                          kind: str = "qdm") -> OpenCircuitVoltage:
-    """Voltage in the vanishing-load limit, evaluated exactly at Gamma = 0.
+    """Voltage exactly at zero load, (E5 - E6) - kTc ln a6; raises
+    ``VoltageUndefinedError`` if a contact population vanishes there."""
+    chain = _device_chain(params, kind)
+    p55, p66 = chain.states(0.0)[0, [IDX_P55, IDX_P66]]
+    if not (p55 > _POPULATION_GUARD and p66 > _POPULATION_GUARD):
+        raise VoltageUndefinedError(
+            f"contact populations too small at zero load (rho55={p55:.3e}, "
+            f"rho66={p66:.3e}); open-circuit voltage undefined")
+    return OpenCircuitVoltage(value=float(chain.voltage(0.0)[0]))
 
-    Raises ``VoltageUndefinedError`` if a contact population vanishes
-    there.
-    """
-    sweep = LoadSweep(params, kind)
-    return OpenCircuitVoltage(value=voltage(
-        sweep.state(0.0), sweep.generator.energies, params.kTc))
+
+@np.errstate(over="ignore")  # an overflowing crossing fails the check
+def _short_circuit_load(chain: ChainForm) -> float:
+    """Load rate where the voltage of a one-device chain vanishes:
+    a6 + Gamma b6 = exp((E5 - E6)/kTc)."""
+    a6, b6 = float(chain.x_a[0, IDX_P66]), float(chain.x_b[0, IDX_P66])
+    r = float(np.exp(chain.stack.e5_minus_e6[0] / chain.stack.kTc[0]))
+    if not (b6 > 0.0 and a6 < r < math.inf):
+        raise NumericalSolveError(
+            f"no short-circuit load at positive Gamma: a6 = {a6:.3e}, "
+            f"b6 = {b6:.3e}, exp((E5 - E6)/kTc) = {r:.3e}")
+    return (r - a6) / b6
 
 
 def short_circuit_current(curve: IVCurve) -> ShortCircuitCurrent:
-    """Current where the voltage crosses zero.
-
-    The voltage falls monotonically with the load.  If the curve reaches
-    V <= 0, the crossing is solved in closed form on the curve's sweep.
-    If it never does, the current at the largest valid load is returned
-    and flagged as a lower bound.
+    """Current where the voltage, which falls with the load, crosses
+    zero: solved in closed form if the curve reaches V <= 0, else the
+    current at its largest load, flagged as a lower bound.
     """
     volts = curve.column("V")
     if len(volts) == 0:
@@ -377,8 +587,11 @@ def short_circuit_current(curve: IVCurve) -> ShortCircuitCurrent:
     if volts[-1] > 0.0:
         return ShortCircuitCurrent(value=float(curve.column("j")[-1]),
                                    from_crossing=False)
-    return ShortCircuitCurrent(value=curve.sweep.short_circuit()[1],
-                               from_crossing=True)
+    chain = curve.chain
+    gamma = _short_circuit_load(chain)
+    return ShortCircuitCurrent(
+        value=float(gamma / (chain.s_a[0] + gamma * chain.s_b[0])),
+        from_crossing=True)
 
 
 def relative_current_gain(params: ModelParams,
@@ -400,255 +613,21 @@ def relative_current_gain(params: ModelParams,
         qdm=mpp_qdm, sqd=mpp_sqd)
 
 
-@dataclass(frozen=True)
-class MaxPowerBatch:
-    """Maximum-power points of a batch of devices, one entry per device.
-
-    A device that failed is NaN in every array, and ``errors`` holds the
-    typed exception it raised (None where it succeeded).
-    """
-
-    Gamma_star: np.ndarray
-    j_mpp: np.ndarray
-    V_mpp: np.ndarray
-    P_m: np.ndarray
-    eta: np.ndarray
-    coh13: np.ndarray
-    coh24: np.ndarray
-    errors: tuple
-
-    def raise_first(self) -> None:
-        """Raise the error of the first device that failed, if any."""
-        for exc in self.errors:
-            if exc is not None:
-                raise exc
-
-
-# Coherences eliminated in closed form, (rho_a, rho_b, Re, Im).  Their
-# generator rows read d Re/dt = -D Re + Delta Im and
-# d Im/dt = -Delta Re - D Im + t (rho_a - rho_b).
-_COHERENCES = ((IDX_P11, IDX_P33, IDX_RE13, IDX_IM13),
-               (IDX_P22, IDX_P44, IDX_RE24, IDX_IM24))
-
-
-def _fail(errors: list, bad: np.ndarray, make) -> None:
-    """Record ``make(k)`` for each device k flagged in ``bad`` that has not
-    failed yet."""
-    for k in np.flatnonzero(bad):
-        if errors[k] is None:
-            errors[k] = make(int(k))
-
-
-def _gth(Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary weights of a stack of rate chains by Grassmann-Taksar-
-    Heyman elimination; ``Q[k, i, j]`` is chain k's rate i -> j, and its
-    diagonal is ignored.
-
-    Every step adds, multiplies or divides nonnegative numbers, so each
-    weight keeps a small relative error however small it is.  Returns the
-    weights, with state 0 at 1, and per chain whether every pivot was
-    positive; a zero pivot means the chain is reducible.
-    """
-    Q = Q.copy()
-    n_chain, n, _ = Q.shape
-    ok = np.ones(n_chain, dtype=bool)
-    for k in range(n - 1, 0, -1):
-        pivot = Q[:, k, :k].sum(axis=1)
-        ok &= pivot > 0.0
-        Q[:, :k, k] /= np.where(pivot > 0.0, pivot, 1.0)[:, None]
-        Q[:, :k, :k] += Q[:, :k, k, None] * Q[:, None, k, :k]
-    weights = np.zeros((n_chain, n))
-    weights[:, 0] = 1.0
-    for k in range(1, n):
-        weights[:, k] = (weights[:, :k] * Q[:, :k, k]).sum(axis=1)
-    return weights, ok
-
-
-def _population_difference(M: np.ndarray, X: np.ndarray, pops: list,
-                           a: int, b: int, kappa: np.ndarray) -> np.ndarray:
-    """rho_a - rho_b of the states X (stacked over M's devices), for the
-    levels a, b that a coherence couples with the rate kappa.
-
-    Taken directly the difference cancels where the coherent rate locks
-    the two populations together.  The balance of a, or of b, gives it
-    from the net flow J through the other links instead:
-    (kappa + r_ba) (rho_a - rho_b) = J - (r_ab - r_ba) rho_a, with r the
-    incoherent rates of the link.  Every population carries a small
-    relative error, so of the three sums the one that cancels least, by
-    sum |terms| / |sum|, is the most accurate and is used.
-    """
-    js = [j for j in pops if j not in (a, b)]
-    xa, xb, xj = X[..., a, None], X[..., b, None], X[..., js]
-    r_ba = M[:, a, b]
-    link = ((r_ba - M[:, b, a]) * X[..., a])[..., None]
-    den = kappa + r_ba
-    diff = X[..., a] - X[..., b]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cancel = (np.abs(X[..., a]) + np.abs(X[..., b])) / np.abs(diff)
-        for parts in ((M[:, js, b] * xb, -M[:, b, js] * xj, link),
-                      (M[:, a, js] * xj, -M[:, js, a] * xa, link)):
-            terms = np.concatenate(parts, axis=-1)
-            flow = terms.sum(axis=-1)
-            flow_cancel = np.abs(terms).sum(axis=-1) / np.abs(flow)
-            better = (flow_cancel < cancel) & (den > 0.0)
-            diff = np.where(better, flow / den, diff)
-            cancel = np.where(better, flow_cancel, cancel)
-    return diff
-
-
-def _chain_form(M: np.ndarray, active: tuple, errors: list) -> tuple:
-    """Load-free state x_a and load response x_b of each zero-load
-    generator in the stack ``M``, and their population sums S_a, S_b: the
-    stationary state at load Gamma is (x_a + Gamma x_b) / (S_a + Gamma S_b).
-
-    The coherences are eliminated in closed form, which leaves a rate
-    chain on the populations with a symmetric rate kappa = 2 t^2 D /
-    (D^2 + Delta^2) across each coherent pair.  By the Markov-chain tree
-    theorem every spanning tree rooted away from |5> leaves |5> by either
-    5 -> 3 (5 -> 1 for the single dot) or the load 5 -> 6, and those
-    rooted at |5> use neither.  So GTH on the chain gives x_a, and GTH on
-    the chain with the non-load exits of |5> replaced by a unit load gives
-    x_b, each scaled to a unit |5> weight; x_b[5] = 0.  Devices failing a
-    check are recorded in ``errors``.
-    """
-    pops = [i for i in active if i in POPULATION_INDICES]
-    c5, c6 = pops.index(IDX_P55), pops.index(IDX_P66)
-    scale = np.abs(M).max(axis=(1, 2))
-    trace = np.abs(M[:, POPULATION_INDICES, :].sum(axis=1)).max(axis=1)
-    _fail(errors, ~(trace <= TRACE_TOL * scale),
-          lambda k: NumericalSolveError(
-              "generator is not trace conserving: population rows sum to "
-              f"{trace[k]:.3e} (scale {scale[k]:.3e})"))
-
-    # The population rate i -> j sits at M[j, i].
-    Q = np.swapaxes(M[:, pops][:, :, pops], 1, 2).copy()
-    per_diff = []  # (a, b, re, im, Re and Im per unit rho_a - rho_b, kappa)
-    for a, b, re, im in _COHERENCES:
-        if im not in active:
-            continue
-        t, D, det = M[:, im, a], -M[:, re, re], M[:, re, im]
-        den = D * D + det * det
-        _fail(errors, ~(den > 0.0), lambda k: DegenerateSteadyStateError(
-            "undamped resonant coherence: multiple steady states"))
-        re_c, im_c = t * det / den, t * D / den
-        kappa = -M[:, a, im] * im_c
-        Q[:, pops.index(a), pops.index(b)] += kappa
-        Q[:, pops.index(b), pops.index(a)] += kappa
-        per_diff.append((a, b, re, im, re_c, im_c, kappa))
-
-    w_a, ok_a = _gth(Q)
-    Q[:, c5, :] = 0.0
-    Q[:, c5, c6] = 1.0
-    w_b, ok_b = _gth(Q)
-    _fail(errors, ~(ok_a & ok_b), lambda k: DegenerateSteadyStateError(
-        "reducible rate chain: a level cannot reach the others (zero "
-        "elimination pivot)"))
-    X = np.zeros((2,) + M.shape[:2])
-    X[0][:, pops] = w_a / w_a[:, c5, None]
-    X[1][:, pops] = w_b / w_b[:, c5, None]
-    X[1][:, IDX_P55] = 0.0
-    for a, b, re, im, re_c, im_c, kappa in per_diff:
-        diff = _population_difference(M, X, pops, a, b, kappa)
-        X[:, :, re] = re_c * diff
-        X[:, :, im] = im_c * diff
-    x_a, x_b = X
-
-    # M(Gamma) x(Gamma) = (c0 + Gamma c1) / (S_a + Gamma S_b): the load
-    # term acting on x_b vanishes because x_b[5] = 0.  Bounding c0 and c1
-    # bounds the residual at every load by RESIDUAL_TOL times the largest
-    # generator entry.
-    s_a, s_b = x_a[:, pops].sum(axis=1), x_b[:, pops].sum(axis=1)
-    c0 = np.abs(np.einsum("kij,kj->ki", M, x_a)).max(axis=1)
-    c1 = np.einsum("kij,kj->ki", M, x_b)
-    c1[:, IDX_P55] -= x_a[:, IDX_P55]
-    c1[:, IDX_P66] += x_a[:, IDX_P55]
-    c1 = np.abs(c1).max(axis=1)
-    _fail(errors, ~((c0 <= RESIDUAL_TOL * scale * s_a)
-                    & (c1 <= RESIDUAL_TOL * scale * s_b)),
-          lambda k: NumericalSolveError(
-              f"chain-form residual {c0[k] / s_a[k]:.3e} + Gamma "
-              f"{c1[k] / s_b[k]:.3e} exceeds {RESIDUAL_TOL:.0e} x largest "
-              f"generator entry {scale[k]:.3e}"))
-    return x_a, x_b, s_a, s_b
-
-
 def max_power_batch(params: ModelParams, kind: str = "qdm",
                     grid: GridSpec | None = None,
                     **varied) -> MaxPowerBatch:
-    """Maximum-power points of a batch of devices, in one pass.
-
-    The devices are ``params`` with the fields in ``varied`` set from
-    equal-length arrays, one entry per device (see
-    ``build_generator_stack``).  An input error in any device raises at
-    once; only numerical failures are recorded per device.
-
-    Each device becomes the chain form of ``_chain_form``, so that
-    j = Gamma/(S_a + Gamma S_b) and V = (E5 - E6) - kTc ln(a6 + Gamma b6).
-    dP/dGamma has the sign of
-    f = S_a V (a6 + Gamma b6) - kTc b6 Gamma (S_a + Gamma S_b), which is
-    concave in Gamma; f(gamma_min) > 0 > f(gamma_max) thus brackets one
-    maximum, found by bisection in ln(Gamma) to rounding.  Without that
-    bracket the maximum is not inside the load range, and the device
-    fails with ``BoundaryMaximumError``.  ``grid.n`` is not used.  eta is
-    taken as in ``max_power_point``.
+    """Maximum-power points of ``params`` with the fields in ``varied``
+    set from equal-length arrays, one device per entry (see
+    ``build_generator_stack``), between ``grid.gamma_min`` and
+    ``grid.gamma_max``.  An input error in any device raises at once;
+    numerical failures are recorded per device.
     """
     grid = grid or GridSpec()
     stack = build_generator_stack(params, kind, **varied)
-    M = stack.matrix
-    e56, E12, E34, kTc = stack.e5_minus_e6, stack.E12, stack.E34, stack.kTc
-    n_dev = len(M)
-    errors = [None] * n_dev
-
-    # Failed devices carry zeros, NaN or inf from here on.
-    with np.errstate(all="ignore"):
-        x_a, x_b, s_a, s_b = _chain_form(M, stack.active, errors)
-        a6, b6 = x_a[:, IDX_P66], x_b[:, IDX_P66]
-
-        def slope(gamma):
-            w6 = a6 + gamma * b6
-            return (s_a * (e56 - kTc * np.log(w6)) * w6
-                    - kTc * b6 * gamma * (s_a + gamma * s_b))
-
-        _fail(errors, ~(slope(grid.gamma_min) > 0.0),
-              lambda k: BoundaryMaximumError(
-                  f"power does not rise above Gamma = {grid.gamma_min:g}: "
-                  "no positive interior maximum; widen the load grid"))
-        _fail(errors, ~(slope(grid.gamma_max) < 0.0),
-              lambda k: BoundaryMaximumError(
-                  f"power still rises at Gamma = {grid.gamma_max:g}; "
-                  "widen the load grid"))
-        lo = np.full(n_dev, math.log(grid.gamma_min))
-        hi = np.full(n_dev, math.log(grid.gamma_max))
-        failed = np.array([e is not None for e in errors], dtype=bool)
-        hi[failed] = lo[failed]
-        while True:
-            mid = 0.5 * (lo + hi)
-            if ((mid == lo) | (mid == hi)).all():
-                break
-            rising = slope(np.exp(mid)) > 0.0
-            lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
-
-        gamma = np.exp(mid)
-        x = (x_a + gamma[:, None] * x_b) / (s_a + gamma * s_b)[:, None]
-        j = gamma * x[:, IDX_P55]
-        V = e56 - kTc * np.log(a6 + gamma * b6)
-        P = j * V
-        _fail(errors, ~(P > 0.0), lambda k: BoundaryMaximumError(
-            "no positive power at the maximum"))
-        # Net absorption fluxes, read off the pump entries as in
-        # ``absorption_fluxes``.
-        j1 = (M[:, IDX_P11, IDX_P22] * x[:, IDX_P22]
-              - M[:, IDX_P22, IDX_P11] * x[:, IDX_P11])
-        j2 = (M[:, IDX_P33, IDX_P44] * x[:, IDX_P44]
-              - M[:, IDX_P44, IDX_P33] * x[:, IDX_P33])
-        supplied = E12 * j1 + E34 * j2
-        _fail(errors, ~(supplied > 0.0), lambda k: UndefinedEfficiencyError(
-            "supplied power is zero; efficiency undefined"))
-        columns = np.array([gamma, j, V, P, P / supplied,
-                            np.hypot(x[:, IDX_RE13], x[:, IDX_IM13]),
-                            np.hypot(x[:, IDX_RE24], x[:, IDX_IM24])])
-    columns[:, [e is not None for e in errors]] = np.nan
-    return MaxPowerBatch(*columns, errors=tuple(errors))
+    errors = [None] * len(stack.matrix)
+    chain = _chain_form(stack, errors)
+    bounds = np.full((2, len(errors)), [[grid.gamma_min], [grid.gamma_max]])
+    return _max_power(chain, *bounds, errors)
 
 
 @dataclass(frozen=True)

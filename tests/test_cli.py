@@ -139,6 +139,23 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("config error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("max-power", "gamma_c=1e308"), ("max-power", "hbar_gamma=1e-320"),
+        ("max-power", "Te=1e300"), ("iv-curve", "kTc=1e305"),
+        ("gamma-grid", "hbar_gamma=1e-320")])
+    def test_overflowing_generator_entry_is_config_error(self, capsys, argv):
+        command, setting = argv
+        code, out, err = _run(capsys, command, "--set", setting)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: generator entry ")
+        assert len(err.splitlines()) == 1
+
+    def test_removed_gamma_key_is_config_error(self, capsys):
+        code, _, err = _run(capsys, "max-power", "--set", "gamma=1")
+        assert code == 2
+        assert "unknown key 'gamma'" in err
+
 
 class TestCalibrateAndVerify:
     def test_calibrate_prints_reference_numbers(self, capsys):

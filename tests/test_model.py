@@ -294,6 +294,20 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             derive_level_energies(ModelParams(E12=1e308, delta_e=-1e308))
 
+    @pytest.mark.parametrize("kind", ["qdm", "sqd"])
+    @pytest.mark.parametrize("values", [
+        {"gamma_c": 1e308}, {"gamma_v": 1e200}, {"kTc": 1e305},
+        {"hbar_gamma": 1e-320}, {"Te": 1e300}])
+    def test_overflowing_generator_entries_rejected(self, kind, values):
+        # The coherence elimination squares the entries, so an entry is
+        # rejected once its square overflows, not only when it is inf.
+        p = ModelParams(**values)
+        if kind == "sqd" and ("hbar_gamma" in values or "Te" in values):
+            build_generator(p, kind)  # the single dot has no tunneling
+            return
+        with pytest.raises(DomainError, match="generator entry"):
+            build_generator(p, kind)
+
     def test_with_distance_sets_both_tunnelings(self):
         p = ModelParams().with_distance(5.0)
         te, th = tunneling_from_distance(5.0)
@@ -327,7 +341,8 @@ _kinds = st.sampled_from(("qdm", "sqd"))
 # single-device path (the single dot ignores delta_e, for one).
 _BAD_FIELDS = (("gamma_c", -1.0), ("gamma_v", math.nan), ("kTs", math.inf),
                ("Te", -math.inf), ("E12", 0.0), ("delta_c", -1.0),
-               ("delta_v", 0.0), ("delta_e", 2000.0))
+               ("delta_v", 0.0), ("delta_e", 2000.0), ("gamma_c", 1e308),
+               ("hbar_gamma", 1e-320))
 
 
 def _single_device_error(values: dict, kind: str):

@@ -108,14 +108,14 @@ class TestAbsorptionFluxes:
         p = apply_band_alignment(ModelParams(gamma_13=rate, gamma_24=rate),
                                  alignment)
         mpp, g, ss = self._mpp_state(p, "qdm")
-        j1, j2 = absorption_fluxes(ss, g)
+        j1, j2 = absorption_fluxes(ss.x, g.matrix)
         assert j2 > 0.0
         assert j1 + j2 == pytest.approx(current(ss, mpp.Gamma_star),
                                         rel=1e-10)
 
     def test_single_dot_has_no_second_channel(self):
         mpp, g, ss = self._mpp_state(ModelParams(), "sqd")
-        j1, j2 = absorption_fluxes(ss, g)
+        j1, j2 = absorption_fluxes(ss.x, g.matrix)
         assert j2 == 0.0
         assert j1 == pytest.approx(current(ss, mpp.Gamma_star), rel=1e-10)
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      DegenerateSteadyStateError,
                      DomainError, GridSpec, InvalidGeometryError, ModelParams,
-                     UndefinedEfficiencyError, absorption_fluxes,
+                     UndefinedEfficiencyError, VoltageUndefinedError,
+                     absorption_fluxes,
                      apply_band_alignment, build_generator,
                      build_qdm_generator,
                      efficiency_vs_distance, gamma_grid_scan, iv_curve,
@@ -18,7 +19,8 @@ from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      short_circuit_current, solve_steady, voltage)
 from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P55, IDX_P66,
                            IDX_RE13, IDX_RE24, POPULATION_INDICES)
-from qdmcell.sweeps import LoadSweep, _chain_form, max_power_batch
+from qdmcell.sweeps import (_device_chain, _short_circuit_load,
+                            max_power_batch)
 
 GUIMARD_SQD = ModelParams(E12=920.0, gamma1=0.19, gamma_c=100.0,
                           gamma_v=0.05)
@@ -74,6 +76,20 @@ class TestIvCurve:
         assert curve.n_dropped > 0
         assert len(curve.column("Gamma")) + curve.n_dropped == 200
 
+    @pytest.mark.parametrize("kind", ["qdm", "sqd"])
+    @pytest.mark.parametrize("kTs", [1.5, 1.52, 1.6])
+    def test_cold_sun_leaves_the_contact_empty(self, kind, kTs):
+        # rho55 falls below the float range here: a pivot underflows
+        # (1.5), the weights overflow (1.52), or Gamma x_b does at large
+        # loads (1.6).  No warning, every point dropped, no V_oc.
+        p = ModelParams(kTs=kTs)
+        curve = iv_curve(p, kind=kind)
+        assert curve.n_dropped == 200
+        with pytest.raises(BoundaryMaximumError):
+            max_power_point(curve=curve)
+        with pytest.raises(VoltageUndefinedError):
+            open_circuit_voltage(p, kind=kind)
+
     def test_deterministic_bit_identical(self):
         a = iv_curve(ModelParams(), kind="qdm")
         b = iv_curve(ModelParams(), kind="qdm")
@@ -109,7 +125,7 @@ class TestMaxPowerPoint:
         p = apply_band_alignment(ModelParams(), alignment)
         mpp = max_power_point(p, kind="qdm")
         g = build_generator(p.replace(Gamma=mpp.Gamma_star), "qdm")
-        j1, j2 = absorption_fluxes(solve_steady(g), g)
+        j1, j2 = absorption_fluxes(solve_steady(g).x, g.matrix)
         supplied = g.energies.E12 * j1 + g.energies.E34 * j2
         assert mpp.eta == pytest.approx(mpp.P_m / supplied, rel=1e-10)
         # Dot 2 absorbs below E12, so charging it at E12 understates eta.
@@ -143,6 +159,13 @@ class TestOpenCircuitVoltage:
         vs = np.linspace(max(v0[0], va[0]), v_top, 100)
         assert (np.interp(vs, va, ja) >= np.interp(vs, v0, j0)).all()
         assert max_power_point(curve=ca).P_m > max_power_point(curve=c0).P_m
+
+    def test_empty_contact_leaves_voltage_undefined(self):
+        # Without conduction escape nothing fills |5> under any load.
+        with pytest.raises(VoltageUndefinedError):
+            open_circuit_voltage(ModelParams(gamma_c=0.0), kind="qdm")
+        with pytest.raises(VoltageUndefinedError):
+            open_circuit_voltage(ModelParams(kTs=1e-2), kind="qdm")
 
 
 class TestShortCircuitCurrent:
@@ -239,6 +262,24 @@ class TestGammaGridScan:
                    for _, _, msg in scan.failures)
         assert np.isnan(scan.delta_j).all()
 
+    def test_dark_good_and_degenerate_devices_in_one_batch(self):
+        # The dark cell's contact |5> is transient (its one closed class
+        # is |2>, |4>, |6>), so it has a steady state but no power; the
+        # cut molecule has two closed classes and no unique steady state.
+        dark = ModelParams(kTs=1e-2)
+        cut = ModelParams(Te=0.0, Th=0.0, gamma2=0.0)
+        batch = max_power_batch(
+            ModelParams(), kind="qdm",
+            **_batch_fields([dark, ModelParams(), cut]))
+        assert isinstance(batch.errors[0], BoundaryMaximumError)
+        assert batch.errors[1] is None
+        assert isinstance(batch.errors[2], DegenerateSteadyStateError)
+        assert np.isnan(batch.P_m[[0, 2]]).all()
+        assert batch.P_m[1] == max_power_batch(ModelParams()).P_m[0]
+        # The dark cell's steady state exists; its contact is empty.
+        ss = solve_steady(build_qdm_generator(dark))
+        assert ss.x[IDX_P55] <= 1e-300
+
 
 class TestEfficiencyVsDistance:
     def test_alignment_sweep_rows(self):
@@ -334,8 +375,8 @@ class TestLoadSweepProperties:
     def test_closed_form_matches_direct_solve(self, p, kind, log_gamma):
         gamma = 10.0 ** log_gamma
         direct = solve_steady(build_generator(p.replace(Gamma=gamma), kind))
-        closed = LoadSweep(p, kind).state(gamma)
-        assert np.abs(closed.x - direct.x).max() <= 1e-10
+        closed = _device_chain(p, kind).states(gamma)[0]
+        assert np.abs(closed - direct.x).max() <= 1e-10
 
     @settings(max_examples=50, deadline=None)
     @given(p=_devices, kind=_kinds)
@@ -357,12 +398,14 @@ class TestLoadSweepProperties:
         if not jsc.from_crossing:
             assert jsc.value == curve.column("j")[-1]
             return
-        gamma, j = curve.sweep.short_circuit()
-        state = curve.sweep.state(gamma)
-        energies = curve.sweep.generator.energies
-        assert abs(voltage(state, energies, p.kTc)) <= 1e-9
-        assert jsc.value == j == pytest.approx(gamma * state.x[IDX_P55],
-                                               rel=1e-12)
+        gamma = _short_circuit_load(curve.chain)
+        state = curve.chain.states(gamma)[0]
+        # The voltage from the normalized populations, not from the
+        # a6 + Gamma b6 form the crossing was solved with.
+        e56 = build_generator(curve.params, kind).energies.e5_minus_e6
+        V = e56 + p.kTc * np.log(state[IDX_P55] / state[IDX_P66])
+        assert abs(V) <= 1e-9
+        assert jsc.value == pytest.approx(gamma * state[IDX_P55], rel=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(p=_devices, kind=_kinds)
@@ -386,16 +429,29 @@ class TestMaxPowerBatch:
     @settings(max_examples=50, deadline=None)
     @given(devices=st.lists(_hot_devices, min_size=1, max_size=3),
            kind=_kinds)
-    def test_matches_max_power_point(self, devices, kind):
+    def test_matches_direct_solve_at_maximum(self, devices, kind):
         batch = max_power_batch(ModelParams(), kind=kind,
                                 **_batch_fields(devices))
         assert batch.errors == (None,) * len(devices)
         for k, p in enumerate(devices):
-            mpp = max_power_point(p, kind=kind)
-            assert batch.P_m[k] == pytest.approx(mpp.P_m, rel=1e-9)
-            for name in ("j_mpp", "V_mpp", "eta", "coh13", "coh24"):
+            gamma = float(batch.Gamma_star[k])
+            g = build_generator(p.replace(Gamma=gamma), kind)
+            ss = solve_steady(g)
+            j1, j2 = absorption_fluxes(ss.x, g.matrix)
+            j = gamma * ss.x[IDX_P55]
+            V = voltage(ss, g.energies, p.kTc)
+            want = {"j_mpp": j, "V_mpp": V,
+                    "eta": j * V / (g.energies.E12 * j1
+                                    + g.energies.E34 * j2),
+                    "coh13": abs(ss.rho13), "coh24": abs(ss.rho24)}
+            for name, value in want.items():
                 assert getattr(batch, name)[k] == pytest.approx(
-                    getattr(mpp, name), rel=2e-6)
+                    value, rel=1e-9, abs=0.0)
+            # The same device alone gives the same bits.
+            alone = max_power_batch(p, kind=kind)
+            for name in ("Gamma_star", "j_mpp", "V_mpp", "P_m", "eta",
+                         "coh13", "coh24"):
+                assert getattr(alone, name)[0] == getattr(batch, name)[k]
 
     @settings(max_examples=40, deadline=None)
     @given(p=_devices, kind=_kinds,
@@ -406,11 +462,8 @@ class TestMaxPowerBatch:
         mpmath = pytest.importorskip("mpmath")
         p, gamma = p.replace(kTs=kTs), 10.0 ** log_gamma
         g = build_generator(p.replace(Gamma=0.0), kind)
-        errors = [None]
-        x_a, x_b, s_a, s_b = _chain_form(g.matrix[None], g.active, errors)
-        assert errors == [None]
         pops = [i for i in g.active if i in POPULATION_INDICES]
-        got = ((x_a + gamma * x_b) / (s_a + gamma * s_b))[0, pops]
+        got = _device_chain(p, kind).states(gamma)[0, pops]
         # The same generator at load gamma, solved to 50 digits with the
         # |6> row traded for the normalization.
         active = list(g.active)
@@ -425,6 +478,18 @@ class TestMaxPowerBatch:
             want = np.array([float(sol[active.index(i)]) for i in pops])
         assert (want > 0.0).all()
         assert (np.abs(got - want) <= 1e-10 * want).all()
+
+    @pytest.mark.parametrize("kind", ["qdm", "sqd"])
+    def test_any_bracket_gives_the_same_maximum(self, kind):
+        # Far above the maximum the power slope overflows; the search
+        # starts from a sample right of the maximum where it does not.
+        near = max_power_batch(ModelParams(), kind=kind)
+        wide = max_power_batch(ModelParams(), kind=kind, grid=GridSpec(
+            gamma_min=1e-300, gamma_max=1e300))
+        assert wide.errors == (None,)
+        assert wide.P_m[0] == pytest.approx(near.P_m[0], rel=1e-12)
+        assert wide.Gamma_star[0] == pytest.approx(near.Gamma_star[0],
+                                                   rel=1e-9)
 
     def test_coherences_match_high_precision_solve(self):
         # In the resonant alignments a coherent rate can lock two
