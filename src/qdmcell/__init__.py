@@ -18,9 +18,10 @@ from .observables import (PhotovoltaicPoint, absorption_fluxes,
                           coherence_magnitudes, current, efficiency,
                           photovoltaic_point, power, supplied_power, voltage)
 from .steady import SteadyState, evolve, residual, solve_steady
-from .sweeps import (CurrentGain, GammaGridScan, GridSpec, IVCurve,
-                     MaxPowerBatch, MaxPowerPoint, OpenCircuitVoltage,
-                     ScenarioResult, ShortCircuitCurrent,
+from .sweeps import (CurrentGain, EfficiencyRow, GammaGridScan, GridSpec,
+                     IVCurve, MaxPowerBatch, MaxPowerPoint,
+                     OpenCircuitVoltage, PhononAssistedRow,
+                     ShortCircuitCurrent,
                      efficiency_vs_distance, gamma_grid_scan, iv_curve,
                      max_power_batch, max_power_point, open_circuit_voltage,
                      phonon_assisted_comparison, relative_current_gain,

@@ -8,11 +8,12 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import dataclass, fields
 
 from . import __version__
-from .acceptance import calibrate, run_all
+from .acceptance import DEFAULT_SEED, calibrate, run_all
 from .errors import (BoundaryMaximumError, ConfigError,
                      DegenerateSteadyStateError, DomainError,
                      InvalidGeometryError, NumericalSolveError, StepSizeError,
@@ -51,7 +52,7 @@ class RunConfig:
     grid_n: int = 200
     gamma_min: float = 1e-6
     gamma_max: float = 1e6
-    seed: int = 20260823
+    seed: int = DEFAULT_SEED
 
     def grid(self) -> GridSpec:
         return GridSpec(n=self.grid_n, gamma_min=self.gamma_min,
@@ -133,33 +134,32 @@ def _parse_overrides(pairs) -> dict:
     return values
 
 
+_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"params"}
+# Keys that these scans would ignore, computing from the base parameters.
+_UNUSED_KEYS = dict.fromkeys(("efficiency-vs-d", "phonon-assisted"),
+                             {"alignment", "d"})
+
+
 def build_config(file_values: dict, override_values: dict) -> RunConfig:
-    merged = dict(file_values)
-    merged.update(override_values)
-    kind = merged.pop("kind", "qdm")
-    if kind not in ("qdm", "sqd"):
-        raise ConfigError(f"kind must be qdm or sqd, got {kind!r}")
-    alignment = merged.pop("alignment", "0")
-    if alignment not in BAND_ALIGNMENTS:
+    merged = {**file_values, **override_values}
+    run = {key: merged.pop(key) for key in _RUN_KEYS & merged.keys()}
+    if run.get("kind", "qdm") not in ("qdm", "sqd"):
+        raise ConfigError(f"kind must be qdm or sqd, got {run['kind']!r}")
+    if run.get("alignment", "0") not in BAND_ALIGNMENTS:
         raise ConfigError(f"alignment must be one of "
-                          f"{'/'.join(BAND_ALIGNMENTS)}, got {alignment!r}")
-    d = merged.pop("d", None)
-    grid_n = merged.pop("grid_n", 200)
-    gamma_min = merged.pop("gamma_min", 1e-6)
-    gamma_max = merged.pop("gamma_max", 1e6)
-    seed = merged.pop("seed", 20260823)
+                          f"{'/'.join(BAND_ALIGNMENTS)}, "
+                          f"got {run['alignment']!r}")
     try:
         params = ModelParams(**merged)
     except (TypeError, DomainError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}")
     try:
-        cfg = RunConfig(params=params, kind=kind, alignment=alignment,
-                        d=None if d is None else float(d),
-                        grid_n=int(grid_n), gamma_min=float(gamma_min),
-                        gamma_max=float(gamma_max), seed=int(seed))
+        cfg = RunConfig(params=params, **run)
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         cfg.grid()  # validate sweep bounds eagerly
         cfg.resolved_params()
-    except DomainError as exc:
+    except (TypeError, DomainError) as exc:
         raise ConfigError(str(exc))
     return cfg
 
@@ -175,6 +175,7 @@ def _write_csv(out, subcommand: str, config: RunConfig,
 
 
 def _cmd_iv_curve(config: RunConfig, out) -> int:
+    """Current, voltage, power and coherences over the load grid."""
     p = config.resolved_params()
     curve = iv_curve(p, kind=config.kind, grid=config.grid())
     rows = zip(*(curve.column(name).tolist()
@@ -189,6 +190,7 @@ def _cmd_iv_curve(config: RunConfig, out) -> int:
 
 
 def _cmd_max_power(config: RunConfig, out) -> int:
+    """The maximum-power point of the configured device."""
     p = config.resolved_params()
     mpp = max_power_point(p, kind=config.kind, grid=config.grid())
     _write_csv(out, "max-power", config,
@@ -200,6 +202,7 @@ def _cmd_max_power(config: RunConfig, out) -> int:
 
 
 def _cmd_gamma_grid(config: RunConfig, out) -> int:
+    """Molecule-over-single-dot current gain on an escape-rate grid."""
     p = config.resolved_params()
     scan = gamma_grid_scan(p, grid=config.grid())
     rows = []
@@ -218,27 +221,26 @@ def _cmd_gamma_grid(config: RunConfig, out) -> int:
 
 
 def _cmd_efficiency_vs_d(config: RunConfig, out) -> int:
+    """Maximum power and efficiency versus barrier width, per alignment."""
     rows = efficiency_vs_distance(config.params, grid=config.grid())
     _write_csv(out, "efficiency-vs-d", config,
                ["alignment", "d_nm", "Pm_over_gamma_meV", "eta",
-                "coh13", "coh24"],
-               [(r.alignment, r.d, r.P_m, r.eta, r.max_coh13, r.max_coh24)
-                for r in rows])
+                "coh13", "coh24"], rows)
     return 0
 
 
 def _cmd_phonon_assisted(config: RunConfig, out) -> int:
+    """Maximum-power gain from phonon-assisted interdot tunneling."""
     rows = phonon_assisted_comparison(config.params, grid=config.grid())
     _write_csv(out, "phonon-assisted", config,
                ["gamma_c_over_gamma", "gamma_v_over_gamma", "d_nm",
                 "gamma_ph_over_gamma", "Pm_over_gamma_meV", "eta",
-                "delta_Pm"],
-               [(r.gamma_c, r.gamma_v, r.d, r.gamma_13, r.P_m, r.eta,
-                 r.delta_Pm) for r in rows])
+                "delta_Pm"], rows)
     return 0
 
 
 def _cmd_alignments(config: RunConfig, out) -> int:
+    """The interdot detunings of each band alignment."""
     rows = []
     for tag in BAND_ALIGNMENTS:
         p = apply_band_alignment(config.params, tag)
@@ -249,6 +251,7 @@ def _cmd_alignments(config: RunConfig, out) -> int:
 
 
 def _cmd_calibrate(config: RunConfig, out) -> int:
+    """Fit hbar*gamma to the published single-dot and molecule numbers."""
     cal = calibrate()
     out.write(f"hbar_gamma = {cal.hbar_gamma:g} meV\n")
     out.write(f"single dot:  Voc = {cal.sqd_Voc:.2f} mV, "
@@ -260,6 +263,7 @@ def _cmd_calibrate(config: RunConfig, out) -> int:
 
 
 def _cmd_verify(config: RunConfig, out) -> int:
+    """Run the acceptance criteria; exit 3 if any fails."""
     results = run_all(seed=config.seed)
     for r in results:
         out.write(f"criterion {r.number} "
@@ -294,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"qdmcell {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, fn in _COMMANDS.items():
-        sp = sub.add_parser(name, help=fn.__doc__)
+        sp = sub.add_parser(name, help=fn.__doc__, description=fn.__doc__)
         sp.add_argument("-c", "--config", metavar="FILE",
                         help="flat key = value config file")
         sp.add_argument("-o", "--output", metavar="FILE", default="-",
@@ -309,15 +313,25 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         file_values = read_config_file(args.config) if args.config else {}
-        config = build_config(file_values, _parse_overrides(args.overrides))
+        overrides = _parse_overrides(args.overrides)
+        unused = _UNUSED_KEYS.get(args.subcommand, set()) & (
+            file_values.keys() | overrides.keys())
+        if unused:
+            raise ConfigError(f"{args.subcommand} does not take "
+                              f"{' or '.join(sorted(unused))}")
+        config = build_config(file_values, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.output == "-":
-            return _COMMANDS[args.subcommand](config, sys.stdout)
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            return _COMMANDS[args.subcommand](config, fh)
+        output = (contextlib.nullcontext(sys.stdout) if args.output == "-"
+                  else open(args.output, "w", encoding="utf-8", newline="\n"))
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        with output as out:
+            return _COMMANDS[args.subcommand](config, out)
     except (ConfigError, InvalidGeometryError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -24,10 +24,6 @@ class DegenerateSteadyStateError(RuntimeError):
 class NumericalSolveError(RuntimeError):
     """The constrained linear solve did not reach the residual target."""
 
-    def __init__(self, message, condition_estimate=None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
-
 
 class StepSizeError(ValueError):
     """Integration step too large for the fastest rate in the generator."""

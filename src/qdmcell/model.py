@@ -6,26 +6,26 @@ pumps |2>->|1> and |4>->|3>, ambient phonons relax |3>->|5> and |6>->|2>,
 and an external load transfers |5>->|6> at rate Gamma.  Energies are in
 meV, all rates in multiples of the reference radiative rate gamma.
 
-The reduced state is a real 12-vector:
+The reduced state is a real 10-vector:
 
-    (rho11..rho66, Re rho13, Im rho13, Re rho24, Im rho24, spare, spare)
+    (rho11..rho66, Re rho13, Im rho13, Re rho24, Im rho24)
 
-The two spare slots are always zero; they keep the layout identical for
-the molecule and the single-dot baseline.
+The single-dot baseline uses the same layout and leaves |3>, |4> and
+both coherences at zero.
 
 ``build_generator`` builds one device's generator; it is the
 single-device path and the reference for everything else.  The
 parameter scans build all their devices at once with
 ``build_generator_stack``, which takes a base parameter set plus arrays
 of the fields that vary and returns the zero-load generators as one
-(N, 12, 12) stack, entry for entry equal to the single-device builds.
+(N, 10, 10) stack, entry for entry equal to the single-device builds.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -34,11 +34,10 @@ from .errors import DomainError, InvalidGeometryError
 # State-vector layout.
 IDX_P11, IDX_P22, IDX_P33, IDX_P44, IDX_P55, IDX_P66 = range(6)
 IDX_RE13, IDX_IM13, IDX_RE24, IDX_IM24 = 6, 7, 8, 9
-IDX_SPARE0, IDX_SPARE1 = 10, 11
-N_STATE = 12
+N_STATE = 10
 POPULATION_INDICES = (IDX_P11, IDX_P22, IDX_P33, IDX_P44, IDX_P55, IDX_P66)
 
-QDM_ACTIVE = tuple(range(10))
+QDM_ACTIVE = tuple(range(N_STATE))
 SQD_ACTIVE = (IDX_P11, IDX_P22, IDX_P55, IDX_P66)
 
 # Energy equivalent of the reference rate: gamma = 1/ns for a typical
@@ -256,7 +255,11 @@ class ThermalOccupations:
 
 def thermal_occupations(params: ModelParams) -> ThermalOccupations:
     """Reservoir occupations for the molecule's four incoherent channels."""
-    energies = derive_level_energies(params)
+    return _occupations(derive_level_energies(params), params)
+
+
+def _occupations(energies: LevelEnergies,
+                 params: ModelParams) -> ThermalOccupations:
     return ThermalOccupations(
         n1=bose_occupation(energies.E12, params.kTs),
         n2=bose_occupation(energies.E34, params.kTs),
@@ -292,18 +295,15 @@ def apply_band_alignment(params: ModelParams, config: str) -> ModelParams:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Real linear generator d/dt x = M x on the 12-component state.
+    """Real linear generator d/dt x = M x on the 10-component state.
 
-    ``kind`` records which physical model produced it ("qdm" or "sqd");
-    ``active`` lists the state components the model actually couples.
+    ``energies`` places the device's levels; ``active`` lists the state
+    components the model actually couples.
     """
 
     matrix: np.ndarray
-    kind: str
-    params: ModelParams
     energies: LevelEnergies
-    occupations: ThermalOccupations
-    active: tuple = field(default=QDM_ACTIVE)
+    active: tuple
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -353,7 +353,7 @@ def build_qdm_generator(params: ModelParams) -> GeneratorMatrix:
     through hbar_gamma.
     """
     energies = derive_level_energies(params)
-    occ = thermal_occupations(params)
+    occ = _occupations(energies, params)
     n1, n2, nc, nv = occ.n1, occ.n2, occ.nc, occ.nv
     g1, g2 = params.gamma1, params.gamma2
     gc, gv, load = params.gamma_c, params.gamma_v, params.Gamma
@@ -403,7 +403,7 @@ def build_qdm_generator(params: ModelParams) -> GeneratorMatrix:
     _add_phonon_assisted(M, params.gamma_24, energies.w2 - energies.w4,
                          params.kTc, (IDX_P22, IDX_P44), (IDX_RE24, IDX_IM24))
 
-    return GeneratorMatrix(M, "qdm", params, energies, occ, QDM_ACTIVE)
+    return GeneratorMatrix(M, energies, QDM_ACTIVE)
 
 
 def build_sqd_generator(params: ModelParams) -> GeneratorMatrix:
@@ -417,7 +417,6 @@ def build_sqd_generator(params: ModelParams) -> GeneratorMatrix:
     n1 = bose_occupation(energies.E12, params.kTs)
     nc = bose_occupation(energies.E35, params.kTc)
     nv = bose_occupation(energies.E62, params.kTc)
-    occ = ThermalOccupations(n1=n1, n2=n1, nc=nc, nv=nv)
 
     M = np.zeros((N_STATE, N_STATE))
     _add_thermal_channel(M, IDX_P11, IDX_P22, params.gamma1, n1)
@@ -426,7 +425,7 @@ def build_sqd_generator(params: ModelParams) -> GeneratorMatrix:
     M[IDX_P55, IDX_P55] += -params.Gamma
     M[IDX_P66, IDX_P55] += params.Gamma
 
-    return GeneratorMatrix(M, "sqd", params, energies, occ, SQD_ACTIVE)
+    return GeneratorMatrix(M, energies, SQD_ACTIVE)
 
 
 def build_generator(params: ModelParams, kind: str) -> GeneratorMatrix:
@@ -443,7 +442,7 @@ class GeneratorStack:
     """Zero-load generators of a batch of devices, with the energies that
     the maximum-power search needs; one entry per device."""
 
-    matrix: np.ndarray  # (N, 12, 12)
+    matrix: np.ndarray  # (N, 10, 10)
     active: tuple
     e5_minus_e6: np.ndarray
     E12: np.ndarray

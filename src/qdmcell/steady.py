@@ -28,7 +28,6 @@ class SteadyState:
 
     x: np.ndarray
     residual: float
-    condition_estimate: float
 
     def __post_init__(self):
         self.x.setflags(write=False)
@@ -82,42 +81,24 @@ def _connected_components(A: np.ndarray) -> list:
     return comps
 
 
-def solve_steady(G: GeneratorMatrix, block_of: int | None = None) -> SteadyState:
+def solve_steady(G: GeneratorMatrix) -> SteadyState:
     """Unique stationary state of a trace-conserving generator.
 
     One population row is traded for the normalization constraint (the
     |6> row, a fixed choice that keeps results bit-reproducible).  Raises
-    if the generator supports more than one stationary state.
-
-    ``block_of`` opts into restricting the solve to the connected block
-    containing that state index, pinning every decoupled component to
-    zero; the restricted block must itself be nondegenerate.
+    if the generator supports more than one stationary state.  Only the
+    components in ``G.active`` are solved for; the others stay zero.
     """
     _check_trace_conserving(G)
 
     active = list(G.active)
     A = G.matrix[np.ix_(active, active)]
 
-    scale = float(np.abs(A).max()) if A.size else 0.0
+    scale = float(np.abs(A).max())
     if scale == 0.0:
         raise DegenerateSteadyStateError(
             "zero generator: every state is stationary",
-            blocks=[[G.active[k]] for k in range(len(active))])
-
-    if block_of is not None:
-        if block_of not in active:
-            raise DegenerateSteadyStateError(
-                f"state index {block_of} is not active in this generator")
-        comps = _connected_components(A)
-        keep = next(c for c in comps if active.index(block_of) in c)
-        active = [active[k] for k in keep]
-        A = G.matrix[np.ix_(active, active)]
-        scale = float(np.abs(A).max())
-
-    pop_pos = [k for k, i in enumerate(active) if i in POPULATION_INDICES]
-    if not pop_pos:
-        raise DegenerateSteadyStateError(
-            "no population variables in the selected block")
+            blocks=[[i] for i in active])
 
     # The trace direction accounts for exactly one null dimension; any
     # further (near-)null dimension signals disconnected blocks.
@@ -129,6 +110,7 @@ def solve_steady(G: GeneratorMatrix, block_of: int | None = None) -> SteadyState
             f"multiple steady states: disconnected blocks {blocks}",
             blocks=blocks)
 
+    pop_pos = [k for k, i in enumerate(active) if i in POPULATION_INDICES]
     B = A.copy()
     norm_row = pop_pos[-1]
     B[norm_row, :] = 0.0
@@ -136,13 +118,10 @@ def solve_steady(G: GeneratorMatrix, block_of: int | None = None) -> SteadyState
     b = np.zeros(len(active))
     b[norm_row] = 1.0
 
-    cond = float(np.linalg.cond(B))
     try:
         sol = np.linalg.solve(B, b)
     except np.linalg.LinAlgError as exc:
-        raise NumericalSolveError(
-            f"singular constrained system (cond ~ {cond:.3e})",
-            condition_estimate=cond) from exc
+        raise NumericalSolveError("singular constrained system") from exc
 
     x = np.zeros(N_STATE)
     x[active] = sol
@@ -150,9 +129,8 @@ def solve_steady(G: GeneratorMatrix, block_of: int | None = None) -> SteadyState
     if res > RESIDUAL_TOL * scale:
         raise NumericalSolveError(
             f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.0e} x "
-            f"largest generator entry {scale:.3e} (cond ~ {cond:.3e})",
-            condition_estimate=cond)
-    return SteadyState(x=x, residual=res, condition_estimate=cond)
+            f"largest generator entry {scale:.3e}")
+    return SteadyState(x=x, residual=res)
 
 
 def residual(G: GeneratorMatrix, x: np.ndarray) -> float:

@@ -7,13 +7,15 @@ functions (``iv_curve``, ``max_power_point``, ``open_circuit_voltage``,
 parameter scans treat the devices as a batch axis and read it for one
 ``model.build_generator_stack`` call (equal, entry for entry, to
 ``build_generator``) in ``max_power_batch``.  Both find the maximum-power
-load by the same Newton iteration (``_max_power``).
+load by the same Newton iteration (``_max_power``).  Scan rows are
+named tuples whose fields follow the CLI's CSV columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,22 +178,28 @@ class CurrentGain:
     sqd: MaxPowerPoint
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    """One row of a parameter scan."""
+class EfficiencyRow(NamedTuple):
+    """A maximum-power point of ``efficiency_vs_distance``."""
 
-    kind: str
-    alignment: str = "0"
-    d: float | None = None
-    gamma_c: float | None = None
-    gamma_v: float | None = None
-    gamma_13: float = 0.0
-    gamma_24: float = 0.0
-    P_m: float | None = None
-    eta: float | None = None
-    delta_Pm: float | None = None
-    max_coh13: float | None = None
-    max_coh24: float | None = None
+    alignment: str
+    d: float
+    P_m: float
+    eta: float
+    coh13: float
+    coh24: float
+
+
+class PhononAssistedRow(NamedTuple):
+    """A maximum-power point of ``phonon_assisted_comparison``; its
+    assisted rate ``gamma_ph`` sets gamma_13 and gamma_24."""
+
+    gamma_c: float
+    gamma_v: float
+    d: float
+    gamma_ph: float
+    P_m: float
+    eta: float
+    delta_Pm: float
 
 
 # Coherences eliminated in closed form, (rho_a, rho_b, Re, Im).  Their
@@ -673,7 +681,8 @@ def gamma_grid_scan(params: ModelParams,
 def efficiency_vs_distance(params: ModelParams,
                            d_grid=None, alignments=None,
                            grid: GridSpec | None = None) -> list:
-    """Maximum-power efficiency versus barrier width per band alignment.
+    """Maximum-power efficiency versus barrier width per band alignment:
+    one ``EfficiencyRow`` per (alignment, d), alignments outermost.
 
     Raises the first device's error if any fails.
     """
@@ -690,11 +699,9 @@ def efficiency_vs_distance(params: ModelParams,
         Te=[tunnelings[d][0] for _, d in cells],
         Th=[tunnelings[d][1] for _, d in cells])
     mpp.raise_first()
-    return [ScenarioResult(
-        kind="qdm", alignment=alignment, d=d, gamma_c=params.gamma_c,
-        gamma_v=params.gamma_v, P_m=float(mpp.P_m[k]), eta=float(mpp.eta[k]),
-        max_coh13=float(mpp.coh13[k]), max_coh24=float(mpp.coh24[k]))
-        for k, (alignment, d) in enumerate(cells)]
+    return [EfficiencyRow(alignment, d, float(mpp.P_m[k]), float(mpp.eta[k]),
+                          float(mpp.coh13[k]), float(mpp.coh24[k]))
+            for k, (alignment, d) in enumerate(cells)]
 
 
 def phonon_assisted_comparison(params: ModelParams,
@@ -704,10 +711,10 @@ def phonon_assisted_comparison(params: ModelParams,
                                grid: GridSpec | None = None) -> list:
     """Maximum power with incoherent interdot channels, versus without.
 
-    Rows carry the relative gain of P_m over the coherent-only baseline
-    for each (escape-rate set, barrier width, assisted rate) cell; the
-    baseline's own row has assisted rate 0.  Raises the first device's
-    error if any fails.
+    One ``PhononAssistedRow`` per (escape-rate set, barrier width,
+    assisted rate) cell, with the relative gain of P_m over the
+    coherent-only baseline, whose own row has assisted rate 0.  Raises
+    the first device's error if any fails.
     """
     g_phs = (0.0,) + tuple(rates)
     cells = [(gc, gv, float(d), g_ph) for gc, gv in rate_sets
@@ -721,8 +728,7 @@ def phonon_assisted_comparison(params: ModelParams,
     rows = []
     for k, (gc, gv, d, g_ph) in enumerate(cells):
         base = mpp.P_m[k - k % len(g_phs)]
-        rows.append(ScenarioResult(
-            kind="qdm", d=d, gamma_c=gc, gamma_v=gv, gamma_13=g_ph,
-            gamma_24=g_ph, P_m=float(mpp.P_m[k]), eta=float(mpp.eta[k]),
-            delta_Pm=float((mpp.P_m[k] - base) / base)))
+        rows.append(PhononAssistedRow(
+            gc, gv, d, g_ph, float(mpp.P_m[k]), float(mpp.eta[k]),
+            float((mpp.P_m[k] - base) / base)))
     return rows

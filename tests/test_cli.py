@@ -2,7 +2,8 @@
 
 import pytest
 
-from qdmcell.cli import _KEY_UNITS, build_config, main, read_config_file
+from qdmcell.cli import (_COMMANDS, _KEY_UNITS, build_config, main,
+                         read_config_file)
 
 NUMERIC_KEYS = [k for k in _KEY_UNITS if k not in ("kind", "alignment")]
 
@@ -151,10 +152,44 @@ class TestExitCodes:
         assert err.startswith("config error: generator entry ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("alignments", "-o", "/nonexistent/dir/x.csv"),
+        ("verify", "--set", "seed=-1")])
+    def test_bad_output_path_or_seed_is_config_error(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["efficiency-vs-d",
+                                         "phonon-assisted"])
+    @pytest.mark.parametrize("setting", ["alignment=A2", "d=4"])
+    def test_scan_rejects_keys_it_ignores(self, capsys, command, setting):
+        # These scans compute from the base parameters; a metadata block
+        # claiming the key was applied would misreport the run.
+        code, out, err = _run(capsys, command, "--set", setting)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ")
+        assert len(err.splitlines()) == 1
+
     def test_removed_gamma_key_is_config_error(self, capsys):
         code, _, err = _run(capsys, "max-power", "--set", "gamma=1")
         assert code == 2
         assert "unknown key 'gamma'" in err
+
+
+class TestHelp:
+    def test_every_subcommand_has_a_description(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listing = capsys.readouterr().out.split("positional arguments:")[1]
+        for name in _COMMANDS:
+            line = next(ln for ln in listing.splitlines()
+                        if ln.split()[:1] == [name])
+            assert len(line.split()) > 1, name
 
 
 class TestCalibrateAndVerify:

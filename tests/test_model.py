@@ -1,7 +1,7 @@
 """Generator construction: occupations, energies, alignments, structure."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from qdmcell import (BAND_ALIGNMENTS, DomainError, InvalidGeometryError,
                      build_qdm_generator, build_sqd_generator,
                      derive_level_energies, thermal_occupations,
                      tunneling_from_distance)
-from qdmcell.model import (IDX_IM13, IDX_P22, IDX_P66,
+from qdmcell.model import (IDX_IM13, IDX_P22, IDX_P66, N_STATE,
                            POPULATION_INDICES, QDM_ACTIVE, SQD_ACTIVE)
 from qdmcell.steady import solve_steady
 
@@ -185,8 +185,8 @@ class TestGeneratorStructure:
         p = ModelParams(Te=0.0, Th=0.0, gamma1=0.0, gamma2=0.0,
                         gamma_c=0.0, Gamma=0.0)
         g = build_qdm_generator(p)
-        ss = solve_steady(g, block_of=IDX_P22)
-        nv = g.occupations.nv
+        ss = solve_steady(replace(g, active=(IDX_P22, IDX_P66)))
+        nv = thermal_occupations(p).nv
         assert ss.x[IDX_P66] / ss.x[IDX_P22] == pytest.approx(
             nv / (nv + 1.0), rel=1e-12)
 
@@ -249,8 +249,7 @@ class TestHermitianCrossCheck:
         g = build_qdm_generator(p)
         rng = np.random.default_rng(7)
         for _ in range(5):
-            x = rng.standard_normal(12)
-            x[10:] = 0.0
+            x = rng.standard_normal(N_STATE)
             rho = {"p11": x[0], "p22": x[1], "p33": x[2], "p44": x[3],
                    "p55": x[4], "p66": x[5],
                    "r13": complex(x[6], x[7]), "r24": complex(x[8], x[9])}

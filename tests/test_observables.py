@@ -18,7 +18,7 @@ def _state(**components) -> SteadyState:
     x = np.zeros(N_STATE)
     for key, value in components.items():
         x[int(key[1:])] = value
-    return SteadyState(x=x, residual=0.0, condition_estimate=1.0)
+    return SteadyState(x=x, residual=0.0)
 
 
 class TestCurrent:

@@ -1,6 +1,7 @@
 """Stationary solver and the time-evolution cross-check."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from qdmcell import (DegenerateSteadyStateError, ModelParams, StepSizeError,
                      build_generator, build_qdm_generator, evolve, residual,
                      solve_steady)
-from qdmcell.model import (IDX_P11, IDX_P22, IDX_P44, IDX_P55, IDX_P66,
-                           N_STATE)
+from qdmcell.model import (IDX_P11, IDX_P22, IDX_P33, IDX_P44, IDX_P55,
+                           IDX_P66, N_STATE)
 from qdmcell.steady import RESIDUAL_TOL
 
 
@@ -34,17 +35,14 @@ class TestSolveSteady:
 
     def test_block_restriction_pins_decoupled_states(self):
         g = build_qdm_generator(ModelParams(Te=0.0, Th=0.0, gamma2=0.0))
-        ss = solve_steady(g, block_of=IDX_P11)
+        # The block of |1>: |4> and the coherences decouple.
+        ss = solve_steady(replace(
+            g, active=(IDX_P11, IDX_P22, IDX_P33, IDX_P55, IDX_P66)))
         assert ss.x[IDX_P44] == 0.0
         assert ss.populations.sum() == pytest.approx(1.0, abs=1e-12)
         # With the interdot cycle cut, nothing can reach the conduction
         # contact: the degenerate molecule carries no current.
         assert abs(ss.x[IDX_P55]) <= 1e-12
-
-    def test_block_of_inactive_index_rejected(self):
-        g = build_generator(ModelParams(), "sqd")
-        with pytest.raises(DegenerateSteadyStateError):
-            solve_steady(g, block_of=IDX_P44)
 
     def test_normalization_and_positivity(self):
         for kind in ("qdm", "sqd"):
@@ -65,11 +63,6 @@ class TestSolveSteady:
         b = solve_steady(g)
         assert (a.x == b.x).all()
         assert a.residual == b.residual
-
-    def test_condition_estimate_reported(self):
-        ss = solve_steady(build_qdm_generator(ModelParams()))
-        assert math.isfinite(ss.condition_estimate)
-        assert ss.condition_estimate >= 1.0
 
 
 class TestResidual:
