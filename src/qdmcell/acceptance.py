@@ -70,22 +70,22 @@ def calibrate(candidates=None) -> Calibration:
     single-dot and molecule benchmarks.
 
     The single-dot numbers do not depend on hbar*gamma at all (no
-    coherent term); the molecule depends on it only weakly through the
-    tunneling frequency, so the scan mostly confirms insensitivity.
+    coherent term), so they are computed once; the molecule depends on it
+    only weakly through the tunneling frequency, so the scan mostly
+    confirms insensitivity.
     """
     if candidates is None:
         candidates = np.logspace(-4, -2, 9)
     targets = (871.0, 0.018, 13.66, 0.0300, 22.28)
+    curve_s = iv_curve(GUIMARD_SQD, kind="sqd")
+    sqd = (open_circuit_voltage(GUIMARD_SQD, kind="sqd").value,
+           short_circuit_current(curve_s).value,
+           max_power_point(curve=curve_s).P_m)
     best = None
     for hg in candidates:
-        ps = GUIMARD_SQD.replace(hbar_gamma=float(hg))
-        pq = GUIMARD_QDM.replace(hbar_gamma=float(hg))
-        curve_s = iv_curve(ps, kind="sqd")
-        curve_q = iv_curve(pq, kind="qdm")
-        got = (open_circuit_voltage(ps, kind="sqd").value,
-               short_circuit_current(curve_s).value,
-               max_power_point(curve=curve_s).P_m,
-               short_circuit_current(curve_q).value,
+        curve_q = iv_curve(GUIMARD_QDM.replace(hbar_gamma=float(hg)),
+                           kind="qdm")
+        got = (*sqd, short_circuit_current(curve_q).value,
                max_power_point(curve=curve_q).P_m)
         err = sum(abs(g / t - 1.0) for g, t in zip(got, targets))
         if best is None or err < best[0]:

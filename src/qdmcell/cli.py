@@ -135,9 +135,11 @@ def _parse_overrides(pairs) -> dict:
 
 
 _RUN_KEYS = {f.name for f in fields(RunConfig)} - {"params"}
-# Keys that these scans would ignore, computing from the base parameters.
-_UNUSED_KEYS = dict.fromkeys(("efficiency-vs-d", "phonon-assisted"),
-                             {"alignment", "d"})
+# Keys that these scans would ignore, computing from the base parameters;
+# every scan sets the model kinds itself.
+_UNUSED_KEYS = {"gamma-grid": {"kind"},
+                **dict.fromkeys(("efficiency-vs-d", "phonon-assisted"),
+                                {"alignment", "d", "kind"})}
 
 
 def build_config(file_values: dict, override_values: dict) -> RunConfig:

@@ -3,7 +3,9 @@
 Every stationary state here is rho(Gamma) = (x_a + Gamma x_b) /
 (S_a + Gamma S_b), the chain form of ``_chain_form``.  The single-device
 functions (``iv_curve``, ``max_power_point``, ``open_circuit_voltage``,
-``short_circuit_current``) read it for one ``build_generator`` call; the
+``short_circuit_current``) read it for one ``build_generator`` call,
+built once per (params, kind) and held read-only in a two-entry memo
+(``_device_chain``), so a curve and its open-circuit voltage share it; the
 parameter scans treat the devices as a batch axis and read it for one
 ``model.build_generator_stack`` call (equal, entry for entry, to
 ``build_generator``) in ``max_power_batch``.  Both find the maximum-power
@@ -13,6 +15,7 @@ named tuples whose fields follow the CLI's CSV columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -401,9 +404,14 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
     return ChainForm(stack, *X.transpose(1, 2, 0), s_a, s_b)
 
 
+# Two entries hold a molecule and its single-dot twin, so characterising
+# both with interleaved calls still builds each once.  Errors are not
+# cached: a failing device runs every check again on each call.
+@functools.lru_cache(maxsize=2)
 def _device_chain(params: ModelParams, kind: str) -> ChainForm:
     """Chain form of one device, from ``build_generator``; raises the
-    device's error if it fails."""
+    device's error if it fails.  Its arrays are read-only, since every
+    caller with the same (params, kind) shares them."""
     g = build_generator(params.replace(Gamma=0.0), kind)
     e = g.energies
     stack = GeneratorStack(g.matrix[None], g.active, *(
@@ -412,6 +420,9 @@ def _device_chain(params: ModelParams, kind: str) -> ChainForm:
     chain = _chain_form(stack, errors)
     if errors[0] is not None:
         raise errors[0]
+    for values in (chain.x_a, chain.x_b, chain.s_a, chain.s_b, stack.matrix,
+                   stack.e5_minus_e6, stack.E12, stack.E34, stack.kTc):
+        values.setflags(write=False)
     return chain
 
 

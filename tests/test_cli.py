@@ -162,9 +162,14 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("command", ["efficiency-vs-d",
-                                         "phonon-assisted"])
-    @pytest.mark.parametrize("setting", ["alignment=A2", "d=4"])
+    @pytest.mark.parametrize("setting, command", [
+        pytest.param(setting, command, id=f"{setting}-{command}")
+        for setting, commands in (
+            ("alignment=A2", ("efficiency-vs-d", "phonon-assisted")),
+            ("d=4", ("efficiency-vs-d", "phonon-assisted")),
+            ("kind=sqd", ("gamma-grid", "efficiency-vs-d", "phonon-assisted")),
+            ("kind=qdm", ("gamma-grid", "efficiency-vs-d", "phonon-assisted")))
+        for command in commands])
     def test_scan_rejects_keys_it_ignores(self, capsys, command, setting):
         # These scans compute from the base parameters; a metadata block
         # claiming the key was applied would misreport the run.

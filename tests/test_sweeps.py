@@ -97,6 +97,35 @@ class TestIvCurve:
         assert (a.column("j") == b.column("j")).all()
         assert (a.column("V") == b.column("V")).all()
 
+    @pytest.mark.parametrize("kind", ["qdm", "sqd"])
+    def test_near_dark_voltage_matches_high_precision_solve(self, kind):
+        # A cold sun reverses the voltage to near E12 (1 - kTc/kTs), about
+        # -4 660 mV, with rho55 near 1e-97.
+        mpmath = pytest.importorskip("mpmath")
+        p = ModelParams(kTs=5.0)
+        curve = iv_curve(p, kind=kind)
+        assert curve.n_dropped == 0
+        gamma, got = curve.column("Gamma")[0], curve.column("V")[0]
+        assert gamma == GridSpec().gamma_min
+        g = build_generator(p.replace(Gamma=gamma), kind)
+        active = list(g.active)
+        r5, r6 = active.index(IDX_P55), active.index(IDX_P66)
+        # The same generator solved with the |6> row traded for the
+        # normalization.  The elimination cancels down to the 1e-97
+        # scale of rho55 (at 50 digits it returns a negative rho55), so
+        # the solve carries 50 digits beyond it.
+        with mpmath.workdps(150):
+            B = mpmath.matrix(g.matrix[np.ix_(active, active)].tolist())
+            for c, i in enumerate(active):
+                B[r6, c] = 1 if i in POPULATION_INDICES else 0
+            sol = mpmath.lu_solve(B, mpmath.matrix(
+                [int(c == r6) for c in range(len(active))]))
+            assert sol[r5] > 0
+            want = float(g.energies.e5_minus_e6
+                         + p.kTc * mpmath.log(sol[r5] / sol[r6]))
+        assert want == pytest.approx(-4650.0, abs=20.0)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
 
 class TestMaxPowerPoint:
     def test_single_dot_reference(self):
@@ -167,6 +196,72 @@ class TestOpenCircuitVoltage:
             open_circuit_voltage(ModelParams(gamma_c=0.0), kind="qdm")
         with pytest.raises(VoltageUndefinedError):
             open_circuit_voltage(ModelParams(kTs=1e-2), kind="qdm")
+
+
+class TestDeviceChainMemo:
+    @pytest.mark.parametrize("kind", ["qdm", "sqd"])
+    def test_characterisation_builds_each_device_once(self, monkeypatch,
+                                                       kind):
+        builds = []
+
+        def counting_build(params, kind):
+            builds.append(kind)
+            return build_generator(params, kind)
+
+        monkeypatch.setattr("qdmcell.sweeps.build_generator", counting_build)
+        _device_chain.cache_clear()
+        curve = iv_curve(ModelParams(), kind=kind, alignment="A2")
+        max_power_point(curve=curve)
+        short_circuit_current(curve)
+        open_circuit_voltage(curve.params, kind)
+        assert builds == [kind]
+
+    def test_shared_form_is_read_only(self):
+        chain = iv_curve(ModelParams(), kind="qdm").chain
+        stack = chain.stack
+        for values in (chain.x_a, chain.x_b, chain.s_a, chain.s_b,
+                       stack.matrix, stack.e5_minus_e6, stack.E12,
+                       stack.E34, stack.kTc):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+        assert chain.x_a[0, IDX_P55] == 1.0
+
+    @pytest.mark.parametrize("kind", ["qdm", "sqd"])
+    @pytest.mark.parametrize("alignment", BAND_ALIGNMENTS)
+    @pytest.mark.parametrize("g_ph", [0.0, 0.1])
+    def test_cached_form_equals_a_fresh_build(self, kind, alignment, g_ph):
+        p = apply_band_alignment(
+            ModelParams(gamma_13=g_ph, gamma_24=g_ph), alignment)
+        cached = _device_chain(p, kind)
+        assert _device_chain(p, kind) is cached
+        fresh = _device_chain.__wrapped__(p, kind)
+        for name in ("x_a", "x_b", "s_a", "s_b"):
+            assert np.array_equal(getattr(cached, name), getattr(fresh, name))
+        for name in ("matrix", "e5_minus_e6", "E12", "E34", "kTc"):
+            assert np.array_equal(getattr(cached.stack, name),
+                                  getattr(fresh.stack, name))
+
+    def test_failing_device_raises_on_every_call(self):
+        p = ModelParams(Te=0.0, Th=0.0, gamma2=0.0)
+        for _ in range(2):
+            with pytest.raises(DegenerateSteadyStateError):
+                _device_chain(p, "qdm")
+
+    @pytest.mark.parametrize("kind", ["qdm", "sqd"])
+    def test_changed_field_or_kind_is_a_new_entry(self, kind):
+        # The old entry is fetched again before each change, so it is
+        # still held when the changed device is looked up.
+        p = ModelParams()
+        other = "sqd" if kind == "qdm" else "qdm"
+        old = _device_chain(p, kind)
+        assert _device_chain(p, other).stack.active != old.stack.active
+        for f in fields(ModelParams):
+            old = _device_chain(p, kind)
+            changed = p.replace(**{f.name: getattr(p, f.name) * 1.5 + 0.1})
+            new = _device_chain(changed, kind)
+            assert new is not old
+            assert np.array_equal(new.x_a,
+                                  _device_chain.__wrapped__(changed, kind).x_a)
 
 
 class TestShortCircuitCurrent:
