@@ -11,8 +11,7 @@ from .errors import (BoundaryMaximumError, ConfigError,
 from .model import (BAND_ALIGNMENTS, GeneratorMatrix, GeneratorStack,
                     LevelEnergies, ModelParams, ThermalOccupations,
                     apply_band_alignment, bose_occupation, build_generator,
-                    build_generator_stack, build_qdm_generator,
-                    build_sqd_generator, derive_level_energies,
+                    build_generator_stack, derive_level_energies,
                     thermal_occupations, tunneling_from_distance)
 from .observables import (PhotovoltaicPoint, absorption_fluxes,
                           coherence_magnitudes, current, efficiency,

@@ -19,7 +19,7 @@ from .analytics import (asymptotic_current_qdm, asymptotic_current_sqd,
                         coherence_linearity_check, current_ratio_bound,
                         tls_saturation_threshold, tls_steady, TlsParams)
 from .model import (IDX_P55, N_STATE, ModelParams, build_generator,
-                    build_qdm_generator, thermal_occupations)
+                    thermal_occupations)
 from .steady import evolve, residual, solve_steady
 from .sweeps import (efficiency_vs_distance, gamma_grid_scan,
                      iv_curve, max_power_point, open_circuit_voltage,
@@ -189,7 +189,7 @@ def criterion_5() -> CriterionResult:
     p = ModelParams(delta_e=0.0, delta_h=0.0, Te=50.0, Th=50.0,
                     gamma_c=1000.0, gamma_v=1.0, Gamma=1e4)
     occ = thermal_occupations(p)
-    j_qdm = p.Gamma * solve_steady(build_qdm_generator(p)).x[IDX_P55]
+    j_qdm = p.Gamma * solve_steady(build_generator(p, "qdm")).x[IDX_P55]
     ref_qdm = asymptotic_current_qdm(occ.n1, occ.n2, occ.nv)
     r.check(_within(j_qdm, ref_qdm, 0.05),
             f"molecule short-circuit {j_qdm:.5f} vs closed form "
@@ -283,7 +283,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         gv = 10 ** rng.uniform(-3.0, 1.0)
         load = 10 ** rng.uniform(-3.0, 3.0)
         p = ModelParams(gamma_c=gc, gamma_v=gv, Gamma=load).with_distance(d)
-        gen = build_qdm_generator(p)
+        gen = build_generator(p, "qdm")
         ss = solve_steady(gen)
         x0 = np.zeros(N_STATE)
         x0[int(rng.integers(0, 6))] = 1.0
@@ -306,13 +306,13 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     r.check(ok_state, "trace, positivity, and coherence-block invariants")
 
     p = ModelParams().with_distance(3.0)
-    g_base = build_qdm_generator(p).matrix
+    g_base = build_generator(p, "qdm").matrix
     lam = 3.7
     scaled = p.replace(
         gamma1=p.gamma1 * lam, gamma2=p.gamma2 * lam,
         gamma_c=p.gamma_c * lam, gamma_v=p.gamma_v * lam,
         Gamma=p.Gamma * lam, hbar_gamma=p.hbar_gamma / lam)
-    g_scaled = build_qdm_generator(scaled).matrix
+    g_scaled = build_generator(scaled, "qdm").matrix
     r.check(bool(np.allclose(g_scaled, lam * g_base, rtol=1e-12, atol=0.0)),
             "generator is homogeneous under a common rate rescaling")
 

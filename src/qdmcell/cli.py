@@ -135,11 +135,12 @@ def _parse_overrides(pairs) -> dict:
 
 
 _RUN_KEYS = {f.name for f in fields(RunConfig)} - {"params"}
-# Keys that these scans would ignore, computing from the base parameters;
-# every scan sets the model kinds itself.
-_UNUSED_KEYS = {"gamma-grid": {"kind"},
+# Keys that these scans would ignore: they compute from the base
+# parameters, set the model kinds themselves, and search the load between
+# gamma_min and gamma_max without a grid.
+_UNUSED_KEYS = {"gamma-grid": {"grid_n", "kind"},
                 **dict.fromkeys(("efficiency-vs-d", "phonon-assisted"),
-                                {"alignment", "d", "kind"})}
+                                {"alignment", "d", "grid_n", "kind"})}
 
 
 def build_config(file_values: dict, override_values: dict) -> RunConfig:

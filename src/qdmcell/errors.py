@@ -10,15 +10,8 @@ class InvalidGeometryError(ValueError):
 
 
 class DegenerateSteadyStateError(RuntimeError):
-    """The generator admits more than one stationary state.
-
-    Typically caused by a disconnected block of levels; the offending
-    blocks are attached as ``blocks`` (tuples of state-vector indices).
-    """
-
-    def __init__(self, message, blocks=()):
-        super().__init__(message)
-        self.blocks = tuple(tuple(b) for b in blocks)
+    """The generator admits more than one stationary state, typically
+    because a block of levels is disconnected from the rest."""
 
 
 class NumericalSolveError(RuntimeError):

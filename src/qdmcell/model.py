@@ -13,12 +13,13 @@ The reduced state is a real 10-vector:
 The single-dot baseline uses the same layout and leaves |3>, |4> and
 both coherences at zero.
 
-``build_generator`` builds one device's generator; it is the
-single-device path and the reference for everything else.  The
-parameter scans build all their devices at once with
+The channels of the master equation are written once, in
+``_add_channels``.  ``build_generator`` fills one device's matrix from
+floats; the parameter scans build all their devices at once with
 ``build_generator_stack``, which takes a base parameter set plus arrays
-of the fields that vary and returns the zero-load generators as one
-(N, 10, 10) stack, entry for entry equal to the single-device builds.
+of the fields that vary and fills the zero-load generators from arrays,
+as one (N, 10, 10) stack equal, entry for entry, to the single-device
+builds.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ _STACK_FIELDS = tuple(f.name for f in fields(ModelParams) if f.name != "Gamma")
 class LevelEnergies:
     """Absolute level energies (meV) and the derived transition energies.
 
-    Reference: valence state of dot 1 at zero.
+    Reference: valence state of dot 1 at zero.  The fields are floats for
+    one device, or arrays with one entry per device of a generator stack.
     """
 
     w1: float
@@ -206,41 +208,47 @@ class LevelEnergies:
         return self.w5 - self.w6
 
 
-def derive_level_energies(params: ModelParams) -> LevelEnergies:
-    """Place the six levels from the gap, detunings, and contact offsets."""
-    w2 = 0.0
-    w1 = params.E12
-    w3 = w1 - params.delta_e
-    w4 = w2 + params.delta_h
-    w5 = w3 - params.delta_c
-    w6 = w2 + params.delta_v
-    if not (abs(w3) < math.inf and abs(w5) < math.inf):
-        raise DomainError(f"level energies overflow: w3 = {w3}, w5 = {w5}")
-    energies = LevelEnergies(w1, w2, w3, w4, w5, w6)
-    if energies.E34 <= 0.0:
+def _place_levels(f, kind: str) -> LevelEnergies:
+    # The six levels from the gap, detunings and contact offsets in ``f``
+    # (floats, or arrays over a stack).  The single dot has only |1>, |2>,
+    # |5>, |6>: |3>, |4> are aliased onto |1>, |2>, so its conduction
+    # contact hangs delta_c below |1> and the derived fields stay defined.
+    w1, w2 = f["E12"], 0.0
+    if kind == "qdm":
+        w3, w4 = w1 - f["delta_e"], w2 + f["delta_h"]
+    elif kind == "sqd":
+        w3, w4 = w1, w2
+    else:
+        raise DomainError(f"unknown model kind {kind!r}")
+    return LevelEnergies(w1, w2, w3, w4, w3 - f["delta_c"], w2 + f["delta_v"])
+
+
+def _device_levels(params: ModelParams, kind: str) -> LevelEnergies:
+    # One device's levels; a layout outside the model raises.
+    e = _place_levels(params.__dict__, kind)
+    if kind == "sqd":
+        if e.E35 <= 0.0 or e.E62 <= 0.0:
+            raise InvalidGeometryError(
+                "contact offsets delta_c, delta_v must be positive for the "
+                "single-dot model")
+        return e
+    if not (abs(e.w3) < math.inf and abs(e.w5) < math.inf):
+        raise DomainError(
+            f"level energies overflow: w3 = {e.w3}, w5 = {e.w5}")
+    if e.E34 <= 0.0:
         raise InvalidGeometryError(
-            f"E34 = {energies.E34} meV <= 0: detunings exceed the gap")
-    if energies.E35 <= 0.0 or energies.E62 <= 0.0:
+            f"E34 = {e.E34} meV <= 0: detunings exceed the gap")
+    if e.E35 <= 0.0 or e.E62 <= 0.0:
         raise InvalidGeometryError(
             "phonon channels must be downhill: need E35 > 0 and E62 > 0, "
-            f"got E35 = {energies.E35}, E62 = {energies.E62}")
-    return energies
+            f"got E35 = {e.E35}, E62 = {e.E62}")
+    return e
 
 
-def _sqd_level_energies(params: ModelParams) -> LevelEnergies:
-    # Single dot: only |1>, |2>, |5>, |6> are physical.  The conduction
-    # contact hangs delta_c below |1>; |3>, |4> are aliased onto |1>, |2>
-    # so the derived fields stay well defined.
-    w2 = 0.0
-    w1 = params.E12
-    w5 = w1 - params.delta_c
-    w6 = w2 + params.delta_v
-    energies = LevelEnergies(w1, w2, w1, w2, w5, w6)
-    if energies.E35 <= 0.0 or energies.E62 <= 0.0:
-        raise InvalidGeometryError(
-            "contact offsets delta_c, delta_v must be positive for the "
-            "single-dot model")
-    return energies
+def derive_level_energies(params: ModelParams) -> LevelEnergies:
+    """Place the molecule's six levels from the gap, detunings, and
+    contact offsets."""
+    return _device_levels(params, "qdm")
 
 
 @dataclass(frozen=True)
@@ -253,19 +261,19 @@ class ThermalOccupations:
     nv: float
 
 
+def _occupations(e: LevelEnergies, f, occupation, kind: str) -> tuple:
+    # n1, n2, nc, nv; the single dot has no second dot, hence no n2.
+    kTs, kTc = f["kTs"], f["kTc"]
+    return (occupation(e.E12, kTs),
+            occupation(e.E34, kTs) if kind == "qdm" else None,
+            occupation(e.E35, kTc), occupation(e.E62, kTc))
+
+
 def thermal_occupations(params: ModelParams) -> ThermalOccupations:
     """Reservoir occupations for the molecule's four incoherent channels."""
-    return _occupations(derive_level_energies(params), params)
-
-
-def _occupations(energies: LevelEnergies,
-                 params: ModelParams) -> ThermalOccupations:
-    return ThermalOccupations(
-        n1=bose_occupation(energies.E12, params.kTs),
-        n2=bose_occupation(energies.E34, params.kTs),
-        nc=bose_occupation(energies.E35, params.kTc),
-        nv=bose_occupation(energies.E62, params.kTc),
-    )
+    return ThermalOccupations(*_occupations(
+        derive_level_energies(params), params.__dict__, bose_occupation,
+        "qdm"))
 
 
 def apply_band_alignment(params: ModelParams, config: str) -> ModelParams:
@@ -328,113 +336,79 @@ def _add_thermal_channel(M: np.ndarray, upper: int, lower: int,
     M[upper, lower] += rate * n
 
 
-def _add_phonon_assisted(M: np.ndarray, rate: float, gap: float, kTc: float,
-                         levels: tuple, coherence: tuple) -> None:
-    # Optional phonon-assisted tunneling across the interdot gap
-    # w_a - w_b of ``levels`` (a, b): an incoherent thermal channel with a
-    # floored phonon energy, and the dephasing it adds to ``coherence``.
-    if not rate > 0.0:
-        return
-    n_ph = bose_occupation(max(abs(gap), PHONON_ENERGY_FLOOR), kTc)
-    a, b = levels
-    upper, lower = (a, b) if gap >= 0 else (b, a)
-    _add_thermal_channel(M, upper, lower, rate, n_ph)
-    extra = 0.5 * rate * (2.0 * n_ph + 1.0)
-    for k in coherence:
-        M[k, k] -= extra
-
-
-def build_qdm_generator(params: ModelParams) -> GeneratorMatrix:
-    """Generator of the six-level molecule master equation.
-
-    Encodes the coupled population/coherence equations with the conjugate
-    coherences eliminated in favor of Re/Im rho13 and Re/Im rho24.
-    Tunneling and detuning energies are converted to the gamma time unit
-    through hbar_gamma.
-    """
-    energies = derive_level_energies(params)
-    occ = _occupations(energies, params)
-    n1, n2, nc, nv = occ.n1, occ.n2, occ.nc, occ.nv
-    g1, g2 = params.gamma1, params.gamma2
-    gc, gv, load = params.gamma_c, params.gamma_v, params.Gamma
-
-    # Angular frequencies in units of gamma.
-    te = params.Te / params.hbar_gamma
-    th = params.Th / params.hbar_gamma
-    det_e = (energies.w1 - energies.w3) / params.hbar_gamma
-    det_h = (energies.w2 - energies.w4) / params.hbar_gamma
-
-    M = np.zeros((N_STATE, N_STATE))
-
-    # Populations.
-    M[IDX_P11, IDX_IM13] += -2.0 * te
+def _add_channels(M: np.ndarray, f, e: LevelEnergies, occupation,
+                  kind: str) -> None:
+    # Every channel of the zero-load master equation, written once for
+    # both builders.  One device fills a (10, 10) M from floats (``f`` is
+    # ``params.__dict__``, ``occupation`` is ``bose_occupation``); a stack
+    # fills (10, 10, N), devices last, from arrays (``_bose_stack``).  The
+    # arithmetic and its order are the same for both, so each matrix of a
+    # stack equals its single-device build bit for bit.
+    g1, g2, gc, gv = f["gamma1"], f["gamma2"], f["gamma_c"], f["gamma_v"]
+    n1, n2, nc, nv = _occupations(e, f, occupation, kind)
+    qdm = kind == "qdm"
     _add_thermal_channel(M, IDX_P11, IDX_P22, g1, n1)
-    M[IDX_P22, IDX_IM24] += -2.0 * th
     # Valence contact sits above the dot-1 valence state: |6> -> |2> is
     # the phonon-emission direction.
     _add_thermal_channel(M, IDX_P66, IDX_P22, gv, nv)
-    M[IDX_P33, IDX_IM13] += 2.0 * te
-    _add_thermal_channel(M, IDX_P33, IDX_P44, g2, n2)
-    _add_thermal_channel(M, IDX_P33, IDX_P55, gc, nc)
-    M[IDX_P44, IDX_IM24] += 2.0 * th
-    M[IDX_P55, IDX_P55] += -load
-    M[IDX_P66, IDX_P55] += load
+    if qdm:
+        _add_thermal_channel(M, IDX_P33, IDX_P44, g2, n2)
+    # Electrons leave through the second dot; the single dot's from |1>.
+    _add_thermal_channel(M, IDX_P33 if qdm else IDX_P11, IDX_P55, gc, nc)
+    if not qdm:
+        return
 
-    # Conduction coherence rho13 = a + i b.
-    damp13 = 0.5 * (g1 * (n1 + 1.0) + g2 * (n2 + 1.0) + gc * (nc + 1.0))
-    M[IDX_RE13, IDX_RE13] += -damp13
-    M[IDX_RE13, IDX_IM13] += det_e
-    M[IDX_IM13, IDX_RE13] += -det_e
-    M[IDX_IM13, IDX_IM13] += -damp13
-    M[IDX_IM13, IDX_P33] += -te
-    M[IDX_IM13, IDX_P11] += te
-
-    # Valence coherence rho24.
-    damp24 = 0.5 * (g1 * n1 + g2 * n2 + gv * nv)
-    M[IDX_RE24, IDX_RE24] += -damp24
-    M[IDX_RE24, IDX_IM24] += det_h
-    M[IDX_IM24, IDX_RE24] += -det_h
-    M[IDX_IM24, IDX_IM24] += -damp24
-    M[IDX_IM24, IDX_P44] += -th
-    M[IDX_IM24, IDX_P22] += th
-
-    _add_phonon_assisted(M, params.gamma_13, energies.w1 - energies.w3,
-                         params.kTc, (IDX_P11, IDX_P33), (IDX_RE13, IDX_IM13))
-    _add_phonon_assisted(M, params.gamma_24, energies.w2 - energies.w4,
-                         params.kTc, (IDX_P22, IDX_P44), (IDX_RE24, IDX_IM24))
-
-    return GeneratorMatrix(M, energies, QDM_ACTIVE)
-
-
-def build_sqd_generator(params: ModelParams) -> GeneratorMatrix:
-    """Generator of the single-dot baseline with the same gap.
-
-    Four active levels: the dot pair |1>, |2> plus the contacts, with the
-    conduction escape attached directly to |1>.  Tunnelings and the
-    second dot are ignored; all coherence components stay zero.
-    """
-    energies = _sqd_level_energies(params)
-    n1 = bose_occupation(energies.E12, params.kTs)
-    nc = bose_occupation(energies.E35, params.kTc)
-    nv = bose_occupation(energies.E62, params.kTc)
-
-    M = np.zeros((N_STATE, N_STATE))
-    _add_thermal_channel(M, IDX_P11, IDX_P22, params.gamma1, n1)
-    _add_thermal_channel(M, IDX_P11, IDX_P55, params.gamma_c, nc)
-    _add_thermal_channel(M, IDX_P66, IDX_P22, params.gamma_v, nv)
-    M[IDX_P55, IDX_P55] += -params.Gamma
-    M[IDX_P66, IDX_P55] += params.Gamma
-
-    return GeneratorMatrix(M, energies, SQD_ACTIVE)
+    # Each interdot pair (a, b), with coherence rho_ab = re + i im:
+    # coherent tunneling t, detuning (w_a - w_b) and damping, in units of
+    # gamma through hbar_gamma; then the phonon-assisted channel.
+    hg, kTc = f["hbar_gamma"], f["kTc"]
+    for a, b, re, im, t, gap, damp, rate in (
+            (IDX_P11, IDX_P33, IDX_RE13, IDX_IM13, f["Te"] / hg, e.w1 - e.w3,
+             0.5 * (g1 * (n1 + 1.0) + g2 * (n2 + 1.0) + gc * (nc + 1.0)),
+             f["gamma_13"]),
+            (IDX_P22, IDX_P44, IDX_RE24, IDX_IM24, f["Th"] / hg, e.w2 - e.w4,
+             0.5 * (g1 * n1 + g2 * n2 + gv * nv), f["gamma_24"])):
+        det = gap / hg
+        M[a, im] += -2.0 * t
+        M[b, im] += 2.0 * t
+        M[re, re] += -damp
+        M[re, im] += det
+        M[im, re] += -det
+        M[im, im] += -damp
+        M[im, b] += -t
+        M[im, a] += t
+        # Phonon-assisted tunneling: a thermal channel downhill across the
+        # gap, with the phonon energy floored so that resonant levels stay
+        # off the Bose divergence, and the dephasing it adds to rho_ab.
+        # The devices of a stack without it get E / False = inf, so n = 0.
+        on = rate > 0.0
+        if not np.count_nonzero(on):
+            continue
+        n = occupation(np.maximum(abs(gap), PHONON_ENERGY_FLOOR) / on, kTc)
+        _add_thermal_channel(M, a, b, rate * (gap >= 0.0), n)
+        _add_thermal_channel(M, b, a, rate * (gap < 0.0), n)
+        extra = 0.5 * rate * (2.0 * n + 1.0)
+        M[re, re] -= extra
+        M[im, im] -= extra
 
 
 def build_generator(params: ModelParams, kind: str) -> GeneratorMatrix:
-    """Dispatch on model kind ("qdm" or "sqd")."""
-    if kind == "qdm":
-        return build_qdm_generator(params)
-    if kind == "sqd":
-        return build_sqd_generator(params)
-    raise DomainError(f"unknown model kind {kind!r}")
+    """Generator of one device: the molecule ("qdm") or the single dot
+    ("sqd") with the same gap.
+
+    The molecule's coupled population/coherence equations carry the
+    conjugate coherences as Re/Im rho13 and Re/Im rho24.  The single dot
+    couples four levels, the dot pair |1>, |2> and the contacts, with the
+    conduction escape attached directly to |1>; it ignores the tunnelings
+    and the second dot, and its coherence components stay zero.
+    """
+    energies = _device_levels(params, kind)
+    M = np.zeros((N_STATE, N_STATE))
+    _add_channels(M, params.__dict__, energies, bose_occupation, kind)
+    M[IDX_P55, IDX_P55] += -params.Gamma
+    M[IDX_P66, IDX_P55] += params.Gamma
+    return GeneratorMatrix(M, energies,
+                           QDM_ACTIVE if kind == "qdm" else SQD_ACTIVE)
 
 
 @dataclass(frozen=True)
@@ -485,113 +459,30 @@ def _raise_first_invalid(params: ModelParams, cols: dict, ok: np.ndarray,
 
 
 # Overflow and invalid values end up in entries that the checks reject.
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_generator_stack(params: ModelParams, kind: str,
                           **varied) -> GeneratorStack:
     """Zero-load generators of many devices in one array pass.
 
     ``params`` sets every field that ``varied`` does not; ``varied`` maps
-    field names to equal-length arrays, one entry per device.  Entry for
-    entry the stack equals the matrices of
-    ``build_generator(device.replace(Gamma=0.0), kind)``, which stays the
-    single-device path and the reference: the same arithmetic runs in the
-    same order, on arrays.  An input error (``DomainError``,
-    ``InvalidGeometryError``) is raised once, for the first device that
-    has one, by building that device on the single-device path.
+    field names to equal-length arrays, one entry per device.  The stack
+    fills the same channels as ``build_generator``, so entry for entry it
+    equals the matrices of ``build_generator(device.replace(Gamma=0.0),
+    kind)``.  An input error (``DomainError``, ``InvalidGeometryError``)
+    is raised once, for the first device that has one, by building that
+    device on the single-device path.
     """
-    if kind not in ("qdm", "sqd"):
-        raise DomainError(f"unknown model kind {kind!r}")
     c, ok = _stack_columns(params, varied)
-    n = len(ok)
-    # Level energies as in ``derive_level_energies`` (the single dot
-    # aliases |3>, |4> onto |1>, |2>), and the checks of both.
-    w1 = c["E12"]
-    w2 = np.zeros(n)
-    w6 = w2 + c["delta_v"]
-    if kind == "qdm":
-        w3 = w1 - c["delta_e"]
-        w4 = w2 + c["delta_h"]
-        w5 = w3 - c["delta_c"]
-    else:
-        w3, w4 = w1, w2
-        w5 = w1 - c["delta_c"]
-    ok &= ((abs(w3) < math.inf) & (abs(w5) < math.inf)
-           & (w3 - w4 > 0.0) & (w3 - w5 > 0.0) & (w6 - w2 > 0.0))
+    e = _place_levels(c, kind)
+    ok &= ((abs(e.w3) < math.inf) & (abs(e.w5) < math.inf)
+           & (e.E34 > 0.0) & (e.E35 > 0.0) & (e.E62 > 0.0))
     _raise_first_invalid(params, c, ok, kind)
-    g1, g2, gc, gv = c["gamma1"], c["gamma2"], c["gamma_c"], c["gamma_v"]
-    kTs, kTc = c["kTs"], c["kTc"]
-    # Devices on the last axis, so that M[i, j] is every device's entry
-    # and the single-device helpers apply as they are.
-    M = np.zeros((N_STATE, N_STATE, n))
-
-    n1 = _bose_stack(w1 - w2, kTs)
-    nc = _bose_stack(w3 - w5, kTc)
-    nv = _bose_stack(w6 - w2, kTc)
-    if kind == "sqd":
-        _add_thermal_channel(M, IDX_P11, IDX_P22, g1, n1)
-        _add_thermal_channel(M, IDX_P11, IDX_P55, gc, nc)
-        _add_thermal_channel(M, IDX_P66, IDX_P22, gv, nv)
-        return GeneratorStack(_devices_first(M, params, c, kind),
-                              SQD_ACTIVE, w5 - w6, w1 - w2, w3 - w4, kTc)
-
-    n2 = _bose_stack(w3 - w4, kTs)
-    te = c["Te"] / c["hbar_gamma"]
-    th = c["Th"] / c["hbar_gamma"]
-    det_e = (w1 - w3) / c["hbar_gamma"]
-    det_h = (w2 - w4) / c["hbar_gamma"]
-
-    M[IDX_P11, IDX_IM13] += -2.0 * te
-    _add_thermal_channel(M, IDX_P11, IDX_P22, g1, n1)
-    M[IDX_P22, IDX_IM24] += -2.0 * th
-    _add_thermal_channel(M, IDX_P66, IDX_P22, gv, nv)
-    M[IDX_P33, IDX_IM13] += 2.0 * te
-    _add_thermal_channel(M, IDX_P33, IDX_P44, g2, n2)
-    _add_thermal_channel(M, IDX_P33, IDX_P55, gc, nc)
-    M[IDX_P44, IDX_IM24] += 2.0 * th
-
-    damp13 = 0.5 * (g1 * (n1 + 1.0) + g2 * (n2 + 1.0) + gc * (nc + 1.0))
-    M[IDX_RE13, IDX_RE13] += -damp13
-    M[IDX_RE13, IDX_IM13] += det_e
-    M[IDX_IM13, IDX_RE13] += -det_e
-    M[IDX_IM13, IDX_IM13] += -damp13
-    M[IDX_IM13, IDX_P33] += -te
-    M[IDX_IM13, IDX_P11] += te
-
-    damp24 = 0.5 * (g1 * n1 + g2 * n2 + gv * nv)
-    M[IDX_RE24, IDX_RE24] += -damp24
-    M[IDX_RE24, IDX_IM24] += det_h
-    M[IDX_IM24, IDX_RE24] += -det_h
-    M[IDX_IM24, IDX_IM24] += -damp24
-    M[IDX_IM24, IDX_P44] += -th
-    M[IDX_IM24, IDX_P22] += th
-
-    # ``_add_phonon_assisted`` on the stack: a channel downhill from the
-    # first level of the pair where its gap is >= 0, else from the second,
-    # and none where the rate is zero.
-    for rate, gap, (a, b), coherence in (
-            (c["gamma_13"], w1 - w3, (IDX_P11, IDX_P33),
-             (IDX_RE13, IDX_IM13)),
-            (c["gamma_24"], w2 - w4, (IDX_P22, IDX_P44),
-             (IDX_RE24, IDX_IM24))):
-        on = rate > 0.0
-        if not on.any():
-            continue
-        n_ph = np.zeros(n)
-        n_ph[on] = _bose_stack(
-            np.maximum(abs(gap[on]), PHONON_ENERGY_FLOOR), kTc[on])
-        from_a = gap >= 0
-        _add_thermal_channel(M, a, b, np.where(from_a, rate, 0.0), n_ph)
-        _add_thermal_channel(M, b, a, np.where(from_a, 0.0, rate), n_ph)
-        for k in coherence:
-            M[k, k] -= 0.5 * rate * (2.0 * n_ph + 1.0)
-    return GeneratorStack(_devices_first(M, params, c, kind), QDM_ACTIVE,
-                          w5 - w6, w1 - w2, w3 - w4, kTc)
-
-
-def _devices_first(M: np.ndarray, params: ModelParams, cols: dict,
-                   kind: str) -> np.ndarray:
+    M = np.zeros((N_STATE, N_STATE, len(ok)))
+    _add_channels(M, c, e, _bose_stack, kind)
     # Devices first, once every device's entries are in the range that
     # ``GeneratorMatrix`` accepts.
-    _raise_first_invalid(params, cols,
-                         np.abs(M).max(axis=(0, 1)) < _RATE_LIMIT, kind)
-    return np.ascontiguousarray(np.moveaxis(M, -1, 0))
+    _raise_first_invalid(params, c, np.abs(M).max(axis=(0, 1)) < _RATE_LIMIT,
+                         kind)
+    return GeneratorStack(np.ascontiguousarray(np.moveaxis(M, -1, 0)),
+                          QDM_ACTIVE if kind == "qdm" else SQD_ACTIVE,
+                          e.e5_minus_e6, e.E12, e.E34, c["kTc"])

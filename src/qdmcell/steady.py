@@ -59,28 +59,6 @@ def _check_trace_conserving(G: GeneratorMatrix) -> None:
             f"{np.abs(col_sums).max():.3e} (scale {scale:.3e})")
 
 
-def _connected_components(A: np.ndarray) -> list:
-    n = A.shape[0]
-    adj = (A != 0.0) | (A.T != 0.0)
-    np.fill_diagonal(adj, True)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in np.flatnonzero(adj[i]):
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        comps.append(sorted(comp))
-    return comps
-
-
 def solve_steady(G: GeneratorMatrix) -> SteadyState:
     """Unique stationary state of a trace-conserving generator.
 
@@ -97,18 +75,14 @@ def solve_steady(G: GeneratorMatrix) -> SteadyState:
     scale = float(np.abs(A).max())
     if scale == 0.0:
         raise DegenerateSteadyStateError(
-            "zero generator: every state is stationary",
-            blocks=[[i] for i in active])
+            "zero generator: every state is stationary")
 
     # The trace direction accounts for exactly one null dimension; any
     # further (near-)null dimension signals disconnected blocks.
     sv = np.linalg.svd(A, compute_uv=False)
     if len(sv) >= 2 and sv[-2] < DEGENERACY_TOL * scale:
-        comps = _connected_components(A)
-        blocks = [[active[k] for k in comp] for comp in comps]
         raise DegenerateSteadyStateError(
-            f"multiple steady states: disconnected blocks {blocks}",
-            blocks=blocks)
+            "multiple steady states: the generator has disconnected blocks")
 
     pop_pos = [k for k, i in enumerate(active) if i in POPULATION_INDICES]
     B = A.copy()

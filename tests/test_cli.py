@@ -86,9 +86,8 @@ class TestCsvContract:
                             "B2,4,2"]
 
     def test_gamma_grid_row_count_matches_grid(self, capsys):
-        # Tiny scan through the config-controlled load grid.
-        code, out, err = _run(capsys, "gamma-grid", "--set", "grid_n=50",
-                              "--set", "d=2")
+        # One row per cell of the 40 x 40 escape-rate grid.
+        code, out, err = _run(capsys, "gamma-grid", "--set", "d=2")
         assert code == 0
         body = [ln for ln in out.splitlines() if not ln.startswith("#")]
         n_failed = sum("failed" in ln for ln in err.splitlines())
@@ -168,7 +167,9 @@ class TestExitCodes:
             ("alignment=A2", ("efficiency-vs-d", "phonon-assisted")),
             ("d=4", ("efficiency-vs-d", "phonon-assisted")),
             ("kind=sqd", ("gamma-grid", "efficiency-vs-d", "phonon-assisted")),
-            ("kind=qdm", ("gamma-grid", "efficiency-vs-d", "phonon-assisted")))
+            ("kind=qdm", ("gamma-grid", "efficiency-vs-d", "phonon-assisted")),
+            ("grid_n=50",
+             ("gamma-grid", "efficiency-vs-d", "phonon-assisted")))
         for command in commands])
     def test_scan_rejects_keys_it_ignores(self, capsys, command, setting):
         # These scans compute from the base parameters; a metadata block

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from qdmcell import (BAND_ALIGNMENTS, DomainError, InvalidGeometryError,
                      ModelParams, apply_band_alignment, bose_occupation,
                      build_generator, build_generator_stack,
-                     build_qdm_generator, build_sqd_generator,
                      derive_level_energies, thermal_occupations,
                      tunneling_from_distance)
 from qdmcell.model import (IDX_IM13, IDX_P22, IDX_P66, N_STATE,
-                           POPULATION_INDICES, QDM_ACTIVE, SQD_ACTIVE)
+                           PHONON_ENERGY_FLOOR, POPULATION_INDICES,
+                           QDM_ACTIVE, SQD_ACTIVE)
 from qdmcell.steady import solve_steady
 
 
@@ -140,7 +140,7 @@ class TestGeneratorStructure:
         p = ModelParams(Te=0.0, Th=0.0, delta_e=0.0, delta_h=0.0,
                         gamma1=0.0, gamma2=0.0, gamma_c=0.0, gamma_v=0.0,
                         Gamma=0.0)
-        g = build_qdm_generator(p)
+        g = build_generator(p, "qdm")
         assert not g.matrix.any()
 
     def test_trace_conservation(self):
@@ -165,17 +165,17 @@ class TestGeneratorStructure:
         q = p.replace(gamma1=p.gamma1 * lam, gamma2=p.gamma2 * lam,
                       gamma_c=p.gamma_c * lam, gamma_v=p.gamma_v * lam,
                       Gamma=p.Gamma * lam, hbar_gamma=p.hbar_gamma / lam)
-        assert np.allclose(build_qdm_generator(q).matrix,
-                           lam * build_qdm_generator(p).matrix,
+        assert np.allclose(build_generator(q, "qdm").matrix,
+                           lam * build_generator(p, "qdm").matrix,
                            rtol=1e-12, atol=0.0)
 
     def test_matrix_is_frozen(self):
-        g = build_qdm_generator(ModelParams())
+        g = build_generator(ModelParams(), "qdm")
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 1.0
 
     def test_sqd_has_no_coherence_terms(self):
-        g = build_sqd_generator(ModelParams())
+        g = build_generator(ModelParams(), "sqd")
         assert not g.matrix[IDX_IM13:].any()
         assert not g.matrix[:, IDX_IM13:].any()
 
@@ -184,7 +184,7 @@ class TestGeneratorStructure:
         # relaxes to the Boltzmann ratio rho66/rho22 = nv/(nv+1).
         p = ModelParams(Te=0.0, Th=0.0, gamma1=0.0, gamma2=0.0,
                         gamma_c=0.0, Gamma=0.0)
-        g = build_qdm_generator(p)
+        g = build_generator(p, "qdm")
         ss = solve_steady(replace(g, active=(IDX_P22, IDX_P66)))
         nv = thermal_occupations(p).nv
         assert ss.x[IDX_P66] / ss.x[IDX_P22] == pytest.approx(
@@ -192,7 +192,7 @@ class TestGeneratorStructure:
 
     def test_phonon_assisted_channels_preserve_trace(self):
         p = ModelParams(gamma_13=0.01, gamma_24=0.01)
-        g = build_qdm_generator(p)
+        g = build_generator(p, "qdm")
         col_sums = g.matrix[list(POPULATION_INDICES), :].sum(axis=0)
         assert np.abs(col_sums).max() <= 1e-14 * g.max_rate
 
@@ -201,73 +201,8 @@ class TestGeneratorStructure:
         # Bose factor; the floor keeps the build finite.
         p = ModelParams(delta_e=0.0, delta_h=6.0, gamma_13=0.01,
                         gamma_24=0.01)
-        g = build_qdm_generator(p)
+        g = build_generator(p, "qdm")
         assert np.isfinite(g.matrix).all()
-
-
-class TestHermitianCrossCheck:
-    """Rebuild the molecule equations on the 10 complex variables of the
-    original master equation and compare against the real-packed form."""
-
-    @staticmethod
-    def _complex_rhs(p, rho):
-        # rho: dict with p11..p66 (real) and r13, r24 (complex).
-        e = derive_level_energies(p)
-        occ = thermal_occupations(p)
-        te, th = p.Te / p.hbar_gamma, p.Th / p.hbar_gamma
-        de = (e.w1 - e.w3) / p.hbar_gamma
-        dh = (e.w2 - e.w4) / p.hbar_gamma
-        g1, g2 = p.gamma1, p.gamma2
-        gc, gv, load = p.gamma_c, p.gamma_v, p.Gamma
-        n1, n2, nc, nv = occ.n1, occ.n2, occ.nc, occ.nv
-        r13, r24 = rho["r13"], rho["r24"]
-        out = {}
-        out["p11"] = (1j * te * (r13 - r13.conjugate())).real \
-            - g1 * ((n1 + 1) * rho["p11"] - n1 * rho["p22"])
-        out["p33"] = (-1j * te * (r13 - r13.conjugate())).real \
-            - g2 * ((n2 + 1) * rho["p33"] - n2 * rho["p44"]) \
-            - gc * ((nc + 1) * rho["p33"] - nc * rho["p55"])
-        out["p22"] = (1j * th * (r24 - r24.conjugate())).real \
-            + g1 * ((n1 + 1) * rho["p11"] - n1 * rho["p22"]) \
-            + gv * ((nv + 1) * rho["p66"] - nv * rho["p22"])
-        out["p44"] = (-1j * th * (r24 - r24.conjugate())).real \
-            + g2 * ((n2 + 1) * rho["p33"] - n2 * rho["p44"])
-        out["p55"] = gc * ((nc + 1) * rho["p33"] - nc * rho["p55"]) \
-            - load * rho["p55"]
-        out["p66"] = load * rho["p55"] \
-            - gv * ((nv + 1) * rho["p66"] - nv * rho["p22"])
-        damp13 = 0.5 * (g1 * (n1 + 1) + g2 * (n2 + 1) + gc * (nc + 1))
-        out["r13"] = (-1j * de - damp13) * r13 \
-            + 1j * te * (rho["p11"] - rho["p33"])
-        damp24 = 0.5 * (g1 * n1 + g2 * n2 + gv * nv)
-        out["r24"] = (-1j * dh - damp24) * r24 \
-            + 1j * th * (rho["p22"] - rho["p44"])
-        return out
-
-    def test_real_packing_matches_complex_equations(self):
-        p = ModelParams().with_distance(3.0)
-        g = build_qdm_generator(p)
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            x = rng.standard_normal(N_STATE)
-            rho = {"p11": x[0], "p22": x[1], "p33": x[2], "p44": x[3],
-                   "p55": x[4], "p66": x[5],
-                   "r13": complex(x[6], x[7]), "r24": complex(x[8], x[9])}
-            ref = self._complex_rhs(p, rho)
-            got = g.matrix @ x
-            scale = np.abs(got).max()
-            for key, idx in (("p11", 0), ("p22", 1), ("p33", 2),
-                             ("p44", 3), ("p55", 4), ("p66", 5)):
-                assert got[idx] == pytest.approx(ref[key],
-                                                 abs=1e-12 * scale)
-            assert got[6] == pytest.approx(ref["r13"].real,
-                                           abs=1e-12 * scale)
-            assert got[7] == pytest.approx(ref["r13"].imag,
-                                           abs=1e-12 * scale)
-            assert got[8] == pytest.approx(ref["r24"].real,
-                                           abs=1e-12 * scale)
-            assert got[9] == pytest.approx(ref["r24"].imag,
-                                           abs=1e-12 * scale)
 
 
 class TestParamValidation:
@@ -350,6 +285,108 @@ def _single_device_error(values: dict, kind: str):
     except (DomainError, InvalidGeometryError) as exc:
         return exc
     return None
+
+
+class TestHermitianCrossCheck:
+    """Rebuild each generator from the complex master equation on the 6x6
+    density matrix, d rho/dt = -i[H, rho] + sum_k D[L_k] rho, and compare
+    both builders' real-packed matrices with it."""
+
+    @staticmethod
+    def _reference(p, kind):
+        # Levels |1>..|6> are rows 0..5; the single dot has no |3>, |4>,
+        # and its conduction contact hangs delta_c below |1>.
+        w1 = p.E12
+        w3 = w1 - p.delta_e if kind == "qdm" else w1
+        w = (w1, 0.0, w3, p.delta_h, w3 - p.delta_c, p.delta_v)
+        H = np.zeros((6, 6), dtype=complex)
+        jumps = [(p.Gamma, 4, 5)]  # (rate, from, to): the load |5> -> |6>
+
+        def thermal(upper, lower, rate, energy, kT):
+            n = bose_occupation(energy, kT)
+            jumps.extend([(rate * (n + 1), upper, lower),
+                          (rate * n, lower, upper)])
+
+        thermal(0, 1, p.gamma1, w[0] - w[1], p.kTs)
+        thermal(5, 1, p.gamma_v, w[5] - w[1], p.kTc)
+        if kind == "sqd":
+            thermal(0, 4, p.gamma_c, w[0] - w[4], p.kTc)
+        else:
+            thermal(2, 3, p.gamma2, w[2] - w[3], p.kTs)
+            thermal(2, 4, p.gamma_c, w[2] - w[4], p.kTc)
+            for a, b, t, rate in ((0, 2, p.Te, p.gamma_13),
+                                  (1, 3, p.Th, p.gamma_24)):
+                # Only the splitting within each tunnel pair enters the
+                # kept coherences, so it sits on the pair's first level.
+                gap = w[a] - w[b]
+                H[a, a] = gap / p.hbar_gamma
+                H[a, b] = H[b, a] = t / p.hbar_gamma
+                if rate > 0.0:
+                    upper, lower = (a, b) if gap >= 0.0 else (b, a)
+                    thermal(upper, lower, rate,
+                            max(abs(gap), PHONON_ENERGY_FLOOR), p.kTc)
+
+        M = np.zeros((N_STATE, N_STATE))
+        for j in range(N_STATE):
+            x = np.eye(N_STATE)[j]
+            rho = np.diag(x[:6]).astype(complex)
+            rho[0, 2] = complex(x[6], x[7])
+            rho[1, 3] = complex(x[8], x[9])
+            rho[2, 0], rho[3, 1] = rho[0, 2].conjugate(), rho[1, 3].conjugate()
+            d = -1j * (H @ rho - rho @ H)
+            for rate, u, v in jumps:  # D[L] with L = sqrt(rate) |v><u|
+                d[v, v] += rate * rho[u, u]
+                d[u, :] -= 0.5 * rate * rho[u, :]
+                d[:, u] -= 0.5 * rate * rho[:, u]
+            M[:, j] = [*d.diagonal().real, d[0, 2].real, d[0, 2].imag,
+                       d[1, 3].real, d[1, 3].imag]
+        if kind == "sqd":  # the single dot carries no coherences
+            M[6:] = M[:, 6:] = 0.0
+        return M
+
+    def _assert_matches(self, matrix, p, kind):
+        ref = self._reference(p, kind)
+        assert np.abs(matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def _assert_both_builders_match(self, p, kind):
+        self._assert_matches(build_generator(p, kind).matrix, p, kind)
+        self._assert_matches(
+            build_generator_stack(p, kind, gamma_c=[p.gamma_c]).matrix[0],
+            p.replace(Gamma=0.0), kind)
+
+    def test_real_packing_matches_complex_equations(self):
+        p = ModelParams().with_distance(3.0)
+        self._assert_matches(build_generator(p, "qdm").matrix, p, "qdm")
+
+    # Assisted gaps of both signs: w1 - w3 = delta_e and w2 - w4 =
+    # -delta_h; A1 and A2 put one pair on resonance, onto the floor.
+    @pytest.mark.parametrize("g13, g24", [(0.0, 0.0), (0.1, 0.0),
+                                          (0.0, 1e-3), (0.1, 0.1)])
+    @pytest.mark.parametrize("device", [
+        *BAND_ALIGNMENTS, "negative_detunings"])
+    def test_channels_match_complex_equations(self, device, g13, g24):
+        base = ModelParams(gamma_13=g13, gamma_24=g24)
+        p = (base.replace(delta_e=-1.0, delta_h=-1.5)
+             if device == "negative_detunings"
+             else apply_band_alignment(base, device))
+        for q in (p, p.with_distance(10.0)):
+            self._assert_both_builders_match(q, "qdm")
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(),
+        ModelParams(delta_c=0.5, delta_v=7.0, gamma_c=3.0, kTs=5.0)])
+    def test_single_dot_matches_complex_equations(self, p):
+        self._assert_both_builders_match(p, "sqd")
+
+    @settings(max_examples=50, deadline=None)
+    @given(devices=st.lists(_stack_devices, min_size=1, max_size=4),
+           kind=_kinds)
+    def test_random_devices_match_complex_equations(self, devices, kind):
+        stack = build_generator_stack(ModelParams(), kind,
+                                      **_stack_fields(devices))
+        for p, row in zip(devices, stack.matrix):
+            self._assert_matches(build_generator(p, kind).matrix, p, kind)
+            self._assert_matches(row, p.replace(Gamma=0.0), kind)
 
 
 class TestGeneratorStack:

@@ -6,10 +6,10 @@ import pytest
 from qdmcell import (BAND_ALIGNMENTS, ModelParams, UndefinedEfficiencyError,
                      VoltageUndefinedError, absorption_fluxes,
                      apply_band_alignment, build_generator,
-                     build_qdm_generator, coherence_magnitudes, current,
-                     derive_level_energies, efficiency, iv_curve,
-                     max_power_point, photovoltaic_point, power,
-                     solve_steady, supplied_power, voltage)
+                     coherence_magnitudes, current, derive_level_energies,
+                     efficiency, iv_curve, max_power_point,
+                     photovoltaic_point, power, solve_steady, supplied_power,
+                     voltage)
 from qdmcell.model import IDX_P11, N_STATE
 from qdmcell.steady import SteadyState
 
@@ -23,12 +23,12 @@ def _state(**components) -> SteadyState:
 
 class TestCurrent:
     def test_open_circuit_is_zero(self):
-        ss = solve_steady(build_qdm_generator(ModelParams(Gamma=0.0)))
+        ss = solve_steady(build_generator(ModelParams(Gamma=0.0), "qdm"))
         assert current(ss, 0.0) == 0.0
 
     def test_dark_cell_carries_nothing(self):
         # No pumping: the conduction side stays empty at any load.
-        ss = solve_steady(build_qdm_generator(ModelParams(kTs=1e-2)))
+        ss = solve_steady(build_generator(ModelParams(kTs=1e-2), "qdm"))
         assert ss.x[IDX_P11] <= 1e-15
         assert current(ss, 1.0) <= 1e-15
 
@@ -122,7 +122,7 @@ class TestAbsorptionFluxes:
 
 class TestCoherences:
     def test_no_tunneling_no_coherence(self):
-        ss = solve_steady(build_qdm_generator(ModelParams(Te=0.0)))
+        ss = solve_steady(build_generator(ModelParams(Te=0.0), "qdm"))
         c13, _ = coherence_magnitudes(ss)
         assert c13 == 0.0
 
@@ -131,7 +131,7 @@ class TestCoherences:
         assert coherence_magnitudes(ss) == (0.0, 0.0)
 
     def test_molecule_sustains_coherence(self):
-        ss = solve_steady(build_qdm_generator(ModelParams()))
+        ss = solve_steady(build_generator(ModelParams(), "qdm"))
         c13, c24 = coherence_magnitudes(ss)
         assert c13 > 0.0
         assert c24 > 0.0
@@ -140,7 +140,7 @@ class TestCoherences:
 class TestPhotovoltaicPoint:
     def test_bundles_consistently(self):
         p = ModelParams()
-        g = build_qdm_generator(p)
+        g = build_generator(p, "qdm")
         ss = solve_steady(g)
         pt = photovoltaic_point(ss, p.Gamma, g.energies, p.kTc)
         assert pt.j == current(ss, p.Gamma)

@@ -12,7 +12,6 @@ from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      UndefinedEfficiencyError, VoltageUndefinedError,
                      absorption_fluxes,
                      apply_band_alignment, build_generator,
-                     build_qdm_generator,
                      efficiency_vs_distance, gamma_grid_scan, iv_curve,
                      max_power_point, open_circuit_voltage,
                      phonon_assisted_comparison, relative_current_gain,
@@ -299,7 +298,7 @@ class TestRelativeCurrentGain:
         p = ModelParams(Te=0.0, Th=0.0, gamma2=0.0)
         # Solved on the block of |1>: |4> and the coherences decouple.
         ss = solve_steady(replace(
-            build_qdm_generator(p),
+            build_generator(p, "qdm"),
             active=(IDX_P11, IDX_P22, IDX_P33, IDX_P55, IDX_P66)))
         assert abs(p.Gamma * ss.x[IDX_P55]) <= 1e-12
         # Sweeps refuse the degenerate build outright rather than
@@ -376,7 +375,7 @@ class TestGammaGridScan:
         assert np.isnan(batch.P_m[[0, 2]]).all()
         assert batch.P_m[1] == max_power_batch(ModelParams()).P_m[0]
         # The dark cell's steady state exists; its contact is empty.
-        ss = solve_steady(build_qdm_generator(dark))
+        ss = solve_steady(build_generator(dark, "qdm"))
         assert ss.x[IDX_P55] <= 1e-300
 
 
