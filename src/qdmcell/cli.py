@@ -22,20 +22,17 @@ from .model import BAND_ALIGNMENTS, ModelParams, apply_band_alignment
 from .sweeps import (GridSpec, efficiency_vs_distance, gamma_grid_scan,
                      iv_curve, max_power_point, phonon_assisted_comparison)
 
-_PARAM_KEYS = {f.name for f in fields(ModelParams)}
-
-# All recognized config keys with their units, for --help and rejection
-# diagnostics.  Rates are multiples of gamma; energies are meV.
+# Config keys with their units, in the order a CSV '#' block lists them.
+# Rates are multiples of gamma; energies are meV.
 _KEY_UNITS = {
     "kind": "qdm|sqd",
     "alignment": "|".join(BAND_ALIGNMENTS),
     "d": "nm (sets Te, Th from the exponential fit)",
-    "E12": "meV", "delta_e": "meV", "delta_h": "meV",
-    "delta_c": "meV", "delta_v": "meV", "Te": "meV", "Th": "meV",
-    "gamma1": "gamma", "gamma2": "gamma",
-    "gamma_c": "gamma", "gamma_v": "gamma", "Gamma": "gamma",
-    "gamma_13": "gamma", "gamma_24": "gamma",
-    "kTs": "meV", "kTc": "meV", "hbar_gamma": "meV",
+    "E12": "meV", "Te": "meV", "Th": "meV",
+    "delta_c": "meV", "delta_e": "meV", "delta_h": "meV", "delta_v": "meV",
+    "gamma1": "gamma", "gamma2": "gamma", "gamma_13": "gamma",
+    "gamma_24": "gamma", "gamma_c": "gamma", "gamma_v": "gamma",
+    "hbar_gamma": "meV", "kTc": "meV", "kTs": "meV",
     "grid_n": "points", "gamma_min": "gamma", "gamma_max": "gamma",
     "seed": "integer",
 }
@@ -64,18 +61,6 @@ class RunConfig:
             p = p.with_distance(self.d)
         return p
 
-    def items(self):
-        """(key, value) pairs of every recognized key, resolved."""
-        p = self.resolved_params()
-        out = [("kind", self.kind), ("alignment", self.alignment),
-               ("d", "" if self.d is None else _fmt(self.d))]
-        out += [(k, _fmt(getattr(p, k))) for k in sorted(_PARAM_KEYS)]
-        out += [("grid_n", str(self.grid_n)),
-                ("gamma_min", _fmt(self.gamma_min)),
-                ("gamma_max", _fmt(self.gamma_max)),
-                ("seed", str(self.seed))]
-        return out
-
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -83,7 +68,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_value(key: str, raw: str):
+def _parse_setting(key: str, raw: str, where: str = ""):
+    """Check that ``key`` is a config key and parse its value."""
+    if key not in _KEY_UNITS:
+        raise ConfigError(f"{where}unknown key {key!r} "
+                          f"(known: {', '.join(sorted(_KEY_UNITS))})")
     raw = raw.strip()
     if key in ("kind", "alignment"):
         return raw
@@ -113,10 +102,7 @@ def read_config_file(path: str) -> dict:
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, raw = (s.strip() for s in text.split("=", 1))
-        if key not in _KEY_UNITS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
-                              f"(known: {', '.join(sorted(_KEY_UNITS))})")
-        values[key] = _parse_value(key, raw)
+        values[key] = _parse_setting(key, raw, f"{path}:{lineno}: ")
     return values
 
 
@@ -126,25 +112,17 @@ def _parse_overrides(pairs) -> dict:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
         key, raw = item.split("=", 1)
-        key = key.strip()
-        if key not in _KEY_UNITS:
-            raise ConfigError(f"unknown key {key!r} "
-                              f"(known: {', '.join(sorted(_KEY_UNITS))})")
-        values[key] = _parse_value(key, raw)
+        values[key.strip()] = _parse_setting(key.strip(), raw)
     return values
 
 
 _RUN_KEYS = {f.name for f in fields(RunConfig)} - {"params"}
-# Keys that these scans would ignore: they compute from the base
-# parameters, set the model kinds themselves, and search the load between
-# gamma_min and gamma_max without a grid.
-_UNUSED_KEYS = {"gamma-grid": {"grid_n", "kind"},
-                **dict.fromkeys(("efficiency-vs-d", "phonon-assisted"),
-                                {"alignment", "d", "grid_n", "kind"})}
 
 
 def build_config(file_values: dict, override_values: dict) -> RunConfig:
     merged = {**file_values, **override_values}
+    if "d" in merged and merged.keys() & {"Te", "Th"}:
+        raise ConfigError("d sets Te and Th; give d or Te and Th, not both")
     run = {key: merged.pop(key) for key in _RUN_KEYS & merged.keys()}
     if run.get("kind", "qdm") not in ("qdm", "sqd"):
         raise ConfigError(f"kind must be qdm or sqd, got {run['kind']!r}")
@@ -170,8 +148,10 @@ def build_config(file_values: dict, override_values: dict) -> RunConfig:
 def _write_csv(out, subcommand: str, config: RunConfig,
                header: list, rows: list) -> None:
     out.write(f"# qdmcell {__version__} {subcommand}\n")
-    for key, value in config.items():
-        out.write(f"# {key} = {value}\n")
+    p = config.resolved_params()
+    for key in _COMMANDS[subcommand][1]:
+        value = getattr(config if key in _RUN_KEYS else p, key)
+        out.write(f"# {key} = {'' if value is None else _fmt(value)}\n")
     out.write(",".join(header) + "\n")
     for row in rows:
         out.write(",".join(_fmt(v) for v in row) + "\n")
@@ -278,15 +258,33 @@ def _cmd_verify(config: RunConfig, out) -> int:
     return 0 if n_fail == 0 else 3
 
 
+def _keys(names: str) -> tuple:
+    """The named config keys, in the order of ``_KEY_UNITS``."""
+    return tuple(sorted(names.split(), key=list(_KEY_UNITS).index))
+
+
+# Every model run reads the device and the load bracket of its search.
+_DEVICE = ("E12 delta_c delta_e delta_h delta_v gamma1 gamma2 hbar_gamma "
+           "kTc kTs gamma_min gamma_max")
+_CURVE = _keys(f"kind alignment d Te Th gamma_13 gamma_24 gamma_c gamma_v "
+               f"grid_n {_DEVICE}")
+
+# Each subcommand with the config keys it reads.  It rejects every other
+# key, and its CSV '#' block lists exactly these.  A scan sets what it
+# sweeps itself: gamma-grid the escape rates and both kinds,
+# efficiency-vs-d the band alignment and the barrier width,
+# phonon-assisted the escape rates, the width and the assisted rates.
 _COMMANDS = {
-    "iv-curve": _cmd_iv_curve,
-    "max-power": _cmd_max_power,
-    "gamma-grid": _cmd_gamma_grid,
-    "efficiency-vs-d": _cmd_efficiency_vs_d,
-    "phonon-assisted": _cmd_phonon_assisted,
-    "alignments": _cmd_alignments,
-    "calibrate": _cmd_calibrate,
-    "verify": _cmd_verify,
+    "iv-curve": (_cmd_iv_curve, _CURVE),
+    "max-power": (_cmd_max_power, _CURVE),
+    "gamma-grid": (_cmd_gamma_grid,
+                   _keys(f"alignment d Te Th gamma_13 gamma_24 {_DEVICE}")),
+    "efficiency-vs-d": (_cmd_efficiency_vs_d,
+                        _keys(f"gamma_13 gamma_24 gamma_c gamma_v {_DEVICE}")),
+    "phonon-assisted": (_cmd_phonon_assisted, _keys(_DEVICE)),
+    "alignments": (_cmd_alignments, _keys("delta_c delta_e delta_h delta_v")),
+    "calibrate": (_cmd_calibrate, ()),
+    "verify": (_cmd_verify, ("seed",)),
 }
 
 
@@ -295,13 +293,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qdmcell",
         description="Steady-state photovoltaics of a tunnel-coupled "
                     "quantum-dot molecule.",
-        epilog="Config keys (also usable as --set key=value): "
-               + "; ".join(f"{k} [{u}]" for k, u in _KEY_UNITS.items()))
+        epilog="Each subcommand's --help lists the config keys it reads.")
     parser.add_argument("--version", action="version",
                         version=f"qdmcell {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, fn in _COMMANDS.items():
-        sp = sub.add_parser(name, help=fn.__doc__, description=fn.__doc__)
+    for name, (fn, keys) in _COMMANDS.items():
+        sp = sub.add_parser(
+            name, help=fn.__doc__, description=fn.__doc__,
+            epilog="Config keys (also usable as --set key=value): "
+                   + ("; ".join(f"{k} [{_KEY_UNITS[k]}]" for k in keys)
+                      or "none"))
         sp.add_argument("-c", "--config", metavar="FILE",
                         help="flat key = value config file")
         sp.add_argument("-o", "--output", metavar="FILE", default="-",
@@ -314,14 +315,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    run, keys = _COMMANDS[args.subcommand]
     try:
         file_values = read_config_file(args.config) if args.config else {}
         overrides = _parse_overrides(args.overrides)
-        unused = _UNUSED_KEYS.get(args.subcommand, set()) & (
-            file_values.keys() | overrides.keys())
-        if unused:
+        unread = (file_values.keys() | overrides.keys()) - set(keys)
+        if unread:
             raise ConfigError(f"{args.subcommand} does not take "
-                              f"{' or '.join(sorted(unused))}")
+                              f"{', '.join(sorted(unread))}")
         config = build_config(file_values, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -334,7 +335,7 @@ def main(argv=None) -> int:
         return 2
     try:
         with output as out:
-            return _COMMANDS[args.subcommand](config, out)
+            return run(config, out)
     except (ConfigError, InvalidGeometryError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

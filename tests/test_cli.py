@@ -1,11 +1,36 @@
 """Command-line interface: config handling, CSV contract, exit codes."""
 
+import re
+
 import pytest
 
+from qdmcell import cli
 from qdmcell.cli import (_COMMANDS, _KEY_UNITS, build_config, main,
                          read_config_file)
+from qdmcell.errors import ConfigError
+from qdmcell.sweeps import gamma_grid_scan
 
 NUMERIC_KEYS = [k for k in _KEY_UNITS if k not in ("kind", "alignment")]
+
+# Two valid values of every config key, the first at or near its default.
+SETTINGS = {
+    "kind": ("qdm", "sqd"), "alignment": ("0", "A2"), "d": ("2", "4"),
+    "E12": ("1115", "1000"), "Te": ("4.4", "3"), "Th": ("0.6", "2"),
+    "delta_c": ("2", "1.5"), "delta_e": ("3", "2.5"),
+    "delta_h": ("3", "2.5"), "delta_v": ("2", "1.5"),
+    "gamma1": ("1", "0.8"), "gamma2": ("1", "0.8"),
+    "gamma_13": ("0", "0.01"), "gamma_24": ("0", "0.01"),
+    "gamma_c": ("100", "50"), "gamma_v": ("0.05", "0.1"),
+    "hbar_gamma": ("0.000658", "0.001"), "kTc": ("25.9", "20"),
+    "kTs": ("500", "400"), "grid_n": ("200", "50"),
+    "gamma_min": ("1e-06", "1e-05"), "gamma_max": ("1000000", "100000"),
+    "seed": ("20260823", "7"),
+}
+CSV_COMMANDS = [c for c in _COMMANDS if c not in ("calibrate", "verify")]
+# A value of every key that moves a run reading it.  The load bracket moves
+# a run only where it cuts off the maximum.
+MOVED = {**{key: values[1] for key, values in SETTINGS.items()},
+         "gamma_min": "100", "gamma_max": "1"}
 
 IV_HEADER = "Gamma_over_gamma,j_over_egamma,V_mV,P_over_gamma_meV,coh13,coh24"
 
@@ -41,6 +66,10 @@ class TestConfigParsing:
         config = build_config({}, {"d": 10.0})
         p = config.resolved_params()
         assert p.Te == pytest.approx(1.44, rel=0.02)
+
+    def test_distance_in_file_with_tunneling_override_rejected(self):
+        with pytest.raises(ConfigError, match="not both"):
+            build_config({"d": 2.0}, {"Te": 5.0})
 
     def test_bad_values_rejected(self):
         for overrides in ({"kind": "molecule"}, {"alignment": "Z9"},
@@ -161,29 +190,118 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("setting, command", [
-        pytest.param(setting, command, id=f"{setting}-{command}")
-        for setting, commands in (
-            ("alignment=A2", ("efficiency-vs-d", "phonon-assisted")),
-            ("d=4", ("efficiency-vs-d", "phonon-assisted")),
-            ("kind=sqd", ("gamma-grid", "efficiency-vs-d", "phonon-assisted")),
-            ("kind=qdm", ("gamma-grid", "efficiency-vs-d", "phonon-assisted")),
-            ("grid_n=50",
-             ("gamma-grid", "efficiency-vs-d", "phonon-assisted")))
-        for command in commands])
-    def test_scan_rejects_keys_it_ignores(self, capsys, command, setting):
-        # These scans compute from the base parameters; a metadata block
-        # claiming the key was applied would misreport the run.
-        code, out, err = _run(capsys, command, "--set", setting)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("config error: ")
-        assert len(err.splitlines()) == 1
-
     def test_removed_gamma_key_is_config_error(self, capsys):
         code, _, err = _run(capsys, "max-power", "--set", "gamma=1")
         assert code == 2
         assert "unknown key 'gamma'" in err
+
+
+def _meta(out: str) -> list:
+    """(key, value) of each config line of a CSV '#' block."""
+    return [tuple(ln[2:].split(" = ", 1)) for ln in out.splitlines()
+            if ln.startswith("# ") and " = " in ln]
+
+
+class TestKeyTable:
+    """Each subcommand takes exactly the config keys it reads."""
+
+    def test_settings_cover_every_key(self):
+        assert list(SETTINGS) == list(_KEY_UNITS)
+        assert "Gamma" not in _KEY_UNITS
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_every_key_it_does_not_read_is_config_error(self, capsys,
+                                                        command):
+        # A metadata block claiming an unread key was applied would
+        # misreport the run.
+        unread = [k for k in _KEY_UNITS if k not in _COMMANDS[command][1]]
+        for key in unread:
+            for value in SETTINGS[key]:
+                code, out, err = _run(capsys, command, "--set",
+                                      f"{key}={value}")
+                assert (code, out) == (2, ""), (key, value)
+                assert err == f"config error: {command} does not take {key}\n"
+        code, out, err = _run(capsys, command, "--set", "Gamma=1")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: unknown key 'Gamma'")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_config_file_keys_are_checked_alike(self, capsys, tmp_path,
+                                                command):
+        unread = sorted(k for k in _KEY_UNITS
+                        if k not in _COMMANDS[command][1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {SETTINGS[k][1]}\n" for k in unread))
+        code, out, err = _run(capsys, command, "-c", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (f"config error: {command} does not take "
+                       f"{', '.join(unread)}\n")
+
+    @pytest.mark.parametrize("command", CSV_COMMANDS)
+    def test_metadata_lists_the_keys_it_reads(self, capsys, tmp_path,
+                                              command):
+        # The default '#' block names each key of the table row once, in
+        # the row's order, and a run taking every key at its printed
+        # value prints the same block.  d is empty by default: the
+        # tunnelings stand.
+        code, out, _ = _run(capsys, command)
+        assert code == 0
+        meta = _meta(out)
+        assert tuple(k for k, _ in meta) == _COMMANDS[command][1]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in meta if k != "d"))
+        code, out, _ = _run(capsys, command, "-c", str(cfg))
+        assert (code, _meta(out)) == (0, meta)
+        if "d" in _COMMANDS[command][1]:
+            assert ("d", "") in meta
+            code, out, _ = _run(capsys, command, "--set", "d=2")
+            assert code == 0
+            assert [v for k, v in _meta(out) if k == "d"] == ["2"]
+
+    @pytest.mark.parametrize("command", CSV_COMMANDS)
+    def test_every_key_it_reads_moves_the_run(self, capsys, monkeypatch,
+                                               command):
+        # Each key a subcommand takes changes its rows or its exit code.
+        # gamma-grid runs on 2 x 2 cells here, to keep the test fast.
+        monkeypatch.setattr(cli, "gamma_grid_scan", lambda p, grid:
+                            gamma_grid_scan(p, [10.0, 100.0], [0.05, 5.0],
+                                            grid))
+
+        def result(*argv):
+            code, out, _ = _run(capsys, command, *argv)
+            return code, [ln for ln in out.splitlines()
+                          if not ln.startswith("#")]
+
+        default = result()
+        assert default[0] == 0
+        for key in _COMMANDS[command][1]:
+            # max-power's grid only brackets its Newton search, so only a
+            # grid below the minimum size moves it.
+            value = ("10" if (command, key) == ("max-power", "grid_n")
+                     else MOVED[key])
+            assert result("--set", f"{key}={value}") != default, key
+
+    def test_verify_passes_its_seed_on(self, capsys, monkeypatch):
+        # The gate and the calibration run on fixed reference devices.
+        assert _COMMANDS["verify"][1] == ("seed",)
+        assert _COMMANDS["calibrate"][1] == ()
+        seeds = []
+        monkeypatch.setattr(cli, "run_all",
+                            lambda seed: seeds.append(seed) or [])
+        code, out, _ = _run(capsys, "verify", "--set", "seed=7")
+        assert (code, out, seeds) == (0, "0/0 criteria passed\n", [7])
+
+    @pytest.mark.parametrize("argv", [
+        ("--set", "d=2", "--set", "Te=5"),
+        ("--set", "Th=1", "--set", "d=2"),
+        ("--set", "d=2", "--set", "Te=5", "--set", "Th=1")])
+    def test_distance_with_tunnelings_is_config_error(self, capsys, argv):
+        # d sets Te and Th itself; taking both would drop one silently.
+        code, out, err = _run(capsys, "iv-curve", *argv)
+        assert (code, out) == (2, "")
+        assert err == ("config error: d sets Te and Th; give d or Te and "
+                       "Th, not both\n")
 
 
 class TestHelp:
@@ -196,6 +314,17 @@ class TestHelp:
             line = next(ln for ln in listing.splitlines()
                         if ln.split()[:1] == [name])
             assert len(line.split()) > 1, name
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_subcommand_help_lists_its_keys(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        epilog = capsys.readouterr().out.split("Config keys")[1]
+        assert tuple(re.findall(r"(\w+)\s+\[", epilog)) \
+            == _COMMANDS[command][1]
+        for key in _COMMANDS[command][1]:
+            assert f"[{_KEY_UNITS[key]}]" in " ".join(epilog.split())
 
 
 class TestCalibrateAndVerify:
