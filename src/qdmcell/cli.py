@@ -62,10 +62,12 @@ class RunConfig:
         return p
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".12g")
-    return str(x)
+def _fmt(x, exact: bool = False) -> str:
+    # exact: ``repr`` where 12 digits do not read back as the same float.
+    if not isinstance(x, float):
+        return str(x)
+    text = format(x, ".12g")
+    return repr(x) if exact and float(text) != x else text
 
 
 def _parse_setting(key: str, raw: str, where: str = ""):
@@ -151,7 +153,7 @@ def _write_csv(out, subcommand: str, config: RunConfig,
     p = config.resolved_params()
     for key in _COMMANDS[subcommand][1]:
         value = getattr(config if key in _RUN_KEYS else p, key)
-        out.write(f"# {key} = {'' if value is None else _fmt(value)}\n")
+        out.write(f"# {key} = {'' if value is None else _fmt(value, True)}\n")
     out.write(",".join(header) + "\n")
     for row in rows:
         out.write(",".join(_fmt(v) for v in row) + "\n")

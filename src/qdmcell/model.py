@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -160,12 +160,18 @@ class ModelParams:
                     raise DomainError(message.format(name))
 
     def replace(self, **changes) -> "ModelParams":
-        return replace(self, **changes)
+        # ``dataclasses.replace`` without its per-field ``__init__`` call.
+        if unknown := changes.keys() - self.__dict__.keys():
+            raise TypeError(f"ModelParams has no field {sorted(unknown)}")
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, **changes)
+        copy.__post_init__()
+        return copy
 
     def with_distance(self, d: float) -> "ModelParams":
         """Set both tunneling energies from the barrier width d (nm)."""
         te, th = tunneling_from_distance(d)
-        return replace(self, Te=te, Th=th)
+        return self.replace(Te=te, Th=th)
 
 
 # The fields a generator stack may vary: all but the load.

@@ -1,7 +1,7 @@
 """Load-rate sweeps and parameter scans on the exact rate chain.
 
-Every stationary state here is rho(Gamma) = (x_a + Gamma x_b) /
-(S_a + Gamma S_b), the chain form of ``_chain_form``.  The single-device
+Every stationary state here is rho(Gamma) = (x_a + Gamma x_b) / (S_a +
+Gamma S_b), the chain form of ``_chain_form``.  The single-device
 functions (``iv_curve``, ``max_power_point``, ``open_circuit_voltage``,
 ``short_circuit_current``) read it for one ``build_generator`` call,
 built once per (params, kind) and held read-only in a two-entry memo
@@ -9,8 +9,11 @@ built once per (params, kind) and held read-only in a two-entry memo
 parameter scans treat the devices as a batch axis and read it for one
 ``model.build_generator_stack`` call (equal, entry for entry, to
 ``build_generator``) in ``max_power_batch``.  Both find the maximum-power
-load by the same Newton iteration (``_max_power``).  Scan rows are
-named tuples whose fields follow the CLI's CSV columns.
+load by the same Newton iteration (``_max_power``), one device's on
+floats with numpy's log (the C library's may differ in the last bit and
+move the maximum off the batch's); its curve evaluates only the six
+state rows it reads.  Scan rows are named tuples whose fields follow the
+CLI's CSV columns.
 """
 
 from __future__ import annotations
@@ -445,8 +448,8 @@ def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
     A, r = chain.x_a[:, IDX_P66] / b6, chain.s_b / chain.s_a
     e56 = chain.stack.e5_minus_e6 - kTc * np.log(b6)
 
-    def slope(gamma):
-        v = e56 - kTc * np.log(A + gamma)
+    def slope(gamma, log=np.log):
+        v = e56 - kTc * log(A + gamma)
         q = 1.0 + r * gamma
         return v * (A + gamma) - kTc * gamma * q, v - 2.0 * kTc * q
 
@@ -475,20 +478,26 @@ def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
           unbracketed)
     moving = np.array([e is None for e in errors], dtype=bool)
     if len(gamma) == 1:
-        # A lone device iterates on numpy scalars, the same arithmetic
-        # without most of the per-call cost of one-element arrays.
-        A, r, e56, kTc, gamma, moving = (
-            v[0] for v in (A, r, e56, kTc, gamma, moving))
-    for _ in range(_NEWTON_STEPS):
-        if not np.count_nonzero(moving):
-            break
-        f, df = slope(gamma)
-        step = gamma - f / df
-        moving &= step < gamma
-        # A device whose step no longer falls stays where it is, and so
-        # keeps failing that test; failed devices' values are dropped.
-        gamma = np.fmin(step, gamma)
-    gamma, moving = np.atleast_1d(gamma), np.atleast_1d(moving)
+        # One device steps on floats, with numpy's log (see above).
+        A, r, e56, kTc, g = (float(v[0]) for v in (A, r, e56, kTc, gamma))
+        for _ in range(_NEWTON_STEPS if moving[0] else 0):
+            f, df = slope(g, lambda x: float(np.log(x)))
+            step = g - (f / df if df else np.divide(f, df))  # x/0 as numpy
+            if not step < g:
+                moving[0] = False
+                break
+            g = step
+        gamma = np.array([g])
+    else:
+        for _ in range(_NEWTON_STEPS):
+            if not np.count_nonzero(moving):
+                break
+            f, df = slope(gamma)
+            step = gamma - f / df
+            moving &= step < gamma
+            # A device whose step no longer falls stays where it is, and so
+            # keeps failing that test; failed devices' values are dropped.
+            gamma = np.fmin(step, gamma)
     _fail(errors, moving, lambda k: NumericalSolveError(
         f"maximum-power search still moving after {_NEWTON_STEPS} steps"))
 
@@ -524,26 +533,30 @@ def iv_curve(params: ModelParams, kind: str = "qdm",
     params = apply_band_alignment(params, alignment)
     chain = _device_chain(params, kind)
     gammas = grid.values()
-    X = chain.states(gammas)
-    keep = ((X[:, IDX_P55] > _POPULATION_GUARD)
-            & (X[:, IDX_P66] > _POPULATION_GUARD))
+    # ``ChainForm.states`` for the six components read, as rows over loads.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p55, p66, re13, im13, re24, im24 = x = (
+            (chain.x_a[0, IDX_P55:, None] + chain.x_b[0, IDX_P55:, None]
+             * gammas) / (chain.s_a[0] + gammas * chain.s_b[0]))
+    keep = (p55 > _POPULATION_GUARD) & (p66 > _POPULATION_GUARD)
     if not keep.all():
-        X, gammas = X[keep], gammas[keep]
-    j = gammas * X[:, IDX_P55]
+        (p55, p66, re13, im13, re24, im24), gammas = x[:, keep], gammas[keep]
+    j = gammas * p55
     V = chain.voltage(gammas)
     columns = {"Gamma": gammas, "j": j, "V": V, "P": j * V,
-               "coh13": np.hypot(X[:, IDX_RE13], X[:, IDX_IM13]),
-               "coh24": np.hypot(X[:, IDX_RE24], X[:, IDX_IM24])}
+               "coh13": np.hypot(re13, im13), "coh24": np.hypot(re24, im24)}
     return IVCurve(columns=columns, params=params, kind=kind,
                    alignment=alignment, grid=grid, chain=chain,
                    n_dropped=int(len(keep) - keep.sum()))
 
 
-def max_power_point(params: ModelParams | None = None, kind: str = "qdm",
+def max_power_point(params: ModelParams | None = None,
+                    kind: str | None = None,
                     curve: IVCurve | None = None,
                     grid: GridSpec | None = None,
-                    alignment: str = "0") -> MaxPowerPoint:
-    """Locate the interior power maximum of the load sweep.
+                    alignment: str | None = None) -> MaxPowerPoint:
+    """Locate the interior power maximum of ``curve`` (given alone), or of
+    ``iv_curve(params, kind, grid, alignment)``, by default of kind "qdm".
 
     The grid argmax and its two neighbours bracket the maximum, which
     ``_max_power`` then solves for to rounding on the curve's chain form.
@@ -552,7 +565,11 @@ def max_power_point(params: ModelParams | None = None, kind: str = "qdm",
     if curve is None:
         if params is None:
             raise DomainError("need either params or a precomputed curve")
-        curve = iv_curve(params, kind=kind, grid=grid, alignment=alignment)
+        curve = iv_curve(params, "qdm" if kind is None else kind, grid,
+                         "0" if alignment is None else alignment)
+    elif (kind not in (None, curve.kind)
+          or any(v is not None for v in (params, grid, alignment))):
+        raise DomainError("a precomputed curve takes no other argument")
     gammas, powers = curve.column("Gamma"), curve.column("P")
     if len(powers) == 0:
         raise BoundaryMaximumError("curve has no valid points")
@@ -574,7 +591,7 @@ def open_circuit_voltage(params: ModelParams,
     """Voltage exactly at zero load, (E5 - E6) - kTc ln a6; raises
     ``VoltageUndefinedError`` if a contact population vanishes there."""
     chain = _device_chain(params, kind)
-    p55, p66 = chain.states(0.0)[0, [IDX_P55, IDX_P66]]
+    p55, p66 = chain.x_a[0, IDX_P55:IDX_P66 + 1] / chain.s_a[0]
     if not (p55 > _POPULATION_GUARD and p66 > _POPULATION_GUARD):
         raise VoltageUndefinedError(
             f"contact populations too small at zero load (rho55={p55:.3e}, "

@@ -259,6 +259,30 @@ class TestKeyTable:
             assert code == 0
             assert [v for k, v in _meta(out) if k == "d"] == ["2"]
 
+    @pytest.mark.parametrize("command, argv", [
+        *((c, ()) for c in CSV_COMMANDS),
+        *((c, ("--set", "d=10")) for c in CSV_COMMANDS
+          if "d" in _COMMANDS[c][1])])
+    def test_metadata_block_reruns_its_run(self, capsys, monkeypatch,
+                                           tmp_path, command, argv):
+        # Its own '#' block, read back as a config file, reproduces the
+        # run byte for byte: every printed value reads back as the same
+        # float.  d prints its value alongside the Te and Th it sets, so
+        # the rerun takes those.  gamma-grid runs on 2 x 2 cells here.
+        monkeypatch.setattr(cli, "gamma_grid_scan", lambda p, grid:
+                            gamma_grid_scan(p, [10.0, 100.0], [0.05, 5.0],
+                                            grid))
+        code, out, _ = _run(capsys, command, *argv)
+        assert code == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in _meta(out)
+                               if v and k != "d"))
+        code, rerun, _ = _run(capsys, command, "-c", str(cfg))
+        assert code == 0
+        if argv:  # the rerun's block leaves d empty
+            rerun = rerun.replace("# d = \n", "# d = 10\n")
+        assert rerun == out
+
     @pytest.mark.parametrize("command", CSV_COMMANDS)
     def test_every_key_it_reads_moves_the_run(self, capsys, monkeypatch,
                                                command):

@@ -224,6 +224,18 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             ModelParams(**{name: value})
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelParams)])
+    def test_replace_checks_like_the_constructor(self, name):
+        p = ModelParams()
+        value = getattr(p, name) * 1.5 + 0.1
+        q = p.replace(**{name: value})
+        assert q == replace(p, **{name: value})
+        assert type(q) is ModelParams and getattr(p, name) != value
+        with pytest.raises(DomainError):
+            p.replace(**{name: math.nan})
+        with pytest.raises(TypeError):
+            p.replace(**{name: value, "gamma": 1.0})
+
     def test_overflowing_level_energies_rejected(self):
         with pytest.raises(DomainError):
             derive_level_energies(ModelParams(E12=1e308, delta_e=-1e308))

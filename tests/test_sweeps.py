@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      DegenerateSteadyStateError,
@@ -18,8 +18,10 @@ from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      short_circuit_current, solve_steady, voltage)
 from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P22, IDX_P33,
                            IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
-                           POPULATION_INDICES)
-from qdmcell.sweeps import (_device_chain, _short_circuit_load,
+                           POPULATION_INDICES, GeneratorStack)
+from qdmcell.observables import _POPULATION_GUARD
+from qdmcell.sweeps import (ChainForm, MaxPowerPoint, _device_chain,
+                            _max_power, _short_circuit_load,
                             max_power_batch)
 
 GUIMARD_SQD = ModelParams(E12=920.0, gamma1=0.19, gamma_c=100.0,
@@ -148,6 +150,15 @@ class TestMaxPowerPoint:
     def test_requires_params_or_curve(self):
         with pytest.raises(DomainError):
             max_power_point()
+
+    def test_curve_takes_no_other_argument(self):
+        curve = iv_curve(ModelParams(), kind="qdm", grid=GridSpec(n=50))
+        mpp = max_power_point(curve=curve)
+        assert max_power_point(kind="qdm", curve=curve) == mpp
+        for other in (dict(params=ModelParams()), dict(kind="sqd"),
+                      dict(grid=GridSpec(n=50)), dict(alignment="0")):
+            with pytest.raises(DomainError, match="takes no other argument"):
+                max_power_point(curve=curve, **other)
 
     @pytest.mark.parametrize("alignment", ["0", "A2", "B1"])
     def test_molecule_eta_charges_each_channel_at_its_gap(self, alignment):
@@ -450,12 +461,16 @@ def _batch_fields(devices) -> dict:
             for f in fields(ModelParams) if f.name != "Gamma"}
 
 
+def _device(d, gc, gv, g_ph, alignment) -> ModelParams:
+    return apply_band_alignment(
+        ModelParams(gamma_c=gc, gamma_v=gv, gamma_13=g_ph, gamma_24=g_ph),
+        alignment).with_distance(d)
+
+
 # Devices across the escape-rate ranges of the scans, with optional
 # phonon-assisted channels (gamma_13 = gamma_24).
 _devices = st.builds(
-    lambda d, gc, gv, g_ph, alignment: apply_band_alignment(
-        ModelParams(gamma_c=gc, gamma_v=gv, gamma_13=g_ph, gamma_24=g_ph),
-        alignment).with_distance(d),
+    _device,
     d=st.floats(min_value=2.0, max_value=10.0),
     gc=st.floats(min_value=0.0, max_value=np.log10(500.0)).map(
         lambda e: 10.0 ** e),
@@ -515,6 +530,71 @@ class TestLoadSweepProperties:
         assert voc.value >= mpp.V_mpp
         assert mpp.j_mpp <= jsc.value
         assert 0.0 <= mpp.eta < 1.0 - p.kTc / p.kTs
+
+
+def _twin(chain: ChainForm) -> ChainForm:
+    """A one-device chain form held twice, which ``_max_power`` searches
+    on its array branch."""
+    s = chain.stack
+    stack = GeneratorStack(np.repeat(s.matrix, 2, axis=0), s.active, *(
+        np.repeat(v, 2) for v in (s.e5_minus_e6, s.E12, s.E34, s.kTc)))
+    return ChainForm(stack, *(np.repeat(v, 2, axis=0) for v in (
+        chain.x_a, chain.x_b, chain.s_a, chain.s_b)))
+
+
+class TestSingleDeviceFastPaths:
+    """The single-device path computes less than the general one, to the
+    same bits."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(p=_devices, kind=_kinds, n=st.sampled_from((50, 2000)),
+           kTs=st.sampled_from((None, 1.5, 1.52, 1.6)))
+    @example(p=ModelParams(), kind="qdm", n=50, kTs=1.6)
+    @example(p=ModelParams(), kind="sqd", n=2000, kTs=1.52)
+    def test_curve_columns_equal_full_states(self, p, kind, n, kTs):
+        # A cold sun drops some or all of the points.
+        if kTs is not None:
+            p = p.replace(kTs=kTs)
+        curve = iv_curve(p, kind=kind, grid=GridSpec(n=n))
+        gammas = curve.grid.values()
+        X = curve.chain.states(gammas)
+        keep = ((X[:, IDX_P55] > _POPULATION_GUARD)
+                & (X[:, IDX_P66] > _POPULATION_GUARD))
+        X, gammas = X[keep], gammas[keep]
+        j = gammas * X[:, IDX_P55]
+        V = curve.chain.voltage(gammas)
+        want = {"Gamma": gammas, "j": j, "V": V, "P": j * V,
+                "coh13": np.hypot(X[:, IDX_RE13], X[:, IDX_IM13]),
+                "coh24": np.hypot(X[:, IDX_RE24], X[:, IDX_IM24])}
+        assert list(curve.columns) == list(want)
+        for name, values in want.items():
+            assert curve.column(name).tobytes() == values.tobytes(), name
+        assert curve.n_dropped == n - np.count_nonzero(keep)
+
+    @settings(max_examples=50, deadline=None)
+    @given(p=_devices, kind=_kinds, n=st.sampled_from((50, 200, 2000)))
+    # Devices whose maximum a C-library log in the lone Newton iteration
+    # moves by an ulp: it differs from numpy's in the last bit for about
+    # one argument in 10 000.
+    @example(p=_device(3.4926101753866785, 19.03111120378649,
+                       7.225123480583942, 0.001, "B2"), kind="qdm", n=200)
+    @example(p=_device(8.536628114971567, 384.1782943221369,
+                       0.0005122947943677336, 0.1, "A2"), kind="qdm", n=200)
+    @example(p=_device(2.9098844565390802, 13.89805956044057,
+                       14.495227933974562, 0.001, "B1"), kind="sqd", n=200)
+    @example(p=_device(3.8895007595079223, 64.79244682059677,
+                       0.008836853701285743, 0.0, "0"), kind="sqd", n=200)
+    def test_lone_maximum_equals_array_branch(self, p, kind, n):
+        curve = iv_curve(p, kind=kind, grid=GridSpec(n=n))
+        mpp = max_power_point(curve=curve)
+        gammas = curve.column("Gamma")
+        k = int(curve.column("P").argmax())
+        batch = _max_power(_twin(curve.chain), gammas[[k - 1] * 2],
+                           gammas[[k + 1] * 2], [None, None])
+        assert batch.errors == (None, None)
+        for f in fields(MaxPowerPoint):
+            got = np.array([getattr(mpp, f.name)] * 2)
+            assert got.tobytes() == getattr(batch, f.name).tobytes(), f.name
 
 
 # The same devices under a hot sun, where ``solve_steady`` (and so the
