@@ -478,7 +478,7 @@ def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
           unbracketed)
     moving = np.array([e is None for e in errors], dtype=bool)
     if len(gamma) == 1:
-        # One device steps on floats, with numpy's log (see above).
+        # One device steps on floats with numpy's log (module docstring).
         A, r, e56, kTc, g = (float(v[0]) for v in (A, r, e56, kTc, gamma))
         for _ in range(_NEWTON_STEPS if moving[0] else 0):
             f, df = slope(g, lambda x: float(np.log(x)))

@@ -239,49 +239,37 @@ class TestKeyTable:
                        f"{', '.join(unread)}\n")
 
     @pytest.mark.parametrize("command", CSV_COMMANDS)
-    def test_metadata_lists_the_keys_it_reads(self, capsys, tmp_path,
-                                              command):
+    def test_metadata_lists_the_keys_it_reads(self, capsys, monkeypatch,
+                                              tmp_path, command):
         # The default '#' block names each key of the table row once, in
-        # the row's order, and a run taking every key at its printed
-        # value prints the same block.  d is empty by default: the
-        # tunnelings stand.
+        # the row's order, and, fed back as a config file, reruns its run
+        # byte for byte: each printed value reads back as the same float.
+        # d is empty by default: the tunnelings stand.  A block with d
+        # also prints the Te and Th it sets, and its rerun takes those.
+        # gamma-grid runs on 2 x 2 cells here, to keep the test fast.
+        monkeypatch.setattr(cli, "gamma_grid_scan", lambda p, grid:
+                            gamma_grid_scan(p, [10.0, 100.0], [0.05, 5.0],
+                                            grid))
+
+        def rerun(out):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in _meta(out)
+                                   if v and k != "d"))
+            code, again, _ = _run(capsys, command, "-c", str(cfg))
+            assert code == 0
+            return again
+
         code, out, _ = _run(capsys, command)
         assert code == 0
         meta = _meta(out)
         assert tuple(k for k, _ in meta) == _COMMANDS[command][1]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in meta if k != "d"))
-        code, out, _ = _run(capsys, command, "-c", str(cfg))
-        assert (code, _meta(out)) == (0, meta)
+        assert rerun(out) == out
         if "d" in _COMMANDS[command][1]:
             assert ("d", "") in meta
             code, out, _ = _run(capsys, command, "--set", "d=2")
             assert code == 0
             assert [v for k, v in _meta(out) if k == "d"] == ["2"]
-
-    @pytest.mark.parametrize("command, argv", [
-        *((c, ()) for c in CSV_COMMANDS),
-        *((c, ("--set", "d=10")) for c in CSV_COMMANDS
-          if "d" in _COMMANDS[c][1])])
-    def test_metadata_block_reruns_its_run(self, capsys, monkeypatch,
-                                           tmp_path, command, argv):
-        # Its own '#' block, read back as a config file, reproduces the
-        # run byte for byte: every printed value reads back as the same
-        # float.  d prints its value alongside the Te and Th it sets, so
-        # the rerun takes those.  gamma-grid runs on 2 x 2 cells here.
-        monkeypatch.setattr(cli, "gamma_grid_scan", lambda p, grid:
-                            gamma_grid_scan(p, [10.0, 100.0], [0.05, 5.0],
-                                            grid))
-        code, out, _ = _run(capsys, command, *argv)
-        assert code == 0
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in _meta(out)
-                               if v and k != "d"))
-        code, rerun, _ = _run(capsys, command, "-c", str(cfg))
-        assert code == 0
-        if argv:  # the rerun's block leaves d empty
-            rerun = rerun.replace("# d = \n", "# d = 10\n")
-        assert rerun == out
+            assert rerun(out) == out.replace("# d = 2\n", "# d = \n")
 
     @pytest.mark.parametrize("command", CSV_COMMANDS)
     def test_every_key_it_reads_moves_the_run(self, capsys, monkeypatch,
