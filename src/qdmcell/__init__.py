@@ -11,11 +11,10 @@ from .errors import (BoundaryMaximumError, ConfigError,
 from .model import (BAND_ALIGNMENTS, GeneratorMatrix, GeneratorStack,
                     LevelEnergies, ModelParams, ThermalOccupations,
                     apply_band_alignment, bose_occupation, build_generator,
-                    build_generator_stack, derive_level_energies,
-                    thermal_occupations, tunneling_from_distance)
+                    build_generator_stack, thermal_occupations,
+                    tunneling_from_distance)
 from .observables import (PhotovoltaicPoint, absorption_fluxes,
-                          coherence_magnitudes, current, efficiency,
-                          photovoltaic_point, power, supplied_power, voltage)
+                          photovoltaic_point)
 from .steady import SteadyState, evolve, residual, solve_steady
 from .sweeps import (CurrentGain, EfficiencyRow, GammaGridScan, GridSpec,
                      IVCurve, MaxPowerBatch, MaxPowerPoint,

@@ -26,7 +26,7 @@ from .sweeps import (efficiency_vs_distance, gamma_grid_scan,
                      phonon_assisted_comparison, relative_current_gain,
                      short_circuit_current)
 
-CARNOT_LIMIT = 1.0 - 25.9 / 500.0  # = 0.9482
+CARNOT_LIMIT = 1.0 - ModelParams.kTc / ModelParams.kTs  # = 0.9482
 
 # Seed of the random draws in criterion 8's property suite.
 DEFAULT_SEED = 20260823
@@ -63,10 +63,13 @@ class Calibration:
     sqd_Pm: float
     qdm_jsc: float
     qdm_Pm: float
-    candidates: tuple  # the hbar_gamma values tried
 
 
-def calibrate(candidates=None) -> Calibration:
+# The hbar_gamma values ``calibrate`` tries (meV).
+HBAR_GAMMA_CANDIDATES = tuple(float(hg) for hg in np.logspace(-4, -2, 9))
+
+
+def calibrate() -> Calibration:
     """Pick the rate-unit energy hbar*gamma that best hits the published
     single-dot and molecule benchmarks.
 
@@ -75,16 +78,13 @@ def calibrate(candidates=None) -> Calibration:
     only weakly through the tunneling frequency, so the scan mostly
     confirms insensitivity.
     """
-    if candidates is None:
-        candidates = np.logspace(-4, -2, 9)
-    candidates = tuple(float(hg) for hg in candidates)
     targets = (871.0, 0.018, 13.66, 0.0300, 22.28)
     curve_s = iv_curve(GUIMARD_SQD, kind="sqd")
     sqd = (open_circuit_voltage(GUIMARD_SQD, kind="sqd").value,
            short_circuit_current(curve_s).value,
            max_power_point(curve=curve_s).P_m)
     best = None
-    for hg in candidates:
+    for hg in HBAR_GAMMA_CANDIDATES:
         curve_q = iv_curve(GUIMARD_QDM.replace(hbar_gamma=hg),
                            kind="qdm")
         got = (*sqd, short_circuit_current(curve_q).value,
@@ -93,7 +93,7 @@ def calibrate(candidates=None) -> Calibration:
         if best is None or err < best[0]:
             best = (err, hg, got)
     _, hg, got = best
-    return Calibration(hg, *got, candidates)
+    return Calibration(hg, *got)
 
 
 def _within(value: float, target: float, rel: float) -> bool:
@@ -103,10 +103,10 @@ def _within(value: float, target: float, rel: float) -> bool:
 def criterion_1(cal: Calibration) -> CriterionResult:
     r = CriterionResult(1, "single-dot calibration", True)
     r.note(f"calibrated hbar_gamma = {cal.hbar_gamma:g} meV")
-    low, high = min(cal.candidates), max(cal.candidates)
+    low, high = min(HBAR_GAMMA_CANDIDATES), max(HBAR_GAMMA_CANDIDATES)
     edge = {low: "lowest", high: "highest"}.get(cal.hbar_gamma)
     if edge:
-        r.note(f"hbar_gamma is the {edge} of the {len(cal.candidates)} "
+        r.note(f"hbar_gamma is the {edge} of the {len(HBAR_GAMMA_CANDIDATES)} "
                f"candidates ({low:g} to {high:g} meV): the best fit may lie "
                "outside the range")
     r.check(_within(cal.sqd_Voc, 871.0, 0.02),

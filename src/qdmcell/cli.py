@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Flat key=value configs, ``--key=value`` overrides, deterministic CSV
-output with a '#' metadata block.  Exit codes: 0 success, 2 config
-error, 3 numerical failure.
+output with a '#' metadata block.  Exit codes: 0 success, 2 config or
+output error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -315,6 +316,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    # The interpreter flushes stdout again as it exits, and would report
+    # the same failure a second time; point the descriptor at the null
+    # device so what is left in the buffer goes nowhere.
+    with contextlib.suppress(OSError, ValueError):
+        fd = sys.stdout.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     run, keys = _COMMANDS[args.subcommand]
@@ -337,7 +349,14 @@ def main(argv=None) -> int:
         return 2
     try:
         with output as out:
-            return run(config, out)
+            code = run(config, out)
+            out.flush()
+            return code
+    except OSError as exc:
+        if args.output == "-":
+            _discard_stdout()
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, InvalidGeometryError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

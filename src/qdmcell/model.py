@@ -106,7 +106,7 @@ def tunneling_from_distance(d: float) -> tuple[float, float]:
     return 0.5 * amp_e * math.exp(-d / dec_e), 0.5 * amp_h * math.exp(-d / dec_h)
 
 
-_TE_D2, _TH_D2 = 0.5 * 11.67 * math.exp(-2 / 7.14), 0.5 * 2.2 * math.exp(-2 / 3.37)
+_TE_D2, _TH_D2 = tunneling_from_distance(2.0)
 
 
 # The domain of each parameter: lower bound <= value < inf.  Every bound
@@ -251,12 +251,6 @@ def _device_levels(params: ModelParams, kind: str) -> LevelEnergies:
     return e
 
 
-def derive_level_energies(params: ModelParams) -> LevelEnergies:
-    """Place the molecule's six levels from the gap, detunings, and
-    contact offsets."""
-    return _device_levels(params, "qdm")
-
-
 @dataclass(frozen=True)
 class ThermalOccupations:
     """Mean photon (n1, n2) and phonon (nc, nv) reservoir occupations."""
@@ -278,7 +272,7 @@ def _occupations(e: LevelEnergies, f, occupation, kind: str) -> tuple:
 def thermal_occupations(params: ModelParams) -> ThermalOccupations:
     """Reservoir occupations for the molecule's four incoherent channels."""
     return ThermalOccupations(*_occupations(
-        derive_level_energies(params), params.__dict__, bose_occupation,
+        _device_levels(params, "qdm"), params.__dict__, bose_occupation,
         "qdm"))
 
 

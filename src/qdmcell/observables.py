@@ -1,4 +1,7 @@
-"""Photovoltaic observables of a stationary state.
+"""Photovoltaic observables of one stationary state: ``photovoltaic_point``
+(current, voltage, power, coherence magnitudes) and the absorption fluxes
+that the efficiency charges.  The curves and scans of ``sweeps`` compute
+the same quantities from the chain form.
 
 Units: current in e*gamma, voltage in meV per elementary charge (so the
 numbers read as mV), power in gamma*meV.
@@ -9,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UndefinedEfficiencyError, VoltageUndefinedError
+from .errors import VoltageUndefinedError
 from .model import (IDX_P11, IDX_P22, IDX_P33, IDX_P44, IDX_P55, IDX_P66,
                     LevelEnergies)
 from .steady import SteadyState
@@ -17,6 +20,9 @@ from .steady import SteadyState
 _POPULATION_GUARD = 1e-300
 
 
+# Nothing in the package calls ``photovoltaic_point``: the benchmark's
+# tracer wraps it by name (perfbench/layers.py), so it and its result type
+# stay until the benchmark drops them.
 @dataclass(frozen=True)
 class PhotovoltaicPoint:
     """One point of a current-voltage characteristic."""
@@ -28,33 +34,6 @@ class PhotovoltaicPoint:
     coh13: float
     coh24: float
     state: SteadyState
-
-
-def current(state: SteadyState, Gamma: float) -> float:
-    """Load current j = Gamma * rho55 (e*gamma units)."""
-    return Gamma * max(state.x[IDX_P55], 0.0)
-
-
-def voltage(state: SteadyState, energies: LevelEnergies, kTc: float) -> float:
-    """Photovoltage (E5 - E6) + kTc * ln(rho55/rho66)."""
-    p55 = state.x[IDX_P55]
-    p66 = state.x[IDX_P66]
-    if p55 <= _POPULATION_GUARD or p66 <= _POPULATION_GUARD:
-        raise VoltageUndefinedError(
-            f"contact populations too small (rho55={p55:.3e}, "
-            f"rho66={p66:.3e}); voltage undefined")
-    return energies.e5_minus_e6 + kTc * math.log(p55 / p66)
-
-
-def power(j: float, V: float) -> float:
-    """Delivered power P = j V (gamma*meV)."""
-    return j * V
-
-
-def supplied_power(j: float, E: float) -> float:
-    """Power drawn from the radiation field by a net photon flux j
-    absorbed at photon energy E, j * E / e."""
-    return j * E
 
 
 def absorption_fluxes(x, M) -> tuple:
@@ -75,24 +54,19 @@ def absorption_fluxes(x, M) -> tuple:
     return j1, j2
 
 
-def efficiency(Pm: float, P_S_at_mpp: float) -> float:
-    """Conversion efficiency Pm / P_S at the maximum-power point."""
-    if P_S_at_mpp <= 0.0:
-        raise UndefinedEfficiencyError(
-            "supplied power is zero; efficiency undefined")
-    return Pm / P_S_at_mpp
-
-
-def coherence_magnitudes(state: SteadyState) -> tuple[float, float]:
-    """(|rho13|, |rho24|) of the stationary state."""
-    return abs(state.rho13), abs(state.rho24)
-
-
 def photovoltaic_point(state: SteadyState, Gamma: float,
                        energies: LevelEnergies, kTc: float) -> PhotovoltaicPoint:
-    """Bundle all observables at one load rate."""
-    j = current(state, Gamma)
-    V = voltage(state, energies, kTc)
-    c13, c24 = coherence_magnitudes(state)
-    return PhotovoltaicPoint(Gamma=Gamma, j=j, V=V, P=power(j, V),
-                             coh13=c13, coh24=c24, state=state)
+    """Every observable at load rate Gamma: the current j = Gamma rho55,
+    the voltage V = (E5 - E6) + kTc ln(rho55/rho66), the power P = j V
+    and the coherence magnitudes |rho13|, |rho24|.  Raises
+    ``VoltageUndefinedError`` if a contact population vanishes."""
+    p55, p66 = state.x[IDX_P55], state.x[IDX_P66]
+    if p55 <= _POPULATION_GUARD or p66 <= _POPULATION_GUARD:
+        raise VoltageUndefinedError(
+            f"contact populations too small (rho55={p55:.3e}, "
+            f"rho66={p66:.3e}); voltage undefined")
+    j = Gamma * p55
+    V = energies.e5_minus_e6 + kTc * math.log(p55 / p66)
+    return PhotovoltaicPoint(Gamma=Gamma, j=j, V=V, P=j * V,
+                             coh13=abs(state.rho13), coh24=abs(state.rho24),
+                             state=state)

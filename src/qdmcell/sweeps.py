@@ -34,8 +34,7 @@ from .model import (BAND_ALIGNMENTS, IDX_IM13, IDX_IM24, IDX_P11, IDX_P22,
                     GeneratorStack, ModelParams, apply_band_alignment,
                     build_generator, build_generator_stack,
                     tunneling_from_distance)
-from .observables import (_POPULATION_GUARD, absorption_fluxes,
-                          supplied_power)
+from .observables import _POPULATION_GUARD, absorption_fluxes
 from .steady import RESIDUAL_TOL, TRACE_TOL
 
 # Far above the maximum a Newton step about halves Gamma (the power slope
@@ -107,7 +106,6 @@ class IVCurve:
     columns: dict
     params: ModelParams
     kind: str
-    alignment: str
     grid: GridSpec
     chain: ChainForm
     n_dropped: int = 0
@@ -180,8 +178,6 @@ class CurrentGain:
 
     delta_j: float
     delta_Pm: float
-    qdm: MaxPowerPoint
-    sqd: MaxPowerPoint
 
 
 class EfficiencyRow(NamedTuple):
@@ -506,8 +502,7 @@ def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
     V = chain.voltage(gamma)
     P = j * V
     j1, j2 = absorption_fluxes(x, chain.stack.matrix)
-    supplied = (supplied_power(j1, chain.stack.E12)
-                + supplied_power(j2, chain.stack.E34))
+    supplied = j1 * chain.stack.E12 + j2 * chain.stack.E34
     _fail(errors, ~((P > 0.0) & (supplied > 0.0)),
           lambda k: BoundaryMaximumError("no positive power at the maximum")
           if not P[k] > 0.0 else UndefinedEfficiencyError(
@@ -545,18 +540,16 @@ def iv_curve(params: ModelParams, kind: str = "qdm",
     V = chain.voltage(gammas)
     columns = {"Gamma": gammas, "j": j, "V": V, "P": j * V,
                "coh13": np.hypot(re13, im13), "coh24": np.hypot(re24, im24)}
-    return IVCurve(columns=columns, params=params, kind=kind,
-                   alignment=alignment, grid=grid, chain=chain,
-                   n_dropped=int(len(keep) - keep.sum()))
+    return IVCurve(columns=columns, params=params, kind=kind, grid=grid,
+                   chain=chain, n_dropped=int(len(keep) - keep.sum()))
 
 
 def max_power_point(params: ModelParams | None = None,
                     kind: str | None = None,
                     curve: IVCurve | None = None,
-                    grid: GridSpec | None = None,
-                    alignment: str | None = None) -> MaxPowerPoint:
+                    grid: GridSpec | None = None) -> MaxPowerPoint:
     """Locate the interior power maximum of ``curve`` (given alone), or of
-    ``iv_curve(params, kind, grid, alignment)``, by default of kind "qdm".
+    ``iv_curve(params, kind, grid)``, by default of kind "qdm".
 
     The grid argmax and its two neighbours bracket the maximum, which
     ``_max_power`` then solves for to rounding on the curve's chain form.
@@ -565,10 +558,9 @@ def max_power_point(params: ModelParams | None = None,
     if curve is None:
         if params is None:
             raise DomainError("need either params or a precomputed curve")
-        curve = iv_curve(params, "qdm" if kind is None else kind, grid,
-                         "0" if alignment is None else alignment)
+        curve = iv_curve(params, "qdm" if kind is None else kind, grid)
     elif (kind not in (None, curve.kind)
-          or any(v is not None for v in (params, grid, alignment))):
+          or any(v is not None for v in (params, grid))):
         raise DomainError("a precomputed curve takes no other argument")
     gammas, powers = curve.column("Gamma"), curve.column("P")
     if len(powers) == 0:
@@ -630,23 +622,21 @@ def short_circuit_current(curve: IVCurve) -> ShortCircuitCurrent:
         from_crossing=True)
 
 
-def relative_current_gain(params: ModelParams,
-                          grid: GridSpec | None = None) -> CurrentGain:
+def relative_current_gain(params: ModelParams) -> CurrentGain:
     """Gain of the molecule over its single-dot counterpart.
 
     Both devices are evaluated at their own maximum-power points; the
     single-dot twin shares every parameter and simply drops the second
     dot.
     """
-    mpp_qdm = max_power_point(params, kind="qdm", grid=grid)
-    mpp_sqd = max_power_point(params, kind="sqd", grid=grid)
+    mpp_qdm = max_power_point(params, kind="qdm")
+    mpp_sqd = max_power_point(params, kind="sqd")
     if mpp_sqd.j_mpp == 0.0:
         raise UndefinedEfficiencyError(
             "single-dot current vanishes; relative gain undefined")
     return CurrentGain(
         delta_j=(mpp_qdm.j_mpp - mpp_sqd.j_mpp) / mpp_sqd.j_mpp,
-        delta_Pm=(mpp_qdm.P_m - mpp_sqd.P_m) / mpp_sqd.P_m,
-        qdm=mpp_qdm, sqd=mpp_sqd)
+        delta_Pm=(mpp_qdm.P_m - mpp_sqd.P_m) / mpp_sqd.P_m)
 
 
 def max_power_batch(params: ModelParams, kind: str = "qdm",

@@ -10,10 +10,10 @@ import time
 
 import pytest
 
-from qdmcell.acceptance import (Calibration, calibrate, criterion_1,
-                                criterion_2, criterion_3, criterion_4,
-                                criterion_5, criterion_6, criterion_7,
-                                criterion_8)
+from qdmcell.acceptance import (HBAR_GAMMA_CANDIDATES, Calibration,
+                                calibrate, criterion_1, criterion_2,
+                                criterion_3, criterion_4, criterion_5,
+                                criterion_6, criterion_7, criterion_8)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,8 @@ def test_criterion_1_single_dot_calibration():
 @pytest.mark.parametrize("index, edge", [(0, "lowest"), (-1, "highest"),
                                          (4, None)])
 def test_criterion_1_flags_an_optimum_at_the_range_edge(cal, index, edge):
-    moved = dataclasses.replace(cal, hbar_gamma=cal.candidates[index])
+    moved = dataclasses.replace(cal,
+                                hbar_gamma=HBAR_GAMMA_CANDIDATES[index])
     notes = [ln for ln in criterion_1(moved).details
              if ln.startswith("hbar_gamma is the ")]
     if edge is None:

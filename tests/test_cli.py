@@ -1,9 +1,13 @@
 """Command-line interface: config handling, CSV contract, exit codes."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import qdmcell
 from qdmcell import cli
 from qdmcell.cli import (_COMMANDS, _KEY_UNITS, build_config, main,
                          read_config_file)
@@ -194,6 +198,58 @@ class TestExitCodes:
         code, _, err = _run(capsys, "max-power", "--set", "gamma=1")
         assert code == 2
         assert "unknown key 'gamma'" in err
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full device")
+
+
+def _cli_process(*argv, stdout, buffered: bool) -> subprocess.Popen:
+    """``qdmcell`` in a child interpreter, writing to ``stdout``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(qdmcell.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "qdmcell.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env,
+                            text=True)
+
+
+class TestOutputErrors:
+    """A write that fails ends in one ``output error`` line and exit 2."""
+
+    @needs_dev_full
+    def test_full_output_file(self, capsys):
+        code, out, err = _run(capsys, "alignments", "-o", "/dev/full")
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"output error: .*No space left on device\n",
+                            err)
+
+    @needs_dev_full
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_full_stdout(self, buffered):
+        with open("/dev/full", "w") as full:
+            proc = _cli_process("alignments", stdout=full, buffered=buffered)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert re.fullmatch(r"output error: .*No space left on device\n",
+                            err)
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_reader_closes_pipe_early(self, buffered):
+        # Far more than a pipe holds, so the writer is still writing when
+        # the reader goes.
+        proc = _cli_process("iv-curve", "--set", "grid_n=5000",
+                            stdout=subprocess.PIPE, buffered=buffered)
+        first = f"# qdmcell {qdmcell.__version__} iv-curve\n"
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+        assert proc.returncode == 2
+        assert re.fullmatch(r"output error: .*Broken pipe\n", err)
 
 
 def _meta(out: str) -> list:

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qdmcell import (BAND_ALIGNMENTS, DomainError, InvalidGeometryError,
                      ModelParams, apply_band_alignment, bose_occupation,
                      build_generator, build_generator_stack,
-                     derive_level_energies, thermal_occupations,
-                     tunneling_from_distance)
+                     thermal_occupations, tunneling_from_distance)
 from qdmcell.model import (IDX_IM13, IDX_P22, IDX_P66, N_STATE,
                            PHONON_ENERGY_FLOOR, POPULATION_INDICES,
                            QDM_ACTIVE, SQD_ACTIVE)
@@ -73,7 +72,7 @@ class TestTunnelingFit:
 
 class TestLevelEnergies:
     def test_default_transition_energies(self):
-        e = derive_level_energies(ModelParams())
+        e = build_generator(ModelParams(), "qdm").energies
         assert e.E12 == 1115.0
         assert e.E34 == 1109.0  # E12 - (delta_e + delta_h)
         assert e.E35 == 2.0
@@ -82,15 +81,15 @@ class TestLevelEnergies:
 
     def test_degenerate_offsets_rejected(self):
         with pytest.raises(InvalidGeometryError):
-            derive_level_energies(ModelParams(delta_c=0.0, delta_v=0.0))
+            build_generator(ModelParams(delta_c=0.0, delta_v=0.0), "qdm")
 
     def test_detunings_exceeding_gap_rejected(self):
         with pytest.raises(InvalidGeometryError):
-            derive_level_energies(ModelParams(delta_e=600.0, delta_h=600.0))
+            build_generator(ModelParams(delta_e=600.0, delta_h=600.0), "qdm")
 
     def test_alignment_a1_makes_conduction_resonant(self):
-        e = derive_level_energies(
-            apply_band_alignment(ModelParams(), "A1"))
+        e = build_generator(
+            apply_band_alignment(ModelParams(), "A1"), "qdm").energies
         assert e.w1 == e.w3
 
 
@@ -132,7 +131,8 @@ class TestBandAlignments:
         for tag in ("A1", "A2", "B1", "B2"):
             p = apply_band_alignment(base, tag)
             assert p.delta_e + p.delta_h == pytest.approx(6.0, abs=1e-12)
-            assert derive_level_energies(p).E34 == pytest.approx(1109.0)
+            assert build_generator(p, "qdm").energies.E34 == pytest.approx(
+                1109.0)
 
 
 class TestGeneratorStructure:
@@ -237,8 +237,8 @@ class TestParamValidation:
             p.replace(**{name: value, "gamma": 1.0})
 
     def test_overflowing_level_energies_rejected(self):
-        with pytest.raises(DomainError):
-            derive_level_energies(ModelParams(E12=1e308, delta_e=-1e308))
+        with pytest.raises(DomainError, match="level energies overflow"):
+            build_generator(ModelParams(E12=1e308, delta_e=-1e308), "qdm")
 
     @pytest.mark.parametrize("kind", ["qdm", "sqd"])
     @pytest.mark.parametrize("values", [
@@ -253,6 +253,9 @@ class TestParamValidation:
             return
         with pytest.raises(DomainError, match="generator entry"):
             build_generator(p, kind)
+
+    def test_default_tunnelings_are_the_2nm_barrier(self):
+        assert ModelParams() == ModelParams().with_distance(2.0)
 
     def test_with_distance_sets_both_tunnelings(self):
         p = ModelParams().with_distance(5.0)

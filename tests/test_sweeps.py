@@ -14,8 +14,9 @@ from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      apply_band_alignment, build_generator,
                      efficiency_vs_distance, gamma_grid_scan, iv_curve,
                      max_power_point, open_circuit_voltage,
-                     phonon_assisted_comparison, relative_current_gain,
-                     short_circuit_current, solve_steady, voltage)
+                     phonon_assisted_comparison, photovoltaic_point,
+                     relative_current_gain, short_circuit_current,
+                     solve_steady)
 from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P22, IDX_P33,
                            IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
                            POPULATION_INDICES, GeneratorStack)
@@ -23,6 +24,23 @@ from qdmcell.observables import _POPULATION_GUARD
 from qdmcell.sweeps import (ChainForm, MaxPowerPoint, _device_chain,
                             _max_power, _short_circuit_load,
                             max_power_batch)
+
+def _high_precision_solve(g, digits: int, read):
+    """``read(mpmath, x)`` at ``digits`` digits, with x the stationary
+    state of generator ``g`` (indexed by state component) solved by
+    mpmath at that precision, the |6> row traded for the normalization.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    active = list(g.active)
+    r6 = active.index(IDX_P66)
+    with mpmath.workdps(digits):
+        B = mpmath.matrix(g.matrix[np.ix_(active, active)].tolist())
+        for c, i in enumerate(active):
+            B[r6, c] = 1 if i in POPULATION_INDICES else 0
+        sol = mpmath.lu_solve(B, mpmath.matrix(
+            [int(c == r6) for c in range(len(active))]))
+        return read(mpmath, {i: sol[c] for c, i in enumerate(active)})
+
 
 GUIMARD_SQD = ModelParams(E12=920.0, gamma1=0.19, gamma_c=100.0,
                           gamma_v=0.05)
@@ -102,28 +120,22 @@ class TestIvCurve:
     def test_near_dark_voltage_matches_high_precision_solve(self, kind):
         # A cold sun reverses the voltage to near E12 (1 - kTc/kTs), about
         # -4 660 mV, with rho55 near 1e-97.
-        mpmath = pytest.importorskip("mpmath")
         p = ModelParams(kTs=5.0)
         curve = iv_curve(p, kind=kind)
         assert curve.n_dropped == 0
         gamma, got = curve.column("Gamma")[0], curve.column("V")[0]
         assert gamma == GridSpec().gamma_min
         g = build_generator(p.replace(Gamma=gamma), kind)
-        active = list(g.active)
-        r5, r6 = active.index(IDX_P55), active.index(IDX_P66)
-        # The same generator solved with the |6> row traded for the
-        # normalization.  The elimination cancels down to the 1e-97
-        # scale of rho55 (at 50 digits it returns a negative rho55), so
-        # the solve carries 50 digits beyond it.
-        with mpmath.workdps(150):
-            B = mpmath.matrix(g.matrix[np.ix_(active, active)].tolist())
-            for c, i in enumerate(active):
-                B[r6, c] = 1 if i in POPULATION_INDICES else 0
-            sol = mpmath.lu_solve(B, mpmath.matrix(
-                [int(c == r6) for c in range(len(active))]))
-            assert sol[r5] > 0
-            want = float(g.energies.e5_minus_e6
-                         + p.kTc * mpmath.log(sol[r5] / sol[r6]))
+
+        def voltage(mpmath, x):
+            assert x[IDX_P55] > 0
+            return float(g.energies.e5_minus_e6
+                         + p.kTc * mpmath.log(x[IDX_P55] / x[IDX_P66]))
+
+        # The elimination cancels down to the 1e-97 scale of rho55 (at 50
+        # digits it returns a negative rho55), so the solve carries 50
+        # digits beyond it.
+        want = _high_precision_solve(g, 150, voltage)
         assert want == pytest.approx(-4650.0, abs=20.0)
         assert abs(got - want) <= 1e-9 * abs(want)
 
@@ -156,7 +168,7 @@ class TestMaxPowerPoint:
         mpp = max_power_point(curve=curve)
         assert max_power_point(kind="qdm", curve=curve) == mpp
         for other in (dict(params=ModelParams()), dict(kind="sqd"),
-                      dict(grid=GridSpec(n=50)), dict(alignment="0")):
+                      dict(grid=GridSpec(n=50))):
             with pytest.raises(DomainError, match="takes no other argument"):
                 max_power_point(curve=curve, **other)
 
@@ -495,7 +507,7 @@ class TestLoadSweepProperties:
     @given(p=_devices, kind=_kinds)
     def test_open_circuit_voltage_is_zero_load_state(self, p, kind):
         g = build_generator(p.replace(Gamma=0.0), kind)
-        want = voltage(solve_steady(g), g.energies, p.kTc)
+        want = photovoltaic_point(solve_steady(g), 0.0, g.energies, p.kTc).V
         assert open_circuit_voltage(p, kind).value == pytest.approx(
             want, rel=1e-9)
 
@@ -617,7 +629,7 @@ class TestMaxPowerBatch:
             ss = solve_steady(g)
             j1, j2 = absorption_fluxes(ss.x, g.matrix)
             j = gamma * ss.x[IDX_P55]
-            V = voltage(ss, g.energies, p.kTc)
+            V = photovoltaic_point(ss, gamma, g.energies, p.kTc).V
             want = {"j_mpp": j, "V_mpp": V,
                     "eta": j * V / (g.energies.E12 * j1
                                     + g.energies.E34 * j2),
@@ -637,23 +649,12 @@ class TestMaxPowerBatch:
            log_gamma=st.floats(min_value=-6.0, max_value=6.0))
     def test_populations_match_high_precision_solve(self, p, kind, kTs,
                                                     log_gamma):
-        mpmath = pytest.importorskip("mpmath")
         p, gamma = p.replace(kTs=kTs), 10.0 ** log_gamma
-        g = build_generator(p.replace(Gamma=0.0), kind)
+        g = build_generator(p.replace(Gamma=gamma), kind)
         pops = [i for i in g.active if i in POPULATION_INDICES]
         got = _device_chain(p, kind).states(gamma)[0, pops]
-        # The same generator at load gamma, solved to 50 digits with the
-        # |6> row traded for the normalization.
-        active = list(g.active)
-        A = build_generator(p.replace(Gamma=gamma), kind).matrix
-        with mpmath.workdps(50):
-            B = mpmath.matrix(A[np.ix_(active, active)].tolist())
-            r6 = active.index(IDX_P66)
-            for c, i in enumerate(active):
-                B[r6, c] = 1 if i in POPULATION_INDICES else 0
-            rhs = mpmath.matrix([int(c == r6) for c in range(len(active))])
-            sol = mpmath.lu_solve(B, rhs)
-            want = np.array([float(sol[active.index(i)]) for i in pops])
+        want = np.array(_high_precision_solve(
+            g, 50, lambda mpmath, x: [float(x[i]) for i in pops]))
         assert (want > 0.0).all()
         assert (np.abs(got - want) <= 1e-10 * want).all()
 
@@ -675,7 +676,6 @@ class TestMaxPowerBatch:
         # is then read off the net flows.  Taken directly it lost up to
         # 2 % there, in about one device in six of this sample (drawn
         # uniformly: hypothesis rarely reaches the middle of the ranges).
-        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(20261018)
         checked = 0
         while checked < 30:
@@ -689,16 +689,10 @@ class TestMaxPowerBatch:
             if batch.errors != (None,):
                 continue  # no interior maximum to test at
             checked += 1
-            A = build_generator(p.replace(Gamma=float(batch.Gamma_star[0])),
-                                "qdm").matrix[:10, :10]
-            with mpmath.workdps(50):
-                B = mpmath.matrix(A.tolist())
-                for c in range(10):
-                    B[IDX_P66, c] = 1 if c in POPULATION_INDICES else 0
-                sol = mpmath.lu_solve(B, mpmath.matrix(
-                    [int(c == IDX_P66) for c in range(10)]))
-                want = [float(mpmath.hypot(sol[re], sol[im]))
-                        for re, im in ((IDX_RE13, IDX_IM13),
-                                       (IDX_RE24, IDX_IM24))]
+            g = build_generator(p.replace(Gamma=float(batch.Gamma_star[0])),
+                                "qdm")
+            want = _high_precision_solve(g, 50, lambda mpmath, x: [
+                float(mpmath.hypot(x[re], x[im]))
+                for re, im in ((IDX_RE13, IDX_IM13), (IDX_RE24, IDX_IM24))])
             for got, w in zip((batch.coh13[0], batch.coh24[0]), want):
                 assert got == pytest.approx(w, rel=1e-9, abs=0.0)
