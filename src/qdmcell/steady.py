@@ -34,10 +34,9 @@ class SteadyState:
 
     @property
     def populations(self) -> np.ndarray:
-        """Level populations, with sub-tolerance negatives clamped to 0."""
-        pops = self.x[list(POPULATION_INDICES)].copy()
-        pops[(pops < 0.0) & (pops > -1e-10)] = 0.0
-        return pops
+        """Level populations, as solved: rounding may leave a vanishing
+        one slightly negative."""
+        return self.x[list(POPULATION_INDICES)]
 
     @property
     def rho13(self) -> complex:

@@ -1,19 +1,20 @@
 """Load-rate sweeps and parameter scans on the exact rate chain.
 
 Every stationary state here is rho(Gamma) = (x_a + Gamma x_b) / (S_a +
-Gamma S_b), the chain form of ``_chain_form``.  The single-device
-functions (``iv_curve``, ``max_power_point``, ``open_circuit_voltage``,
-``short_circuit_current``) read it for one ``build_generator`` call,
-built once per (params, kind) and held read-only in a two-entry memo
-(``_device_chain``), so a curve and its open-circuit voltage share it; the
-parameter scans treat the devices as a batch axis and read it for one
-``model.build_generator_stack`` call (equal, entry for entry, to
-``build_generator``) in ``max_power_batch``.  Both find the maximum-power
-load by the same Newton iteration (``_max_power``), one device's on
-floats with numpy's log (the C library's may differ in the last bit and
-move the maximum off the batch's); its curve evaluates only the six
-state rows it reads.  Scan rows are named tuples whose fields follow the
-CLI's CSV columns.
+Gamma S_b), the chain form of ``_chain_form``, whose coherences come from
+rate chains with the coherent links cut, free of cancellation.  The
+single-device functions (``iv_curve``, ``max_power_point``,
+``open_circuit_voltage``, ``short_circuit_current``) read it for one
+``build_generator`` call, built once per (params, kind) and held read-only
+in a two-entry memo (``_device_chain``), so a curve and its open-circuit
+voltage share it; the parameter scans treat the devices as a batch axis
+and read it for one ``model.build_generator_stack`` call (equal, entry for
+entry, to ``build_generator``) in ``max_power_batch``.  Both find the
+maximum-power load by the same Newton iteration (``_max_power``), one
+device's on floats with numpy's log (the C library's may differ in the
+last bit and move the maximum off the batch's); its curve evaluates only
+the six state rows it reads.  Scan rows are named tuples whose fields
+follow the CLI's CSV columns.
 """
 
 from __future__ import annotations
@@ -213,19 +214,17 @@ _COHERENCES = ((IDX_P11, IDX_P33, IDX_RE13, IDX_IM13),
 
 def _chain_layout(active: tuple) -> tuple:
     # The state-vector index of each chain state, |5> first; per coherent
-    # pair (a, b, re, im) and the chain positions of a and b; a mask, 0 on
-    # the diagonal and the coherent links; flat generator indices (row *
-    # N_STATE + column) of the population rates and of t, -D, Delta, -2 t.
+    # pair (a, b, re, im) and the chain positions of a and b; flat
+    # generator indices (row * N_STATE + column) of the population rates
+    # and of t, -D, Delta, -2 t.
     pops = [IDX_P55] + [i for i in active
                         if i in POPULATION_INDICES and i != IDX_P55]
     pairs = [(a, b, re, im, pops.index(a), pops.index(b))
              for a, b, re, im in _COHERENCES if im in active]
     pairs = tuple(np.array(col) for col in zip(*pairs))
-    a, b, re, im, ia, ib = pairs or (np.zeros(0, dtype=int),) * 6
-    others = 1.0 - np.eye(len(pops))
-    others[ia, ib] = others[ib, ia] = 0.0
+    a, b, re, im, _, _ = pairs or (np.zeros(0, dtype=int),) * 6
     index = np.array(pops) * N_STATE
-    return (pops, pairs, others[:, :, None], index[:, None] + pops,
+    return (pops, pairs, index[:, None] + pops,
             np.array([im * N_STATE + a, re * N_STATE + re,
                       re * N_STATE + im, a * N_STATE + im]))
 
@@ -245,13 +244,15 @@ def _fail(errors: list, bad: np.ndarray, make) -> None:
 
 def _gth(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stationary weights ``w[i, k]`` (state 0 at 1) of rate chains by
-    Grassmann-Taksar-Heyman elimination, and per chain whether every
-    pivot was positive: whether every state reaches state 0.
-    ``R[j, i, k]`` is chain k's rate i -> j; the diagonal is ignored.
+    Grassmann-Taksar-Heyman elimination, and the pivots ``p[i - 1, k]``,
+    state i's exit rate to the states left when it is eliminated.
+    ``R[j, i, k]`` is chain k's rate i -> j (k may be several axes); the
+    diagonal is ignored, and ``R`` is overwritten.
     Every step adds, multiplies or divides nonnegative numbers, so each
-    weight keeps a small relative error however small it is.
+    weight keeps a small relative error however small it is.  Every state
+    reaches state 0 where every pivot is positive, and the product of the
+    pivots is the sum over the spanning trees rooted at state 0.
     """
-    R = R.copy()
     n = len(R)
     pivots, entries = [], []
     for k in range(n - 1, 0, -1):
@@ -264,7 +265,7 @@ def _gth(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weights = np.ones(R.shape[1:])
     for k, into in zip(range(1, n), reversed(entries)):
         weights[k] = np.add.reduce(weights[:k] * into)
-    return weights, np.minimum.reduce(pivots) > 0.0
+    return weights, np.array(pivots[::-1])
 
 
 def _closed_classes(R: np.ndarray) -> np.ndarray:
@@ -277,42 +278,6 @@ def _closed_classes(R: np.ndarray) -> np.ndarray:
     recurrent = (~reach | reach.transpose(0, 2, 1)).all(axis=2)
     return (reach | ~recurrent[:, :, None]
             | ~recurrent[:, None, :]).all(axis=(1, 2))
-
-
-def _population_difference(rates: np.ndarray, others: np.ndarray,
-                           W: np.ndarray, a: np.ndarray, b: np.ndarray,
-                           kappa: np.ndarray) -> np.ndarray:
-    """rho_a - rho_b of the chain weights ``W[i, s, k]`` (state i of x_a,
-    s = 0, or of x_b, s = 1, of device k) for each pair of chain states
-    a[p], b[p] that a coherence couples with the rate kappa[p].
-    ``rates[j, i, k]`` is device k's incoherent rate i -> j, and
-    ``others`` the same without the coherent links and the diagonal.
-
-    Taken directly the difference cancels where the coherent rate locks
-    the two populations together.  The balance of a, or of b, gives it
-    from the net flow J through the other links instead,
-    (kappa + r_ba) (rho_a - rho_b) = J - (r_ab - r_ba) rho_a; of the
-    three sums, the one that cancels least is used.
-    """
-    # Each state's flows from and to the other states; all terms >= 0.
-    pair, n = np.concatenate([a, b]), len(a)
-    inflow = np.einsum("jik,isk->jsk", others, W)[pair]
-    outflow = np.add.reduce(others)[pair, None] * W[pair]
-    xa, xb = W[a], W[b]
-    r_ba = rates[a, b][:, None]
-    link = (r_ba - rates[b, a][:, None]) * xa
-    den = kappa[:, None] + r_ba
-    usable, link_size = den > 0.0, np.abs(link)
-    diff = xa - xb
-    cancel = (xa + xb) / np.abs(diff)
-    for flow, size in ((outflow[n:] - inflow[n:], outflow[n:] + inflow[n:]),
-                       (inflow[:n] - outflow[:n], inflow[:n] + outflow[:n])):
-        flow = flow + link
-        flow_cancel = (size + link_size) / np.abs(flow)
-        better = (flow_cancel < cancel) & usable
-        diff = np.where(better, flow / den, diff)
-        cancel = np.where(better, flow_cancel, cancel)
-    return diff
 
 
 @np.errstate(all="ignore")
@@ -330,8 +295,17 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
     pivot means some level cannot reach |5>: the device fails if it has
     more than one closed class of levels.  Failures are recorded in
     ``errors``; failed devices carry zeros, NaN or inf, which checks flag.
+
+    The coherences are multiples of rho_a - rho_b, which cancels where
+    kappa locks the pair.  Trees rooted at a entering from b and at b
+    entering from a pair up, so the tree sums' difference W_a - W_b sees
+    the a-b link only through r_ba - r_ab: a chain with the link cut to
+    that net rate one way (plus a symmetric tie too weak to lock) has the
+    same difference.  As the pivots' product is the tree sum rooted at
+    |5>, rho_a - rho_b = (w'_a - w'_b) prod(p'/p) from the cut chain's
+    weights w' and pivots p' and the chain's pivots p.
     """
-    pops, pairs, mask, rate_entries, pair_entries = _LAYOUTS[stack.active]
+    pops, pairs, rate_entries, pair_entries = _LAYOUTS[stack.active]
     # Devices on the last axis: M[i, j] is every device's entry.
     M = stack.matrix.transpose(1, 2, 0)
     n_dev = M.shape[-1]
@@ -345,7 +319,7 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
 
     # rates[j, i] is the incoherent rate i -> j between chain states.
     rates = flat[rate_entries]
-    chain = rates.copy()
+    chain, cuts = rates.copy(), ()
     if pairs:  # the single dot has no coherences
         a, b, re, im, ia, ib = pairs
         t, D, det, two_t = flat[pair_entries]
@@ -359,31 +333,54 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
         kappa = -two_t * im_c
         chain[ia, ib] += kappa
         chain[ib, ia] += kappa
-    # The chains of x_a, then of x_b, whose |5> leaves only by a unit load.
-    chains = np.concatenate([chain, chain], axis=-1)
-    chains[:, 0, n_dev:] = 0.0
-    chains[pops.index(IDX_P66), 0, n_dev:] = 1.0
-    W, ok = _gth(chains)
-    W = W.reshape(len(pops), 2, n_dev)
-    ok = ok[:n_dev] & ok[n_dev:]
+        # Pair p's cut chain, set 1 + p, links the pair by its net
+        # incoherent rate b -> a, formed without kappa, which would cancel
+        # digits, and a tie that keeps a bridge connected, 2^-52 of the
+        # smaller exit rate.
+        cuts = np.arange(1, len(ia) + 1)
+        net = rates[ia, ib] - rates[ib, ia]
+        tie = 2.0 ** -52 * np.minimum(-rates[ia, ia], -rates[ib, ib])
+    # Chain set s (the chain, then the cut ones) of x_a at [..., s, 0, :]
+    # and of x_b, whose |5> leaves only by a unit load, at [..., s, 1, :].
+    chains = np.empty(chain.shape[:2] + (1 + len(cuts), 2, n_dev))
+    chains[...] = chain[:, :, None, None]
+    chains[:, 0, :, 1] = 0.0
+    chains[pops.index(IDX_P66), 0, :, 1] = 1.0
+    if pairs:
+        chains[ia, ib, cuts] = (np.maximum(net, 0.0) + tie)[:, None]
+        chains[ib, ia, cuts] = (np.maximum(-net, 0.0) + tie)[:, None]
+    W, pivots = _gth(chains)
+    ok = (pivots[:, 0] > 0.0).all(axis=(0, 1))
     # Weights of x_a that overflow, as they do behind a zero pivot, leave
     # rho55 at 0 to working precision: the empty form.
-    empty = ~np.isfinite(np.add.reduce(W[:, 0]))
+    empty = ~np.isfinite(np.add.reduce(W[:, 0, 0]))
     if not ok.all():
-        _fail(errors, ~ok & ~_closed_classes(
-            chains[..., :n_dev] + chains[..., n_dev:]),
-            lambda k: DegenerateSteadyStateError(
-                "reducible rate chain: more than one closed class of "
-                "levels, so more than one steady state"))
-    W[..., empty] = 0.0
-    W[0, 1] = 0.0
+        chain[pops.index(IDX_P66), 0] += 1.0  # with x_b's unit load
+        _fail(errors, ~ok & ~_closed_classes(chain),
+              lambda k: DegenerateSteadyStateError(
+                  "reducible rate chain: more than one closed class of "
+                  "levels, so more than one steady state"))
+    w = W[:, 0]
+    w[..., empty] = 0.0
+    w[0, 1] = 0.0
     X = np.zeros((len(M), 2, n_dev))
-    X[pops] = W
+    X[pops] = w
     if pairs:
-        diff = _population_difference(rates, rates * mask, W, ia, ib, kappa)
+        diff = (W[ia, cuts] - W[ib, cuts]) * np.multiply.reduce(
+            pivots[:, 1:] / pivots[:, :1])
+        lost = ~np.isfinite(diff)
+        if lost.any():
+            # A cut chain has a zero pivot where a state of the pair has no
+            # incoherent exit: its net inflow, kappa (rho_a - rho_b) (or
+            # minus that for b), then sums terms >= 0.
+            rows = np.where((rates[ia, ia] >= rates[ib, ib])[:, None],
+                            rates[ia], -rates[ib])
+            diff[lost] = (np.einsum("pjk,jsk->psk", rows, w)
+                          / kappa[:, None])[lost]
+        diff[..., empty] = 0.0
         X[re] = re_c[:, None] * diff
         X[im] = im_c[:, None] * diff
-    s_a, s_b = np.add.reduce(W)
+    s_a, s_b = np.add.reduce(w)
     s_a[empty] = 1.0
 
     # M(Gamma) x(Gamma) = (c0 + Gamma c1) / (S_a + Gamma S_b): the load

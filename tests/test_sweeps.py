@@ -2,6 +2,7 @@
 
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,14 +30,20 @@ def _high_precision_solve(g, digits: int, read):
     """``read(mpmath, x)`` at ``digits`` digits, with x the stationary
     state of generator ``g`` (indexed by state component) solved by
     mpmath at that precision, the |6> row traded for the normalization.
+    Each population diagonal is rebuilt in mpmath as minus the other
+    population entries of its column, so the reference conserves the
+    trace exactly, as the chain form does, and not only to the rounding
+    of the diagonal as built.
     """
-    mpmath = pytest.importorskip("mpmath")
     active = list(g.active)
+    pops = [c for c, i in enumerate(active) if i in POPULATION_INDICES]
     r6 = active.index(IDX_P66)
     with mpmath.workdps(digits):
         B = mpmath.matrix(g.matrix[np.ix_(active, active)].tolist())
-        for c, i in enumerate(active):
-            B[r6, c] = 1 if i in POPULATION_INDICES else 0
+        for c in pops:
+            B[c, c] = -mpmath.fsum(B[r, c] for r in pops if r != c)
+        for c in range(len(active)):
+            B[r6, c] = 1 if c in pops else 0
         sol = mpmath.lu_solve(B, mpmath.matrix(
             [int(c == r6) for c in range(len(active))]))
         return read(mpmath, {i: sol[c] for c, i in enumerate(active)})
@@ -493,6 +500,29 @@ _devices = st.builds(
 _kinds = st.sampled_from(("qdm", "sqd"))
 
 
+def _wide_device(g1, g2, gc, gv, g_ph, hg, kTs, d, alignment) -> ModelParams:
+    return apply_band_alignment(ModelParams(
+        gamma1=g1, gamma2=g2, gamma_c=gc, gamma_v=gv, gamma_13=g_ph,
+        gamma_24=g_ph, hbar_gamma=hg, kTs=kTs), alignment).with_distance(d)
+
+
+# The domain of the high-precision reference tests, far wider than the
+# scans': log10 ranges of the rates, hbar*gamma and kTs, the assisted
+# rates and the barrier width in nm.
+_WIDE_LOG10 = dict(g1=(-1.0, 1.0), g2=(-1.0, 1.0), gc=(-2.0, 3.0),
+                   gv=(-4.0, 2.0), hg=(-5.0, -2.0),
+                   kTs=(np.log10(25.9), np.log10(6000.0)))
+_WIDE_G_PH = (0.0, 1e-4, 0.01, 1.0)
+_WIDE_D = (0.5, 25.0)
+_wide_devices = st.builds(
+    _wide_device,
+    **{name: st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+       for name, (lo, hi) in _WIDE_LOG10.items()},
+    g_ph=st.sampled_from(_WIDE_G_PH),
+    d=st.floats(min_value=_WIDE_D[0], max_value=_WIDE_D[1]),
+    alignment=st.sampled_from(BAND_ALIGNMENTS))
+
+
 class TestLoadSweepProperties:
     @settings(max_examples=100, deadline=None)
     @given(p=_devices, kind=_kinds,
@@ -644,19 +674,17 @@ class TestMaxPowerBatch:
                 assert getattr(alone, name)[0] == getattr(batch, name)[k]
 
     @settings(max_examples=40, deadline=None)
-    @given(p=_devices, kind=_kinds,
-           kTs=st.floats(min_value=25.9, max_value=500.0),
+    @given(p=_wide_devices, kind=_kinds,
            log_gamma=st.floats(min_value=-6.0, max_value=6.0))
-    def test_populations_match_high_precision_solve(self, p, kind, kTs,
-                                                    log_gamma):
-        p, gamma = p.replace(kTs=kTs), 10.0 ** log_gamma
+    def test_populations_match_high_precision_solve(self, p, kind, log_gamma):
+        gamma = 10.0 ** log_gamma
         g = build_generator(p.replace(Gamma=gamma), kind)
         pops = [i for i in g.active if i in POPULATION_INDICES]
         got = _device_chain(p, kind).states(gamma)[0, pops]
         want = np.array(_high_precision_solve(
             g, 50, lambda mpmath, x: [float(x[i]) for i in pops]))
         assert (want > 0.0).all()
-        assert (np.abs(got - want) <= 1e-10 * want).all()
+        assert (np.abs(got - want) <= 1e-14 * want).all()
 
     @pytest.mark.parametrize("kind", ["qdm", "sqd"])
     def test_any_bracket_gives_the_same_maximum(self, kind):
@@ -670,29 +698,53 @@ class TestMaxPowerBatch:
         assert wide.Gamma_star[0] == pytest.approx(near.Gamma_star[0],
                                                    rel=1e-9)
 
-    def test_coherences_match_high_precision_solve(self):
-        # In the resonant alignments a coherent rate can lock two
-        # populations together; their difference, and so the coherence,
-        # is then read off the net flows.  Taken directly it lost up to
-        # 2 % there, in about one device in six of this sample (drawn
-        # uniformly: hypothesis rarely reaches the middle of the ranges).
-        rng = np.random.default_rng(20261018)
-        checked = 0
-        while checked < 30:
-            p = apply_band_alignment(ModelParams(
-                gamma_c=10.0 ** rng.uniform(0.0, np.log10(500.0)),
-                gamma_v=10.0 ** rng.uniform(-4.0, np.log10(20.0)),
-                gamma_13=(g_ph := rng.choice((0.0, 0.001, 0.1))),
-                gamma_24=g_ph, kTs=rng.uniform(25.9, 500.0)),
-                rng.choice(("A1", "A2"))).with_distance(rng.uniform(2.0, 10.0))
-            batch = max_power_batch(p, kind="qdm")
-            if batch.errors != (None,):
-                continue  # no interior maximum to test at
-            checked += 1
-            g = build_generator(p.replace(Gamma=float(batch.Gamma_star[0])),
-                                "qdm")
-            want = _high_precision_solve(g, 50, lambda mpmath, x: [
-                float(mpmath.hypot(x[re], x[im]))
-                for re, im in ((IDX_RE13, IDX_IM13), (IDX_RE24, IDX_IM24))])
-            for got, w in zip((batch.coh13[0], batch.coh24[0]), want):
-                assert got == pytest.approx(w, rel=1e-9, abs=0.0)
+
+def _coherences(p: ModelParams, gamma: float) -> tuple:
+    """The molecule's coherences rho13 and rho24 at load ``gamma``: from
+    the chain form, and from the 60-digit reference."""
+    x = _device_chain(p, "qdm").states(gamma)[0]
+    got = np.array([complex(x[IDX_RE13], x[IDX_IM13]),
+                    complex(x[IDX_RE24], x[IDX_IM24])])
+    want = np.array(_high_precision_solve(
+        build_generator(p.replace(Gamma=gamma), "qdm"), 60,
+        lambda mpmath, x: [complex(x[re], x[im]) for re, im in (
+            (IDX_RE13, IDX_IM13), (IDX_RE24, IDX_IM24))]))
+    return got, want
+
+
+class TestCoherences:
+    """Each coherence is a multiple of rho_a - rho_b, which cancels where
+    a coherent rate locks the two populations together.  The chain form
+    takes it from a chain with the coherent link cut, where nothing
+    cancels."""
+
+    def test_wide_sample_matches_high_precision_solve(self):
+        rng = np.random.default_rng(1)
+        for _ in range(240):
+            p = _wide_device(
+                **{name: 10.0 ** rng.uniform(lo, hi)
+                   for name, (lo, hi) in _WIDE_LOG10.items()},
+                g_ph=rng.choice(_WIDE_G_PH), d=rng.uniform(*_WIDE_D),
+                alignment=rng.choice(BAND_ALIGNMENTS))
+            got, want = _coherences(p, 10.0 ** rng.uniform(-6.0, 6.0))
+            assert (np.abs(got - want) <= 2e-11 * np.abs(want)).all(), p
+
+    # A link that is the only path between two parts of the chain (Te = 0
+    # leaves 2-4 as one, Th = 0 leaves 1-3), or a level of the pair
+    # without any incoherent exit (gamma1 = 0 leaves |1> so, gamma2 = 0
+    # leaves |4>, unless the assisted rates join them).
+    @pytest.mark.parametrize("cut, alignment", [
+        ("Te", "0"), ("Te", "A2"), ("Th", "0"), ("Th", "A1"),
+        ("gamma1", "0"), ("gamma1", "A1"), ("gamma1", "A2"),
+        ("gamma2", "0"), ("gamma2", "A1"), ("gamma2", "A2")])
+    @pytest.mark.parametrize("g_ph", [0.0, 0.1])
+    @pytest.mark.parametrize("kTs", [27.0, 500.0])
+    def test_bridges_and_hanging_levels(self, cut, alignment, g_ph, kTs):
+        p = apply_band_alignment(
+            ModelParams(gamma_13=g_ph, gamma_24=g_ph, kTs=kTs),
+            alignment).replace(**{cut: 0.0})
+        for gamma in (1e-3, 1.0, 1e3):
+            got, want = _coherences(p, gamma)
+            # An exact zero (a level with no incoherent link at all) must
+            # come out exactly.
+            assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all(), gamma
