@@ -47,9 +47,9 @@ class RunConfig:
     kind: str = "qdm"
     alignment: str = "0"
     d: float | None = None
-    grid_n: int = 200
-    gamma_min: float = 1e-6
-    gamma_max: float = 1e6
+    grid_n: int = GridSpec.n
+    gamma_min: float = GridSpec.gamma_min
+    gamma_max: float = GridSpec.gamma_max
     seed: int = DEFAULT_SEED
 
     def grid(self) -> GridSpec:

@@ -18,8 +18,8 @@ The channels of the master equation are written once, in
 floats; the parameter scans build all their devices at once with
 ``build_generator_stack``, which takes a base parameter set plus arrays
 of the fields that vary and fills the zero-load generators from arrays,
-as one (N, 10, 10) stack equal, entry for entry, to the single-device
-builds.
+as one stack M[i, j, k] with the devices last, equal, entry for entry,
+to the single-device builds.
 """
 
 from __future__ import annotations
@@ -414,9 +414,9 @@ def build_generator(params: ModelParams, kind: str) -> GeneratorMatrix:
 @dataclass(frozen=True)
 class GeneratorStack:
     """Zero-load generators of a batch of devices, with the energies that
-    the maximum-power search needs; one entry per device."""
+    the maximum-power search needs; one entry per device, devices last."""
 
-    matrix: np.ndarray  # (N, 10, 10)
+    matrix: np.ndarray  # (10, 10, N)
     active: tuple
     e5_minus_e6: np.ndarray
     E12: np.ndarray
@@ -468,9 +468,9 @@ def build_generator_stack(params: ModelParams, kind: str,
     field names to equal-length arrays, one entry per device.  The stack
     fills the same channels as ``build_generator``, so entry for entry it
     equals the matrices of ``build_generator(device.replace(Gamma=0.0),
-    kind)``.  An input error (``DomainError``, ``InvalidGeometryError``)
-    is raised once, for the first device that has one, by building that
-    device on the single-device path.
+    kind)``, device k's at ``matrix[..., k]``.  An input error
+    (``DomainError``, ``InvalidGeometryError``) is raised once, for the
+    first device that has one, by building it on the single-device path.
     """
     c, ok = _stack_columns(params, varied)
     e = _place_levels(c, kind)
@@ -479,10 +479,8 @@ def build_generator_stack(params: ModelParams, kind: str,
     _raise_first_invalid(params, c, ok, kind)
     M = np.zeros((N_STATE, N_STATE, len(ok)))
     _add_channels(M, c, e, _bose_stack, kind)
-    # Devices first, once every device's entries are in the range that
-    # ``GeneratorMatrix`` accepts.
+    # Entries outside ``GeneratorMatrix``'s range raise the device's error.
     _raise_first_invalid(params, c, np.abs(M).max(axis=(0, 1)) < _RATE_LIMIT,
                          kind)
-    return GeneratorStack(np.ascontiguousarray(np.moveaxis(M, -1, 0)),
-                          QDM_ACTIVE if kind == "qdm" else SQD_ACTIVE,
+    return GeneratorStack(M, QDM_ACTIVE if kind == "qdm" else SQD_ACTIVE,
                           e.e5_minus_e6, e.E12, e.E34, c["kTc"])

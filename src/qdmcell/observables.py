@@ -38,7 +38,8 @@ class PhotovoltaicPoint:
 
 def absorption_fluxes(x, M) -> tuple:
     """Net photon absorption fluxes (J1, J2) of the state vector x under
-    the generator matrix M (either may be stacked, one per device).
+    the generator matrix M, one device's, or stacks with the devices last
+    (x[i, k] and M[i, j, k]).
 
     Read off the generator's pump entries: J1 = M[1,2] rho22 - M[2,1] rho11
     for |2>->|1> at E12 and J2 = M[3,4] rho44 - M[4,3] rho33 for |4>->|3>
@@ -47,10 +48,8 @@ def absorption_fluxes(x, M) -> tuple:
     channels move carriers between the dots without exchanging photons.
     The load enters no pump entry, so any load rate's generator will do.
     """
-    j1 = (M[..., IDX_P11, IDX_P22] * x[..., IDX_P22]
-          - M[..., IDX_P22, IDX_P11] * x[..., IDX_P11])
-    j2 = (M[..., IDX_P33, IDX_P44] * x[..., IDX_P44]
-          - M[..., IDX_P44, IDX_P33] * x[..., IDX_P33])
+    j1 = M[IDX_P11, IDX_P22] * x[IDX_P22] - M[IDX_P22, IDX_P11] * x[IDX_P11]
+    j2 = M[IDX_P33, IDX_P44] * x[IDX_P44] - M[IDX_P44, IDX_P33] * x[IDX_P33]
     return j1, j2
 
 

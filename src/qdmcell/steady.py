@@ -49,8 +49,6 @@ class SteadyState:
 
 def _check_trace_conserving(G: GeneratorMatrix) -> None:
     scale = G.max_rate
-    if scale == 0.0:
-        return
     col_sums = G.matrix[list(POPULATION_INDICES), :].sum(axis=0)
     if np.abs(col_sums).max() > TRACE_TOL * scale:
         raise NumericalSolveError(

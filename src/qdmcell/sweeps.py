@@ -9,12 +9,14 @@ single-device functions (``iv_curve``, ``max_power_point``,
 in a two-entry memo (``_device_chain``), so a curve and its open-circuit
 voltage share it; the parameter scans treat the devices as a batch axis
 and read it for one ``model.build_generator_stack`` call (equal, entry for
-entry, to ``build_generator``) in ``max_power_batch``.  Both find the
-maximum-power load by the same Newton iteration (``_max_power``), one
-device's on floats with numpy's log (the C library's may differ in the
-last bit and move the maximum off the batch's); its curve evaluates only
-the six state rows it reads.  Scan rows are named tuples whose fields
-follow the CLI's CSV columns.
+entry, to ``build_generator``) in ``max_power_batch``.  Every array of a
+stack keeps the devices on its last axis, so one ``ChainForm.states``
+serves a curve (one device, many loads) and a batch (one load per
+device).  Both find the maximum-power load by the same Newton iteration
+(``_max_power``), one device's on floats with numpy's log (the C
+library's may differ in the last bit and move the maximum off the
+batch's).  Scan rows are named tuples whose fields follow the CLI's CSV
+columns.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class GridSpec:
 @dataclass(frozen=True, eq=False)
 class ChainForm:
     """Stationary states of a stack of devices at every load rate: device
-    k's state at load Gamma is (x_a[k] + Gamma x_b[k]) / (s_a[k] +
+    k's state at load Gamma is (x_a[:, k] + Gamma x_b[:, k]) / (s_a[k] +
     Gamma s_b[k]), with |5> at weight 1 in x_a and 0 in x_b.  A device
     whose contact |5> is empty at every load has x_a = x_b = 0, s_a = 1.
     """
@@ -82,17 +84,15 @@ class ChainForm:
     # below any guard, as its true value is.
     @np.errstate(over="ignore", invalid="ignore")
     def states(self, gamma) -> np.ndarray:
-        """States at load(s) ``gamma``, which broadcast against the
-        devices: one load per device, or any number for a single one."""
-        gamma = np.asarray(gamma, dtype=float)
-        return ((self.x_a + gamma[..., None] * self.x_b)
-                / (self.s_a + gamma * self.s_b)[..., None])
+        """States at load(s) ``gamma``, one column each: one load per
+        device, or any number of loads for a single device."""
+        return (self.x_a + gamma * self.x_b) / (self.s_a + gamma * self.s_b)
 
     def voltage(self, gamma) -> np.ndarray:
         """(E5 - E6) + kTc ln(rho55/rho66), where rho55/rho66 is
         1/(a6 + Gamma b6); the contact populations must be positive."""
         return self.stack.e5_minus_e6 - self.stack.kTc * np.log(
-            self.x_a[:, IDX_P66] + gamma * self.x_b[:, IDX_P66])
+            self.x_a[IDX_P66] + gamma * self.x_b[IDX_P66])
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,8 +306,7 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
     weights w' and pivots p' and the chain's pivots p.
     """
     pops, pairs, rate_entries, pair_entries = _LAYOUTS[stack.active]
-    # Devices on the last axis: M[i, j] is every device's entry.
-    M = stack.matrix.transpose(1, 2, 0)
+    M = stack.matrix
     n_dev = M.shape[-1]
     flat = M.reshape(-1, n_dev)
     scale = np.abs(M).max(axis=(0, 1))
@@ -397,7 +396,7 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
               f"chain-form residual {c0[k] / s_a[k]:.3e} + Gamma "
               f"{c1[k] / s_b[k]:.3e} exceeds {RESIDUAL_TOL:.0e} x largest "
               f"generator entry {scale[k]:.3e}"))
-    return ChainForm(stack, *X.transpose(1, 2, 0), s_a, s_b)
+    return ChainForm(stack, X[:, 0], X[:, 1], s_a, s_b)
 
 
 # Two entries hold a molecule and its single-dot twin, so characterising
@@ -410,7 +409,7 @@ def _device_chain(params: ModelParams, kind: str) -> ChainForm:
     caller with the same (params, kind) shares them."""
     g = build_generator(params.replace(Gamma=0.0), kind)
     e = g.energies
-    stack = GeneratorStack(g.matrix[None], g.active, *(
+    stack = GeneratorStack(g.matrix[..., None], g.active, *(
         np.array([v]) for v in (e.e5_minus_e6, e.E12, e.E34, params.kTc)))
     errors = [None]
     chain = _chain_form(stack, errors)
@@ -437,8 +436,8 @@ def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
     stops it.  eta is P_m over E12*J1 + E34*J2, the absorbed power.
     """
     # f and df/dGamma over s_a b6 > 0, with w6 = b6 (A + Gamma).
-    b6, kTc = chain.x_b[:, IDX_P66], chain.stack.kTc
-    A, r = chain.x_a[:, IDX_P66] / b6, chain.s_b / chain.s_a
+    b6, kTc = chain.x_b[IDX_P66], chain.stack.kTc
+    A, r = chain.x_a[IDX_P66] / b6, chain.s_b / chain.s_a
     e56 = chain.stack.e5_minus_e6 - kTc * np.log(b6)
 
     def slope(gamma, log=np.log):
@@ -454,7 +453,7 @@ def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
     gamma, f_start = points[first], f[first]
 
     def unbracketed(k):
-        if not chain.x_a[k, IDX_P55] > 0.0:
+        if not chain.x_a[IDX_P55, k] > 0.0:
             return BoundaryMaximumError(
                 "the conduction contact is empty at every load: no power")
         if not f[0, k] > 0.0:
@@ -495,7 +494,7 @@ def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
         f"maximum-power search still moving after {_NEWTON_STEPS} steps"))
 
     x = chain.states(gamma)
-    j = gamma * x[:, IDX_P55]
+    j = gamma * x[IDX_P55]
     V = chain.voltage(gamma)
     P = j * V
     j1, j2 = absorption_fluxes(x, chain.stack.matrix)
@@ -505,8 +504,8 @@ def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
           if not P[k] > 0.0 else UndefinedEfficiencyError(
               "supplied power is zero; efficiency undefined"))
     columns = np.array([gamma, j, V, P, P / supplied,
-                        np.hypot(x[:, IDX_RE13], x[:, IDX_IM13]),
-                        np.hypot(x[:, IDX_RE24], x[:, IDX_IM24])])
+                        np.hypot(x[IDX_RE13], x[IDX_IM13]),
+                        np.hypot(x[IDX_RE24], x[IDX_IM24])])
     failed = [e is not None for e in errors]
     if any(failed):
         columns[:, failed] = np.nan
@@ -525,11 +524,7 @@ def iv_curve(params: ModelParams, kind: str = "qdm",
     params = apply_band_alignment(params, alignment)
     chain = _device_chain(params, kind)
     gammas = grid.values()
-    # ``ChainForm.states`` for the six components read, as rows over loads.
-    with np.errstate(over="ignore", invalid="ignore"):
-        p55, p66, re13, im13, re24, im24 = x = (
-            (chain.x_a[0, IDX_P55:, None] + chain.x_b[0, IDX_P55:, None]
-             * gammas) / (chain.s_a[0] + gammas * chain.s_b[0]))
+    p55, p66, re13, im13, re24, im24 = x = chain.states(gammas)[IDX_P55:]
     keep = (p55 > _POPULATION_GUARD) & (p66 > _POPULATION_GUARD)
     if not keep.all():
         (p55, p66, re13, im13, re24, im24), gammas = x[:, keep], gammas[keep]
@@ -580,7 +575,7 @@ def open_circuit_voltage(params: ModelParams,
     """Voltage exactly at zero load, (E5 - E6) - kTc ln a6; raises
     ``VoltageUndefinedError`` if a contact population vanishes there."""
     chain = _device_chain(params, kind)
-    p55, p66 = chain.x_a[0, IDX_P55:IDX_P66 + 1] / chain.s_a[0]
+    p55, p66 = chain.states(0.0)[IDX_P55:IDX_P66 + 1, 0]
     if not (p55 > _POPULATION_GUARD and p66 > _POPULATION_GUARD):
         raise VoltageUndefinedError(
             f"contact populations too small at zero load (rho55={p55:.3e}, "
@@ -592,7 +587,7 @@ def open_circuit_voltage(params: ModelParams,
 def _short_circuit_load(chain: ChainForm) -> float:
     """Load rate where the voltage of a one-device chain vanishes:
     a6 + Gamma b6 = exp((E5 - E6)/kTc)."""
-    a6, b6 = float(chain.x_a[0, IDX_P66]), float(chain.x_b[0, IDX_P66])
+    a6, b6 = float(chain.x_a[IDX_P66, 0]), float(chain.x_b[IDX_P66, 0])
     r = float(np.exp(chain.stack.e5_minus_e6[0] / chain.stack.kTc[0]))
     if not (b6 > 0.0 and a6 < r < math.inf):
         raise NumericalSolveError(
@@ -628,9 +623,6 @@ def relative_current_gain(params: ModelParams) -> CurrentGain:
     """
     mpp_qdm = max_power_point(params, kind="qdm")
     mpp_sqd = max_power_point(params, kind="sqd")
-    if mpp_sqd.j_mpp == 0.0:
-        raise UndefinedEfficiencyError(
-            "single-dot current vanishes; relative gain undefined")
     return CurrentGain(
         delta_j=(mpp_qdm.j_mpp - mpp_sqd.j_mpp) / mpp_sqd.j_mpp,
         delta_Pm=(mpp_qdm.P_m - mpp_sqd.P_m) / mpp_sqd.P_m)
@@ -647,7 +639,7 @@ def max_power_batch(params: ModelParams, kind: str = "qdm",
     """
     grid = grid or GridSpec()
     stack = build_generator_stack(params, kind, **varied)
-    errors = [None] * len(stack.matrix)
+    errors = [None] * stack.matrix.shape[-1]
     chain = _chain_form(stack, errors)
     bounds = np.full((2, len(errors)), [[grid.gamma_min], [grid.gamma_max]])
     return _max_power(chain, *bounds, errors)

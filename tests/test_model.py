@@ -366,7 +366,7 @@ class TestHermitianCrossCheck:
     def _assert_both_builders_match(self, p, kind):
         self._assert_matches(build_generator(p, kind).matrix, p, kind)
         self._assert_matches(
-            build_generator_stack(p, kind, gamma_c=[p.gamma_c]).matrix[0],
+            build_generator_stack(p, kind, gamma_c=[p.gamma_c]).matrix[..., 0],
             p.replace(Gamma=0.0), kind)
 
     def test_real_packing_matches_complex_equations(self):
@@ -399,9 +399,10 @@ class TestHermitianCrossCheck:
     def test_random_devices_match_complex_equations(self, devices, kind):
         stack = build_generator_stack(ModelParams(), kind,
                                       **_stack_fields(devices))
-        for p, row in zip(devices, stack.matrix):
+        for k, p in enumerate(devices):
             self._assert_matches(build_generator(p, kind).matrix, p, kind)
-            self._assert_matches(row, p.replace(Gamma=0.0), kind)
+            self._assert_matches(stack.matrix[..., k], p.replace(Gamma=0.0),
+                                 kind)
 
 
 class TestGeneratorStack:
@@ -414,7 +415,7 @@ class TestGeneratorStack:
         singles = [build_generator(p.replace(Gamma=0.0), kind)
                    for p in devices]
         assert np.array_equal(stack.matrix,
-                              np.array([g.matrix for g in singles]))
+                              np.stack([g.matrix for g in singles], axis=-1))
         assert stack.active == singles[0].active
         for name, want in (
                 ("e5_minus_e6", [g.energies.e5_minus_e6 for g in singles]),
@@ -448,7 +449,7 @@ class TestGeneratorStack:
         for k, gc in enumerate((1.0, 50.0)):
             want = build_generator(base.replace(gamma_c=gc, Gamma=0.0),
                                    "qdm").matrix
-            assert np.array_equal(stack.matrix[k], want)
+            assert np.array_equal(stack.matrix[..., k], want)
 
     def test_bad_requests_rejected(self):
         with pytest.raises(DomainError):

@@ -253,7 +253,7 @@ class TestDeviceChainMemo:
                        stack.E34, stack.kTc):
             with pytest.raises(ValueError):
                 values[0] = 1.0
-        assert chain.x_a[0, IDX_P55] == 1.0
+        assert chain.x_a[IDX_P55, 0] == 1.0
 
     @pytest.mark.parametrize("kind", ["qdm", "sqd"])
     @pytest.mark.parametrize("alignment", BAND_ALIGNMENTS)
@@ -530,7 +530,7 @@ class TestLoadSweepProperties:
     def test_closed_form_matches_direct_solve(self, p, kind, log_gamma):
         gamma = 10.0 ** log_gamma
         direct = solve_steady(build_generator(p.replace(Gamma=gamma), kind))
-        closed = _device_chain(p, kind).states(gamma)[0]
+        closed = _device_chain(p, kind).states(gamma)[:, 0]
         assert np.abs(closed - direct.x).max() <= 1e-10
 
     @settings(max_examples=50, deadline=None)
@@ -554,7 +554,7 @@ class TestLoadSweepProperties:
             assert jsc.value == curve.column("j")[-1]
             return
         gamma = _short_circuit_load(curve.chain)
-        state = curve.chain.states(gamma)[0]
+        state = curve.chain.states(gamma)[:, 0]
         # The voltage from the normalized populations, not from the
         # a6 + Gamma b6 form the crossing was solved with.
         e56 = build_generator(curve.params, kind).energies.e5_minus_e6
@@ -569,6 +569,7 @@ class TestLoadSweepProperties:
         mpp = max_power_point(curve=curve)
         voc = open_circuit_voltage(p, kind)
         jsc = short_circuit_current(curve)
+        assert mpp.j_mpp > 0.0 and mpp.V_mpp > 0.0 and mpp.P_m > 0.0
         assert voc.value >= mpp.V_mpp
         assert mpp.j_mpp <= jsc.value
         assert 0.0 <= mpp.eta < 1.0 - p.kTc / p.kTs
@@ -578,15 +579,16 @@ def _twin(chain: ChainForm) -> ChainForm:
     """A one-device chain form held twice, which ``_max_power`` searches
     on its array branch."""
     s = chain.stack
-    stack = GeneratorStack(np.repeat(s.matrix, 2, axis=0), s.active, *(
+    stack = GeneratorStack(np.repeat(s.matrix, 2, axis=-1), s.active, *(
         np.repeat(v, 2) for v in (s.e5_minus_e6, s.E12, s.E34, s.kTc)))
-    return ChainForm(stack, *(np.repeat(v, 2, axis=0) for v in (
+    return ChainForm(stack, *(np.repeat(v, 2, axis=-1) for v in (
         chain.x_a, chain.x_b, chain.s_a, chain.s_b)))
 
 
 class TestSingleDeviceFastPaths:
-    """The single-device path computes less than the general one, to the
-    same bits."""
+    """A curve reads its columns from ``ChainForm.states``, and the lone
+    device's float Newton iteration computes less than the array one, to
+    the same bits."""
 
     @settings(max_examples=50, deadline=None)
     @given(p=_devices, kind=_kinds, n=st.sampled_from((50, 2000)),
@@ -600,14 +602,14 @@ class TestSingleDeviceFastPaths:
         curve = iv_curve(p, kind=kind, grid=GridSpec(n=n))
         gammas = curve.grid.values()
         X = curve.chain.states(gammas)
-        keep = ((X[:, IDX_P55] > _POPULATION_GUARD)
-                & (X[:, IDX_P66] > _POPULATION_GUARD))
-        X, gammas = X[keep], gammas[keep]
-        j = gammas * X[:, IDX_P55]
+        keep = ((X[IDX_P55] > _POPULATION_GUARD)
+                & (X[IDX_P66] > _POPULATION_GUARD))
+        X, gammas = X[:, keep], gammas[keep]
+        j = gammas * X[IDX_P55]
         V = curve.chain.voltage(gammas)
         want = {"Gamma": gammas, "j": j, "V": V, "P": j * V,
-                "coh13": np.hypot(X[:, IDX_RE13], X[:, IDX_IM13]),
-                "coh24": np.hypot(X[:, IDX_RE24], X[:, IDX_IM24])}
+                "coh13": np.hypot(X[IDX_RE13], X[IDX_IM13]),
+                "coh24": np.hypot(X[IDX_RE24], X[IDX_IM24])}
         assert list(curve.columns) == list(want)
         for name, values in want.items():
             assert curve.column(name).tobytes() == values.tobytes(), name
@@ -680,7 +682,7 @@ class TestMaxPowerBatch:
         gamma = 10.0 ** log_gamma
         g = build_generator(p.replace(Gamma=gamma), kind)
         pops = [i for i in g.active if i in POPULATION_INDICES]
-        got = _device_chain(p, kind).states(gamma)[0, pops]
+        got = _device_chain(p, kind).states(gamma)[pops, 0]
         want = np.array(_high_precision_solve(
             g, 50, lambda mpmath, x: [float(x[i]) for i in pops]))
         assert (want > 0.0).all()
@@ -702,7 +704,7 @@ class TestMaxPowerBatch:
 def _coherences(p: ModelParams, gamma: float) -> tuple:
     """The molecule's coherences rho13 and rho24 at load ``gamma``: from
     the chain form, and from the 60-digit reference."""
-    x = _device_chain(p, "qdm").states(gamma)[0]
+    x = _device_chain(p, "qdm").states(gamma)[:, 0]
     got = np.array([complex(x[IDX_RE13], x[IDX_IM13]),
                     complex(x[IDX_RE24], x[IDX_IM24])])
     want = np.array(_high_precision_solve(
