@@ -19,9 +19,9 @@ from .analytics import (asymptotic_current_qdm, asymptotic_current_sqd,
                         coherence_linearity_check, current_ratio_bound,
                         tls_saturation_threshold, tls_steady, TlsParams)
 from .model import (IDX_P55, N_STATE, ModelParams, build_generator,
-                    thermal_occupations)
+                    build_generator_stack, thermal_occupations)
 from .steady import evolve, residual, solve_steady
-from .sweeps import (efficiency_vs_distance, gamma_grid_scan,
+from .sweeps import (_chain_form, efficiency_vs_distance, gamma_grid_scan,
                      iv_curve, max_power_point, open_circuit_voltage,
                      phonon_assisted_comparison, relative_current_gain,
                      short_circuit_current)
@@ -292,6 +292,7 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 
     worst = 0.0
     ok_state = True
+    devices, steady = [], []
     for _ in range(100):
         d = rng.uniform(2.0, 10.0)
         gc = 10 ** rng.uniform(0.0, math.log10(200.0))
@@ -300,6 +301,8 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         p = ModelParams(gamma_c=gc, gamma_v=gv, Gamma=load).with_distance(d)
         gen = build_generator(p, "qdm")
         ss = solve_steady(gen)
+        devices.append((gc, gv, p.Te, p.Th, load))
+        steady.append(ss.x)
         x0 = np.zeros(N_STATE)
         x0[int(rng.integers(0, 6))] = 1.0
         dt = 0.08 / gen.max_rate
@@ -319,6 +322,16 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
             f"steady state matches long-time evolution on 100 random "
             f"parameter sets (worst componentwise diff {worst:.2e})")
     r.check(ok_state, "trace, positivity, and coherence-block invariants")
+    # The chain form, which gives every published number, against the
+    # direct solve on the same devices, all in one stack.
+    gc, gv, te, th, load = np.array(devices).T
+    errors = [None] * len(load)
+    chain = _chain_form(build_generator_stack(
+        ModelParams(), "qdm", gamma_c=gc, gamma_v=gv, Te=te, Th=th), errors)
+    gap = float(np.abs(chain.states(load) - np.array(steady).T).max())
+    r.check(gap <= 1e-12 and errors == [None] * len(load),
+            f"chain form matches the direct solve on the same 100 parameter "
+            f"sets (worst componentwise diff {gap:.2e}, bound 1e-12)")
 
     p = ModelParams().with_distance(3.0)
     g_base = build_generator(p, "qdm").matrix

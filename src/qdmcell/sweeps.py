@@ -83,10 +83,12 @@ class ChainForm:
     # A load so large that the weights overflow leaves rho55 at 0 or NaN,
     # below any guard, as its true value is.
     @np.errstate(over="ignore", invalid="ignore")
-    def states(self, gamma) -> np.ndarray:
+    def states(self, gamma, rows=slice(None)) -> np.ndarray:
         """States at load(s) ``gamma``, one column each: one load per
-        device, or any number of loads for a single device."""
-        return (self.x_a + gamma * self.x_b) / (self.s_a + gamma * self.s_b)
+        device, or any number of loads for a single device; only the state
+        ``rows`` if given."""
+        return ((self.x_a[rows] + gamma * self.x_b[rows])
+                / (self.s_a + gamma * self.s_b))
 
     def voltage(self, gamma) -> np.ndarray:
         """(E5 - E6) + kTc ln(rho55/rho66), where rho55/rho66 is
@@ -243,11 +245,15 @@ def _fail(errors: list, bad: np.ndarray, make) -> None:
 
 
 def _gth(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary weights ``w[i, k]`` (state 0 at 1) of rate chains by
-    Grassmann-Taksar-Heyman elimination, and the pivots ``p[i - 1, k]``,
-    state i's exit rate to the states left when it is eliminated.
-    ``R[j, i, k]`` is chain k's rate i -> j (k may be several axes); the
-    diagonal is ignored, and ``R`` is overwritten.
+    """Stationary weights ``w[i, r, k]`` of rate chains by
+    Grassmann-Taksar-Heyman elimination, for two roots r at once, and the
+    pivots ``p[i - 1, k]`` they share, state i's exit rate to the states
+    left when it is eliminated.
+    ``R[j, c, k]`` is chain k's rate into state j from column c (k may be
+    several axes).  State i >= 1 is column i + 1.  State 0 leaves by
+    column 1 in root a (r = 0) and by column 0 in root b (r = 1); no pivot
+    reads either.  ``w[0]`` is column 1's weight, 1 in root a and 0 in
+    root b.  The diagonal is ignored, and ``R`` is overwritten.
     Every step adds, multiplies or divides nonnegative numbers, so each
     weight keeps a small relative error however small it is.  Every state
     reaches state 0 where every pivot is positive, and the product of the
@@ -255,24 +261,27 @@ def _gth(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = len(R)
     pivots, entries = [], []
-    for k in range(n - 1, 0, -1):
-        pivot = np.add.reduce(R[:k, k])
+    for k in range(n - 1, 0, -1):  # state k, column k + 1
+        pivot = np.add.reduce(R[:k, k + 1])
         # Rates into k, per unit of k's exit rate to the states left.
-        into = R[k, :k] / pivot
-        R[:k, :k] += R[:k, k, None] * into
+        into = R[k, :k + 1] / pivot
+        R[:k, :k + 1] += R[:k, k + 1, None] * into
         pivots.append(pivot)
         entries.append(into)
-    weights = np.ones(R.shape[1:])
-    for k, into in zip(range(1, n), reversed(entries)):
-        weights[k] = np.add.reduce(weights[:k] * into)
-    return weights, np.array(pivots[::-1])
+    # weights[c, r]: column c's weight in root r's chain; a root column
+    # outside its own chain weighs an exact 0.
+    weights = np.zeros((n + 1, 2) + R.shape[2:])
+    weights[1, 0] = weights[0, 1] = 1.0
+    for c, into in zip(range(2, n + 1), reversed(entries)):
+        weights[c] = np.add.reduce(weights[:c] * into[:, None])
+    return weights[1:], np.array(pivots[::-1])
 
 
-def _closed_classes(R: np.ndarray) -> np.ndarray:
-    """Per chain of ``R`` (laid out as in ``_gth``): whether it has one
-    closed class of states."""
+def _closed_classes(link: np.ndarray) -> np.ndarray:
+    """Per chain k: whether it has one closed class of states, where
+    ``link[j, i, k]`` says that its rate i -> j is positive."""
     # reach[k, i, j]: in chain k, state i reaches state j.
-    reach = (R.transpose(2, 1, 0) > 0.0) | np.eye(len(R), dtype=bool)
+    reach = link.transpose(2, 1, 0) | np.eye(len(link), dtype=bool)
     for _ in range(3):  # paths of up to eight links cover six states
         reach = reach @ reach
     recurrent = (~reach | reach.transpose(0, 2, 1)).all(axis=2)
@@ -291,9 +300,11 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
     spanning tree rooted away from |5> leaves |5> by either 5 -> 3 (5 -> 1
     for the single dot) or the load, and those rooted at |5> use neither.
     So GTH rooted at |5> gives x_a on the chain, and x_b on the chain with
-    the non-load exits of |5> replaced by a unit load; x_b[5] = 0.  A zero
-    pivot means some level cannot reach |5>: the device fails if it has
-    more than one closed class of levels.  Failures are recorded in
+    the non-load exits of |5> replaced by a unit load; x_b[5] = 0.  The two
+    differ only in |5>'s exit column, which no pivot reads, so one
+    elimination with both as root columns gives them, with shared pivots.
+    A zero pivot means some level cannot reach |5>: the device fails if it
+    has more than one closed class of levels.  Failures are recorded in
     ``errors``; failed devices carry zeros, NaN or inf, which checks flag.
 
     The coherences are multiples of rho_a - rho_b, which cancels where
@@ -318,7 +329,15 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
 
     # rates[j, i] is the incoherent rate i -> j between chain states.
     rates = flat[rate_entries]
-    chain, cuts = rates.copy(), ()
+    # Chain set s (the chain, then the cut ones) at [:, :, s], columns as
+    # in ``_gth``: x_b's root column, whose |5> leaves only by a unit load,
+    # then the chain's own, |5> (x_a's root) first.
+    i6 = pops.index(IDX_P66)
+    cuts = np.arange(1, len(pairs[0]) + 1) if pairs else ()
+    chains = np.empty((len(rates), len(rates) + 1, 1 + len(cuts), n_dev))
+    chains[:, 0] = 0.0
+    chains[i6, 0] = 1.0
+    chains[:, 1:] = rates[:, :, None]
     if pairs:  # the single dot has no coherences
         a, b, re, im, ia, ib = pairs
         t, D, det, two_t = flat[pair_entries]
@@ -330,43 +349,39 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
         # Re and Im of each coherence per unit rho_a - rho_b.
         re_c, im_c = t * det / den, t * D / den
         kappa = -two_t * im_c
-        chain[ia, ib] += kappa
-        chain[ib, ia] += kappa
+        chains[ia, ib + 1] += kappa[:, None]
+        chains[ib, ia + 1] += kappa[:, None]
         # Pair p's cut chain, set 1 + p, links the pair by its net
         # incoherent rate b -> a, formed without kappa, which would cancel
         # digits, and a tie that keeps a bridge connected, 2^-52 of the
         # smaller exit rate.
-        cuts = np.arange(1, len(ia) + 1)
         net = rates[ia, ib] - rates[ib, ia]
         tie = 2.0 ** -52 * np.minimum(-rates[ia, ia], -rates[ib, ib])
-    # Chain set s (the chain, then the cut ones) of x_a at [..., s, 0, :]
-    # and of x_b, whose |5> leaves only by a unit load, at [..., s, 1, :].
-    chains = np.empty(chain.shape[:2] + (1 + len(cuts), 2, n_dev))
-    chains[...] = chain[:, :, None, None]
-    chains[:, 0, :, 1] = 0.0
-    chains[pops.index(IDX_P66), 0, :, 1] = 1.0
-    if pairs:
-        chains[ia, ib, cuts] = (np.maximum(net, 0.0) + tie)[:, None]
-        chains[ib, ia, cuts] = (np.maximum(-net, 0.0) + tie)[:, None]
+        chains[ia, ib + 1, cuts] = np.maximum(net, 0.0) + tie
+        chains[ib, ia + 1, cuts] = np.maximum(-net, 0.0) + tie
     W, pivots = _gth(chains)
-    ok = (pivots[:, 0] > 0.0).all(axis=(0, 1))
+    ok = (pivots[:, 0] > 0.0).all(axis=0)
     # Weights of x_a that overflow, as they do behind a zero pivot, leave
     # rho55 at 0 to working precision: the empty form.
     empty = ~np.isfinite(np.add.reduce(W[:, 0, 0]))
     if not ok.all():
-        chain[pops.index(IDX_P66), 0] += 1.0  # with x_b's unit load
-        _fail(errors, ~ok & ~_closed_classes(chain),
+        # The chain's links, with x_b's unit load.
+        link = rates > 0.0
+        link[i6, 0] = True
+        if pairs:
+            link[ia, ib] = rates[ia, ib] + kappa > 0.0
+            link[ib, ia] = rates[ib, ia] + kappa > 0.0
+        _fail(errors, ~ok & ~_closed_classes(link),
               lambda k: DegenerateSteadyStateError(
                   "reducible rate chain: more than one closed class of "
                   "levels, so more than one steady state"))
-    w = W[:, 0]
+    w = W[:, :, 0]
     w[..., empty] = 0.0
-    w[0, 1] = 0.0
     X = np.zeros((len(M), 2, n_dev))
     X[pops] = w
     if pairs:
-        diff = (W[ia, cuts] - W[ib, cuts]) * np.multiply.reduce(
-            pivots[:, 1:] / pivots[:, :1])
+        diff = (W[ia, :, cuts] - W[ib, :, cuts]) * np.multiply.reduce(
+            pivots[:, 1:] / pivots[:, :1])[:, None]
         lost = ~np.isfinite(diff)
         if lost.any():
             # A cut chain has a zero pivot where a state of the pair has no
@@ -524,7 +539,8 @@ def iv_curve(params: ModelParams, kind: str = "qdm",
     params = apply_band_alignment(params, alignment)
     chain = _device_chain(params, kind)
     gammas = grid.values()
-    p55, p66, re13, im13, re24, im24 = x = chain.states(gammas)[IDX_P55:]
+    p55, p66, re13, im13, re24, im24 = x = chain.states(
+        gammas, slice(IDX_P55, None))
     keep = (p55 > _POPULATION_GUARD) & (p66 > _POPULATION_GUARD)
     if not keep.all():
         (p55, p66, re13, im13, re24, im24), gammas = x[:, keep], gammas[keep]
@@ -575,7 +591,7 @@ def open_circuit_voltage(params: ModelParams,
     """Voltage exactly at zero load, (E5 - E6) - kTc ln a6; raises
     ``VoltageUndefinedError`` if a contact population vanishes there."""
     chain = _device_chain(params, kind)
-    p55, p66 = chain.states(0.0)[IDX_P55:IDX_P66 + 1, 0]
+    p55, p66 = chain.states(0.0, slice(IDX_P55, IDX_P66 + 1))[:, 0]
     if not (p55 > _POPULATION_GUARD and p66 > _POPULATION_GUARD):
         raise VoltageUndefinedError(
             f"contact populations too small at zero load (rho55={p55:.3e}, "

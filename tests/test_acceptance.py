@@ -104,4 +104,10 @@ def test_criterion_7_phonon_assisted_gains():
 
 
 def test_criterion_8_property_suite():
-    _report(criterion_8())
+    result = criterion_8()
+    _report(result)
+    # The gate checks the chain form, which gives every published number,
+    # and not only the two oracles against each other.
+    assert sum(ln.startswith(
+        "ok   chain form matches the direct solve on the same 100 parameter "
+        "sets (worst componentwise diff ") for ln in result.details) == 1

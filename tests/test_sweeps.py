@@ -1,5 +1,7 @@
 """Load sweeps, maximum-power search, and parameter scans."""
 
+import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import mpmath
@@ -22,7 +24,7 @@ from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P22, IDX_P33,
                            IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
                            POPULATION_INDICES, GeneratorStack)
 from qdmcell.observables import _POPULATION_GUARD
-from qdmcell.sweeps import (ChainForm, MaxPowerPoint, _device_chain,
+from qdmcell.sweeps import (ChainForm, MaxPowerPoint, _device_chain, _gth,
                             _max_power, _short_circuit_load,
                             max_power_batch)
 
@@ -700,6 +702,24 @@ class TestMaxPowerBatch:
         assert wide.Gamma_star[0] == pytest.approx(near.Gamma_star[0],
                                                    rel=1e-9)
 
+    def test_escape_scan_batch_peak_memory(self):
+        # The molecules of ``gamma_grid_scan``'s default 40 x 40 grid, as
+        # one batch; the first call sets up what is built only once.
+        gc, gv = np.meshgrid(np.logspace(0.0, math.log10(500.0), 40),
+                             np.logspace(-4.0, math.log10(20.0), 40))
+        p = ModelParams().with_distance(2.0)
+        cells = dict(gamma_c=gc.ravel(), gamma_v=gv.ravel())
+        max_power_batch(p, kind="qdm", **cells)
+        tracemalloc.start()
+        try:
+            max_power_batch(p, kind="qdm", **cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One elimination for x_a and x_b peaks at 5.5 MiB, one for each
+        # at 7.4 MiB.
+        assert peak < 6.5 * 2 ** 20
+
 
 def _coherences(p: ModelParams, gamma: float) -> tuple:
     """The molecule's coherences rho13 and rho24 at load ``gamma``: from
@@ -750,3 +770,50 @@ class TestCoherences:
             # An exact zero (a level with no incoherent link at all) must
             # come out exactly.
             assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all(), gamma
+
+
+def _one_root_gth(R: np.ndarray) -> tuple:
+    """GTH elimination of rate chains ``R[j, i, k]`` (rate i -> j) rooted
+    at state 0, written out for one root: weights with state 0 at 1, and
+    pivots."""
+    R, n = R.copy(), len(R)
+    pivots, entries = [], []
+    for k in range(n - 1, 0, -1):
+        pivot = np.add.reduce(R[:k, k])
+        into = R[k, :k] / pivot
+        R[:k, :k] += R[:k, k, None] * into
+        pivots.append(pivot)
+        entries.append(into)
+    weights = np.ones(R.shape[1:])
+    for k, into in zip(range(1, n), reversed(entries)):
+        weights[k] = np.add.reduce(weights[:k] * into)
+    return weights, np.array(pivots[::-1])
+
+
+class TestGth:
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_two_roots_equal_two_one_root_eliminations(self, n):
+        # Chains a and b differ only in state 0's exits; rates span twelve
+        # decades and a third of them are 0, so some pivots are 0.
+        rng = np.random.default_rng(n)
+        m = 400
+        a = 10.0 ** rng.uniform(-6.0, 6.0, (n, n, m))
+        a[rng.random((n, n, m)) < 0.3] = 0.0
+        b = a.copy()
+        b[:, 0] = 10.0 ** rng.uniform(-6.0, 6.0, (n, m))
+        b[:, 0][rng.random((n, m)) < 0.5] = 0.0
+        # A chain whose last state has no exit to the others.
+        a[:, n - 1, -1] = b[:, n - 1, -1] = 0.0
+        with np.errstate(all="ignore"):
+            W, pivots = _gth(np.concatenate([b[:, :1], a], axis=1))
+            (w_a, p_a), (w_b, p_b) = _one_root_gth(a), _one_root_gth(b)
+        assert W.shape == (n, 2, m) and pivots.shape == (n - 1, m)
+        assert pivots.tobytes() == p_a.tobytes() == p_b.tobytes()
+        good = (pivots > 0.0).all(axis=0)
+        assert 0 < good.sum() < m - 1 and not good[-1]
+        assert (W[0, 0] == 1.0).all() and (W[0, 1] == 0.0).all()
+        for r, w in enumerate((w_a, w_b)):
+            assert W[1:, r, good].tobytes() == w[1:, good].tobytes()
+            # Behind a zero pivot both are non-finite.
+            assert not np.isfinite(W[:, r, ~good]).all(axis=0).any()
+            assert not np.isfinite(w[:, ~good]).all(axis=0).any()
