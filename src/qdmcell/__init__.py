@@ -15,7 +15,7 @@ from .model import (BAND_ALIGNMENTS, GeneratorMatrix, GeneratorStack,
                     tunneling_from_distance)
 from .observables import (PhotovoltaicPoint, absorption_fluxes,
                           photovoltaic_point)
-from .steady import SteadyState, evolve, residual, solve_steady
+from .steady import evolve, residual, solve_steady
 from .sweeps import (CurrentGain, EfficiencyRow, GammaGridScan, GridSpec,
                      IVCurve, MaxPowerBatch, MaxPowerPoint,
                      OpenCircuitVoltage, PhononAssistedRow,

@@ -196,14 +196,15 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     r = CriterionResult(5, "strong-tunneling asymptotics", True)
     p = ModelParams(delta_e=0.0, delta_h=0.0, Te=50.0, Th=50.0,
-                    gamma_c=1000.0, gamma_v=1.0, Gamma=1e4)
+                    gamma_c=1000.0, gamma_v=1.0)
+    load = 1e4
     occ = thermal_occupations(p)
-    j_qdm = p.Gamma * solve_steady(build_generator(p, "qdm")).x[IDX_P55]
+    j_qdm = load * solve_steady(build_generator(p, "qdm", Gamma=load))[IDX_P55]
     ref_qdm = asymptotic_current_qdm(occ.n1, occ.n2, occ.nv)
     r.check(_within(j_qdm, ref_qdm, 0.05),
             f"molecule short-circuit {j_qdm:.5f} vs closed form "
             f"{ref_qdm:.5f} (+- 5%)")
-    j_sqd = p.Gamma * solve_steady(build_generator(p, "sqd")).x[IDX_P55]
+    j_sqd = load * solve_steady(build_generator(p, "sqd", Gamma=load))[IDX_P55]
     ref_sqd = asymptotic_current_sqd(occ.n1, occ.nv)
     r.check(_within(j_sqd, ref_sqd, 0.05),
             f"single-dot short-circuit {j_sqd:.5f} vs closed form "
@@ -298,11 +299,11 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         gc = 10 ** rng.uniform(0.0, math.log10(200.0))
         gv = 10 ** rng.uniform(-3.0, 1.0)
         load = 10 ** rng.uniform(-3.0, 3.0)
-        p = ModelParams(gamma_c=gc, gamma_v=gv, Gamma=load).with_distance(d)
-        gen = build_generator(p, "qdm")
+        p = ModelParams(gamma_c=gc, gamma_v=gv).with_distance(d)
+        gen = build_generator(p, "qdm", Gamma=load)
         ss = solve_steady(gen)
         devices.append((gc, gv, p.Te, p.Th, load))
-        steady.append(ss.x)
+        steady.append(ss)
         x0 = np.zeros(N_STATE)
         x0[int(rng.integers(0, 6))] = 1.0
         dt = 0.08 / gen.max_rate
@@ -312,12 +313,12 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
             if residual(gen, x) <= 1e-13 * gen.max_rate:
                 break
             t *= 4.0
-        worst = max(worst, float(np.abs(x - ss.x).max()))
-        pops = ss.populations
+        worst = max(worst, float(np.abs(x - ss).max()))
+        pops = ss[:6]
         ok_state &= bool(abs(pops.sum() - 1.0) < 1e-12
                          and pops.min() >= -1e-10
-                         and abs(ss.rho13) ** 2 <= ss.x[0] * ss.x[2] + 1e-9
-                         and abs(ss.rho24) ** 2 <= ss.x[1] * ss.x[3] + 1e-9)
+                         and np.hypot(*ss[6:8]) ** 2 <= ss[0] * ss[2] + 1e-9
+                         and np.hypot(*ss[8:]) ** 2 <= ss[1] * ss[3] + 1e-9)
     r.check(worst <= 1e-6,
             f"steady state matches long-time evolution on 100 random "
             f"parameter sets (worst componentwise diff {worst:.2e})")
@@ -334,13 +335,13 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
             f"sets (worst componentwise diff {gap:.2e}, bound 1e-12)")
 
     p = ModelParams().with_distance(3.0)
-    g_base = build_generator(p, "qdm").matrix
+    g_base = build_generator(p, "qdm", Gamma=1.0).matrix
     lam = 3.7
     scaled = p.replace(
         gamma1=p.gamma1 * lam, gamma2=p.gamma2 * lam,
         gamma_c=p.gamma_c * lam, gamma_v=p.gamma_v * lam,
-        Gamma=p.Gamma * lam, hbar_gamma=p.hbar_gamma / lam)
-    g_scaled = build_generator(scaled, "qdm").matrix
+        hbar_gamma=p.hbar_gamma / lam)
+    g_scaled = build_generator(scaled, "qdm", Gamma=lam).matrix
     r.check(bool(np.allclose(g_scaled, lam * g_base, rtol=1e-12, atol=0.0)),
             "generator is homogeneous under a common rate rescaling")
 

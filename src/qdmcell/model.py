@@ -14,19 +14,19 @@ The single-dot baseline uses the same layout and leaves |3>, |4> and
 both coherences at zero.
 
 The channels of the master equation are written once, in
-``_add_channels``.  ``build_generator`` fills one device's matrix from
-floats; the parameter scans build all their devices at once with
-``build_generator_stack``, which takes a base parameter set plus arrays
-of the fields that vary and fills the zero-load generators from arrays,
-as one stack M[i, j, k] with the devices last, equal, entry for entry,
-to the single-device builds.
+``_add_channels``.  ``build_generator(params, kind, Gamma=0.0)`` fills
+one device's matrix, the only place a load enters; the parameter scans
+build all their devices at once with ``build_generator_stack``, which
+takes a base parameter set plus arrays of the fields that vary and fills
+the zero-load generators as one stack M[i, j, k], devices last, each
+equal, entry for entry, to its ``build_generator(params, kind)``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,8 +114,8 @@ _TE_D2, _TH_D2 = tunneling_from_distance(2.0)
 # every bound.  ``ModelParams`` checks floats, ``build_generator_stack``
 # arrays.
 _FIELD_RULES = (
-    (("gamma1", "gamma2", "gamma_c", "gamma_v", "Gamma", "gamma_13",
-      "gamma_24"), 0.0, "rate {} must be finite and >= 0"),
+    (("gamma1", "gamma2", "gamma_c", "gamma_v", "gamma_13", "gamma_24"),
+     0.0, "rate {} must be finite and >= 0"),
     (("kTs", "kTc", "E12", "hbar_gamma"), math.ulp(0.0),
      "{} must be finite and positive"),
     (("delta_e", "delta_h", "delta_c", "delta_v", "Te", "Th"),
@@ -145,7 +145,6 @@ class ModelParams:
     gamma2: float = 1.0
     gamma_c: float = 100.0
     gamma_v: float = 0.05
-    Gamma: float = 1.0
     kTs: float = 500.0
     kTc: float = 25.9
     hbar_gamma: float = HBAR_GAMMA_DEFAULT
@@ -172,10 +171,6 @@ class ModelParams:
         """Set both tunneling energies from the barrier width d (nm)."""
         te, th = tunneling_from_distance(d)
         return self.replace(Te=te, Th=th)
-
-
-# The fields a generator stack may vary: all but the load.
-_STACK_FIELDS = tuple(f.name for f in fields(ModelParams) if f.name != "Gamma")
 
 
 @dataclass(frozen=True)
@@ -392,9 +387,11 @@ def _add_channels(M: np.ndarray, f, e: LevelEnergies, occupation,
         M[im, im] -= extra
 
 
-def build_generator(params: ModelParams, kind: str) -> GeneratorMatrix:
-    """Generator of one device: the molecule ("qdm") or the single dot
-    ("sqd") with the same gap.
+def build_generator(params: ModelParams, kind: str,
+                    Gamma: float = 0.0) -> GeneratorMatrix:
+    """Generator of one device at load rate ``Gamma``: the molecule
+    ("qdm") or the single dot ("sqd") with the same gap.  At the default
+    zero load it equals the device's entry of ``build_generator_stack``.
 
     The molecule's coupled population/coherence equations carry the
     conjugate coherences as Re/Im rho13 and Re/Im rho24.  The single dot
@@ -402,11 +399,14 @@ def build_generator(params: ModelParams, kind: str) -> GeneratorMatrix:
     conduction escape attached directly to |1>; it ignores the tunnelings
     and the second dot, and its coherence components stay zero.
     """
+    if not 0.0 <= Gamma < math.inf:
+        raise DomainError("load rate Gamma must be finite and >= 0, "
+                          f"got {Gamma}")
     energies = _device_levels(params, kind)
     M = np.zeros((N_STATE, N_STATE))
     _add_channels(M, params.__dict__, energies, bose_occupation, kind)
-    M[IDX_P55, IDX_P55] += -params.Gamma
-    M[IDX_P66, IDX_P55] += params.Gamma
+    M[IDX_P55, IDX_P55] += -Gamma
+    M[IDX_P66, IDX_P55] += Gamma
     return GeneratorMatrix(M, energies,
                            QDM_ACTIVE if kind == "qdm" else SQD_ACTIVE)
 
@@ -427,10 +427,10 @@ class GeneratorStack:
 def _stack_columns(params: ModelParams, varied: dict) -> tuple:
     # Every field as an array over the devices, and per device whether
     # the varied fields are in their domain.
-    unknown = set(varied) - set(_STACK_FIELDS)
+    unknown = varied.keys() - params.__dict__.keys()
     if unknown:
         raise DomainError(f"cannot vary {sorted(unknown)} in a generator "
-                          f"stack; fields: {', '.join(_STACK_FIELDS)}")
+                          f"stack; fields: {', '.join(params.__dict__)}")
     cols = {name: np.asarray(values, dtype=float)
             for name, values in varied.items()}
     shapes = {col.shape for col in cols.values()}
@@ -443,8 +443,8 @@ def _stack_columns(params: ModelParams, varied: dict) -> tuple:
         for name in names:
             if name in cols:
                 ok &= (cols[name] >= low) & (cols[name] < math.inf)
-    for name in _STACK_FIELDS:
-        cols.setdefault(name, np.full(n, getattr(params, name)))
+    for name, value in params.__dict__.items():
+        cols.setdefault(name, np.full(n, value))
     return cols, ok
 
 
@@ -467,8 +467,8 @@ def build_generator_stack(params: ModelParams, kind: str,
     ``params`` sets every field that ``varied`` does not; ``varied`` maps
     field names to equal-length arrays, one entry per device.  The stack
     fills the same channels as ``build_generator``, so entry for entry it
-    equals the matrices of ``build_generator(device.replace(Gamma=0.0),
-    kind)``, device k's at ``matrix[..., k]``.  An input error
+    equals the matrices of ``build_generator(device, kind)``, device k's
+    at ``matrix[..., k]``.  An input error
     (``DomainError``, ``InvalidGeometryError``) is raised once, for the
     first device that has one, by building it on the single-device path.
     """

@@ -1,7 +1,8 @@
-"""Photovoltaic observables of one stationary state: ``photovoltaic_point``
-(current, voltage, power, coherence magnitudes) and the absorption fluxes
-that the efficiency charges.  The curves and scans of ``sweeps`` compute
-the same quantities from the chain form.
+"""Photovoltaic observables of one stationary state x, as
+``solve_steady(build_generator(params, kind, Gamma=g))`` returns it:
+``photovoltaic_point`` (current, voltage, power, coherence magnitudes) and
+the absorption fluxes that the efficiency charges.  The curves and scans
+of ``sweeps`` compute the same quantities from the chain form.
 
 Units: current in e*gamma, voltage in meV per elementary charge (so the
 numbers read as mV), power in gamma*meV.
@@ -12,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import VoltageUndefinedError
-from .model import (IDX_P11, IDX_P22, IDX_P33, IDX_P44, IDX_P55, IDX_P66,
+from .model import (IDX_P11, IDX_P22, IDX_P33, IDX_P44, IDX_P55,
                     LevelEnergies)
-from .steady import SteadyState
 
 _POPULATION_GUARD = 1e-300
 
@@ -33,7 +35,7 @@ class PhotovoltaicPoint:
     P: float
     coh13: float
     coh24: float
-    state: SteadyState
+    state: np.ndarray
 
 
 def absorption_fluxes(x, M) -> tuple:
@@ -53,13 +55,13 @@ def absorption_fluxes(x, M) -> tuple:
     return j1, j2
 
 
-def photovoltaic_point(state: SteadyState, Gamma: float,
+def photovoltaic_point(state: np.ndarray, Gamma: float,
                        energies: LevelEnergies, kTc: float) -> PhotovoltaicPoint:
-    """Every observable at load rate Gamma: the current j = Gamma rho55,
-    the voltage V = (E5 - E6) + kTc ln(rho55/rho66), the power P = j V
-    and the coherence magnitudes |rho13|, |rho24|.  Raises
-    ``VoltageUndefinedError`` if a contact population vanishes."""
-    p55, p66 = state.x[IDX_P55], state.x[IDX_P66]
+    """Every observable of state vector ``state`` at load rate Gamma: the
+    current j = Gamma rho55, the voltage V = (E5 - E6) + kTc ln(rho55/rho66),
+    the power P = j V and the coherence magnitudes |rho13|, |rho24|.
+    Raises ``VoltageUndefinedError`` if a contact population vanishes."""
+    p55, p66, re13, im13, re24, im24 = state[IDX_P55:]
     if p55 <= _POPULATION_GUARD or p66 <= _POPULATION_GUARD:
         raise VoltageUndefinedError(
             f"contact populations too small (rho55={p55:.3e}, "
@@ -67,5 +69,5 @@ def photovoltaic_point(state: SteadyState, Gamma: float,
     j = Gamma * p55
     V = energies.e5_minus_e6 + kTc * math.log(p55 / p66)
     return PhotovoltaicPoint(Gamma=Gamma, j=j, V=V, P=j * V,
-                             coh13=abs(state.rho13), coh24=abs(state.rho24),
-                             state=state)
+                             coh13=abs(complex(re13, im13)),
+                             coh24=abs(complex(re24, im24)), state=state)

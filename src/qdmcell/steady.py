@@ -1,50 +1,24 @@
 """Stationary solutions of the photocell generator.
 
-The stationary state solves M x = 0 with the populations summing to one.
-A fixed-step RK4 propagator of the same linear system serves as an
+``solve_steady(build_generator(params, kind, Gamma=g))`` is the read-only
+state vector x with M x = 0 and the populations summing to one.  A
+fixed-step RK4 propagator of the same linear system serves as an
 independent cross-check; it is an oracle, not a production path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateSteadyStateError, NumericalSolveError,
                      StepSizeError)
-from .model import (GeneratorMatrix, IDX_IM13, IDX_IM24, IDX_RE13, IDX_RE24,
-                    N_STATE, POPULATION_INDICES)
+from .model import GeneratorMatrix, N_STATE, POPULATION_INDICES
 
 TRACE_TOL = 1e-12
 DEGENERACY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SteadyState:
-    """Normalized stationary state with solver diagnostics."""
-
-    x: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        self.x.setflags(write=False)
-
-    @property
-    def populations(self) -> np.ndarray:
-        """Level populations, as solved: rounding may leave a vanishing
-        one slightly negative."""
-        return self.x[list(POPULATION_INDICES)]
-
-    @property
-    def rho13(self) -> complex:
-        return complex(self.x[IDX_RE13], self.x[IDX_IM13])
-
-    @property
-    def rho24(self) -> complex:
-        return complex(self.x[IDX_RE24], self.x[IDX_IM24])
 
 
 def _check_trace_conserving(G: GeneratorMatrix) -> None:
@@ -56,8 +30,9 @@ def _check_trace_conserving(G: GeneratorMatrix) -> None:
             f"{np.abs(col_sums).max():.3e} (scale {scale:.3e})")
 
 
-def solve_steady(G: GeneratorMatrix) -> SteadyState:
-    """Unique stationary state of a trace-conserving generator.
+def solve_steady(G: GeneratorMatrix) -> np.ndarray:
+    """Unique stationary state of a trace-conserving generator; rounding
+    may leave a vanishing population slightly negative.
 
     One population row is traded for the normalization constraint (the
     |6> row, a fixed choice that keeps results bit-reproducible).  Raises
@@ -101,7 +76,8 @@ def solve_steady(G: GeneratorMatrix) -> SteadyState:
         raise NumericalSolveError(
             f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.0e} x "
             f"largest generator entry {scale:.3e}")
-    return SteadyState(x=x, residual=res)
+    x.setflags(write=False)
+    return x
 
 
 def residual(G: GeneratorMatrix, x: np.ndarray) -> float:

@@ -422,7 +422,7 @@ def _device_chain(params: ModelParams, kind: str) -> ChainForm:
     """Chain form of one device, from ``build_generator``; raises the
     device's error if it fails.  Its arrays are read-only, since every
     caller with the same (params, kind) shares them."""
-    g = build_generator(params.replace(Gamma=0.0), kind)
+    g = build_generator(params, kind)
     e = g.energies
     stack = GeneratorStack(g.matrix[..., None], g.active, *(
         np.array([v]) for v in (e.e5_minus_e6, e.E12, e.E34, params.kTc)))

@@ -138,8 +138,7 @@ class TestBandAlignments:
 class TestGeneratorStructure:
     def test_zero_rates_give_zero_matrix(self):
         p = ModelParams(Te=0.0, Th=0.0, delta_e=0.0, delta_h=0.0,
-                        gamma1=0.0, gamma2=0.0, gamma_c=0.0, gamma_v=0.0,
-                        Gamma=0.0)
+                        gamma1=0.0, gamma2=0.0, gamma_c=0.0, gamma_v=0.0)
         g = build_generator(p, "qdm")
         assert not g.matrix.any()
 
@@ -164,9 +163,9 @@ class TestGeneratorStructure:
         lam = 2.5
         q = p.replace(gamma1=p.gamma1 * lam, gamma2=p.gamma2 * lam,
                       gamma_c=p.gamma_c * lam, gamma_v=p.gamma_v * lam,
-                      Gamma=p.Gamma * lam, hbar_gamma=p.hbar_gamma / lam)
-        assert np.allclose(build_generator(q, "qdm").matrix,
-                           lam * build_generator(p, "qdm").matrix,
+                      hbar_gamma=p.hbar_gamma / lam)
+        assert np.allclose(build_generator(q, "qdm", Gamma=lam).matrix,
+                           lam * build_generator(p, "qdm", Gamma=1.0).matrix,
                            rtol=1e-12, atol=0.0)
 
     def test_matrix_is_frozen(self):
@@ -183,11 +182,11 @@ class TestGeneratorStructure:
         # Only the valence phonon channel active: the {|2>, |6>} block
         # relaxes to the Boltzmann ratio rho66/rho22 = nv/(nv+1).
         p = ModelParams(Te=0.0, Th=0.0, gamma1=0.0, gamma2=0.0,
-                        gamma_c=0.0, Gamma=0.0)
+                        gamma_c=0.0)
         g = build_generator(p, "qdm")
-        ss = solve_steady(replace(g, active=(IDX_P22, IDX_P66)))
+        x = solve_steady(replace(g, active=(IDX_P22, IDX_P66)))
         nv = thermal_occupations(p).nv
-        assert ss.x[IDX_P66] / ss.x[IDX_P22] == pytest.approx(
+        assert x[IDX_P66] / x[IDX_P22] == pytest.approx(
             nv / (nv + 1.0), rel=1e-12)
 
     def test_phonon_assisted_channels_preserve_trace(self):
@@ -210,7 +209,16 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             ModelParams(gamma_c=-1.0)
         with pytest.raises(DomainError):
-            ModelParams(Gamma=-0.5)
+            build_generator(ModelParams(), "qdm", Gamma=-0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_load_rejected(self, value):
+        # The load is an argument of the build, not a device field.
+        for kind in ("qdm", "sqd"):
+            with pytest.raises(DomainError, match="load rate Gamma"):
+                build_generator(ModelParams(), kind, Gamma=value)
+        with pytest.raises(TypeError):
+            ModelParams(Gamma=1.0)
 
     def test_nonpositive_temperatures_rejected(self):
         with pytest.raises(DomainError):
@@ -264,9 +272,9 @@ class TestParamValidation:
 
 
 def _stack_fields(devices) -> dict:
-    """Every field but the load of each device, as batch arrays."""
+    """Every field of each device, as batch arrays."""
     return {f.name: np.array([getattr(p, f.name) for p in devices])
-            for f in fields(ModelParams) if f.name != "Gamma"}
+            for f in fields(ModelParams)}
 
 
 # Devices over the scans' ranges; kTs reaches 1.5 meV, where E12/kTs > 700
@@ -308,14 +316,14 @@ class TestHermitianCrossCheck:
     both builders' real-packed matrices with it."""
 
     @staticmethod
-    def _reference(p, kind):
+    def _reference(p, kind, Gamma):
         # Levels |1>..|6> are rows 0..5; the single dot has no |3>, |4>,
         # and its conduction contact hangs delta_c below |1>.
         w1 = p.E12
         w3 = w1 - p.delta_e if kind == "qdm" else w1
         w = (w1, 0.0, w3, p.delta_h, w3 - p.delta_c, p.delta_v)
         H = np.zeros((6, 6), dtype=complex)
-        jumps = [(p.Gamma, 4, 5)]  # (rate, from, to): the load |5> -> |6>
+        jumps = [(Gamma, 4, 5)]  # (rate, from, to): the load |5> -> |6>
 
         def thermal(upper, lower, rate, energy, kT):
             n = bose_occupation(energy, kT)
@@ -359,19 +367,21 @@ class TestHermitianCrossCheck:
             M[6:] = M[:, 6:] = 0.0
         return M
 
-    def _assert_matches(self, matrix, p, kind):
-        ref = self._reference(p, kind)
+    def _assert_matches(self, matrix, p, kind, Gamma=0.0):
+        ref = self._reference(p, kind, Gamma)
         assert np.abs(matrix - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def _assert_both_builders_match(self, p, kind):
-        self._assert_matches(build_generator(p, kind).matrix, p, kind)
+        self._assert_matches(build_generator(p, kind, Gamma=1.0).matrix, p,
+                             kind, Gamma=1.0)
         self._assert_matches(
             build_generator_stack(p, kind, gamma_c=[p.gamma_c]).matrix[..., 0],
-            p.replace(Gamma=0.0), kind)
+            p, kind)
 
     def test_real_packing_matches_complex_equations(self):
         p = ModelParams().with_distance(3.0)
-        self._assert_matches(build_generator(p, "qdm").matrix, p, "qdm")
+        self._assert_matches(build_generator(p, "qdm", Gamma=1.0).matrix, p,
+                             "qdm", Gamma=1.0)
 
     # Assisted gaps of both signs: w1 - w3 = delta_e and w2 - w4 =
     # -delta_h; A1 and A2 put one pair on resonance, onto the floor.
@@ -400,9 +410,9 @@ class TestHermitianCrossCheck:
         stack = build_generator_stack(ModelParams(), kind,
                                       **_stack_fields(devices))
         for k, p in enumerate(devices):
-            self._assert_matches(build_generator(p, kind).matrix, p, kind)
-            self._assert_matches(stack.matrix[..., k], p.replace(Gamma=0.0),
-                                 kind)
+            self._assert_matches(build_generator(p, kind, Gamma=1.0).matrix,
+                                 p, kind, Gamma=1.0)
+            self._assert_matches(stack.matrix[..., k], p, kind)
 
 
 class TestGeneratorStack:
@@ -412,8 +422,7 @@ class TestGeneratorStack:
     def test_equals_single_device_builds(self, devices, kind):
         stack = build_generator_stack(ModelParams(), kind,
                                       **_stack_fields(devices))
-        singles = [build_generator(p.replace(Gamma=0.0), kind)
-                   for p in devices]
+        singles = [build_generator(p, kind) for p in devices]
         assert np.array_equal(stack.matrix,
                               np.stack([g.matrix for g in singles], axis=-1))
         assert stack.active == singles[0].active
@@ -447,9 +456,15 @@ class TestGeneratorStack:
         base = ModelParams().with_distance(4.0)
         stack = build_generator_stack(base, "qdm", gamma_c=[1.0, 50.0])
         for k, gc in enumerate((1.0, 50.0)):
-            want = build_generator(base.replace(gamma_c=gc, Gamma=0.0),
-                                   "qdm").matrix
+            want = build_generator(base.replace(gamma_c=gc), "qdm").matrix
             assert np.array_equal(stack.matrix[..., k], want)
+
+    @pytest.mark.parametrize("kind", ["qdm", "sqd"])
+    def test_zero_load_build_is_a_stack_entry(self, kind):
+        # Bit for bit: array_equal would let -0.0 stand for 0.0.
+        for p in (ModelParams(), ModelParams(gamma_13=0.1, kTs=3.0)):
+            assert (build_generator(p, kind).matrix.tobytes()
+                    == build_generator_stack(p, kind).matrix[..., 0].tobytes())
 
     def test_bad_requests_rejected(self):
         with pytest.raises(DomainError):

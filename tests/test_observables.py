@@ -11,43 +11,43 @@ from qdmcell import (BAND_ALIGNMENTS, ModelParams, VoltageUndefinedError,
                      absorption_fluxes, apply_band_alignment,
                      build_generator, iv_curve, max_power_point,
                      photovoltaic_point, solve_steady)
-from qdmcell.model import IDX_P11, IDX_P55, IDX_P66, N_STATE
-from qdmcell.steady import SteadyState
+from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P55, IDX_P66,
+                           IDX_RE13, IDX_RE24, N_STATE)
 
 _DEFAULT = ModelParams()
 _LEVELS = build_generator(_DEFAULT, "qdm").energies
 
 
-def _state(**components) -> SteadyState:
+def _state(**components) -> np.ndarray:
     x = np.zeros(N_STATE)
     for key, value in components.items():
         x[int(key[1:])] = value
-    return SteadyState(x=x, residual=0.0)
+    return x
 
 
-def _point(state: SteadyState, Gamma: float = 1.0):
+def _point(state: np.ndarray, Gamma: float = 1.0):
     # The default device's levels and lattice temperature.
     return photovoltaic_point(state, Gamma, _LEVELS, _DEFAULT.kTc)
 
 
-def _solved_point(params: ModelParams, kind: str):
-    g = build_generator(params, kind)
-    return photovoltaic_point(solve_steady(g), params.Gamma, g.energies,
-                              params.kTc)
+def _solved_point(params: ModelParams, kind: str, Gamma: float = 1.0):
+    g = build_generator(params, kind, Gamma=Gamma)
+    return photovoltaic_point(solve_steady(g), Gamma, g.energies, params.kTc)
 
 
 class TestCurrent:
     def test_open_circuit_is_zero(self):
-        pt = _solved_point(ModelParams(Gamma=0.0), "qdm")
+        pt = _solved_point(ModelParams(), "qdm", Gamma=0.0)
         assert pt.j == 0.0
         assert pt.P == 0.0
 
     def test_dark_cell_carries_nothing(self):
         # No pumping: the conduction side stays empty at any load, so no
         # current flows and the contact voltage is undefined.
-        ss = solve_steady(build_generator(ModelParams(kTs=1e-2), "qdm"))
-        assert ss.x[IDX_P11] <= 1e-15
-        assert ss.x[IDX_P55] <= 1e-15
+        ss = solve_steady(build_generator(ModelParams(kTs=1e-2), "qdm",
+                                          Gamma=1.0))
+        assert ss[IDX_P11] <= 1e-15
+        assert ss[IDX_P55] <= 1e-15
         with pytest.raises(VoltageUndefinedError):
             _point(ss)
 
@@ -92,7 +92,7 @@ class TestAbsorptionFluxes:
         # Oracle solve at the maximum-power load, independent of the
         # stacked solves inside the sweep.
         mpp = max_power_point(params, kind=kind)
-        g = build_generator(params.replace(Gamma=mpp.Gamma_star), kind)
+        g = build_generator(params, kind, Gamma=mpp.Gamma_star)
         ss = solve_steady(g)
         return g, ss, photovoltaic_point(ss, mpp.Gamma_star, g.energies,
                                          params.kTc)
@@ -105,13 +105,13 @@ class TestAbsorptionFluxes:
         p = apply_band_alignment(ModelParams(gamma_13=rate, gamma_24=rate),
                                  alignment)
         g, ss, pt = self._mpp_state(p, "qdm")
-        j1, j2 = absorption_fluxes(ss.x, g.matrix)
+        j1, j2 = absorption_fluxes(ss, g.matrix)
         assert j2 > 0.0
         assert j1 + j2 == pytest.approx(pt.j, rel=1e-10)
 
     def test_single_dot_has_no_second_channel(self):
         g, ss, pt = self._mpp_state(_DEFAULT, "sqd")
-        j1, j2 = absorption_fluxes(ss.x, g.matrix)
+        j1, j2 = absorption_fluxes(ss, g.matrix)
         assert j2 == 0.0
         assert j1 == pytest.approx(pt.j, rel=1e-10)
 
@@ -132,14 +132,16 @@ class TestCoherences:
 
 class TestPhotovoltaicPoint:
     def test_bundles_consistently(self):
-        p = _DEFAULT
-        g = build_generator(p, "qdm")
+        p, load = _DEFAULT, 1.0
+        g = build_generator(p, "qdm", Gamma=load)
         ss = solve_steady(g)
-        pt = photovoltaic_point(ss, p.Gamma, g.energies, p.kTc)
-        p55, p66 = ss.x[IDX_P55], ss.x[IDX_P66]
-        assert pt.Gamma == p.Gamma
+        pt = photovoltaic_point(ss, load, g.energies, p.kTc)
+        p55, p66 = ss[IDX_P55], ss[IDX_P66]
+        assert pt.Gamma == load
         assert pt.state is ss
-        assert pt.j == p.Gamma * p55
+        assert pt.j == load * p55
         assert pt.V == g.energies.e5_minus_e6 + p.kTc * math.log(p55 / p66)
         assert pt.P == pt.j * pt.V
-        assert (pt.coh13, pt.coh24) == (abs(ss.rho13), abs(ss.rho24))
+        assert (pt.coh13, pt.coh24) == (
+            abs(complex(ss[IDX_RE13], ss[IDX_IM13])),
+            abs(complex(ss[IDX_RE24], ss[IDX_IM24])))

@@ -16,7 +16,7 @@ from qdmcell.steady import RESIDUAL_TOL
 def _zero_generator():
     return build_generator(ModelParams(
         Te=0.0, Th=0.0, delta_e=0.0, delta_h=0.0, gamma1=0.0, gamma2=0.0,
-        gamma_c=0.0, gamma_v=0.0, Gamma=0.0), "qdm")
+        gamma_c=0.0, gamma_v=0.0), "qdm")
 
 
 class TestSolveSteady:
@@ -27,41 +27,41 @@ class TestSolveSteady:
     def test_disconnected_blocks_reported(self):
         # Cutting the tunneling and the second dot's pump leaves |4>
         # decoupled: one stationary state per block.
-        g = build_generator(ModelParams(Te=0.0, Th=0.0, gamma2=0.0), "qdm")
+        g = build_generator(ModelParams(Te=0.0, Th=0.0, gamma2=0.0), "qdm",
+                            Gamma=1.0)
         with pytest.raises(DegenerateSteadyStateError) as exc:
             solve_steady(g)
         assert "multiple steady states" in str(exc.value)
 
     def test_block_restriction_pins_decoupled_states(self):
-        g = build_generator(ModelParams(Te=0.0, Th=0.0, gamma2=0.0), "qdm")
+        g = build_generator(ModelParams(Te=0.0, Th=0.0, gamma2=0.0), "qdm",
+                            Gamma=1.0)
         # The block of |1>: |4> and the coherences decouple.
-        ss = solve_steady(replace(
+        x = solve_steady(replace(
             g, active=(IDX_P11, IDX_P22, IDX_P33, IDX_P55, IDX_P66)))
-        assert ss.x[IDX_P44] == 0.0
-        assert ss.populations.sum() == pytest.approx(1.0, abs=1e-12)
+        assert x[IDX_P44] == 0.0
+        assert x[:6].sum() == pytest.approx(1.0, abs=1e-12)
         # With the interdot cycle cut, nothing can reach the conduction
         # contact: the degenerate molecule carries no current.
-        assert abs(ss.x[IDX_P55]) <= 1e-12
+        assert abs(x[IDX_P55]) <= 1e-12
 
     def test_normalization_and_positivity(self):
         for kind in ("qdm", "sqd"):
-            ss = solve_steady(build_generator(ModelParams(), kind))
-            pops = ss.populations
+            pops = solve_steady(build_generator(ModelParams(), kind,
+                                                Gamma=1.0))[:6]
             assert pops.sum() == pytest.approx(1.0, abs=1e-12)
             assert pops.min() >= 0.0
 
     def test_residual_within_tolerance(self):
-        g = build_generator(ModelParams(), "qdm")
-        ss = solve_steady(g)
-        assert ss.residual <= RESIDUAL_TOL * g.max_rate
-        assert residual(g, ss.x) == ss.residual
+        g = build_generator(ModelParams(), "qdm", Gamma=1.0)
+        x = solve_steady(g)
+        assert residual(g, x) <= RESIDUAL_TOL * g.max_rate
+        assert x.shape == (N_STATE,) and not x.flags.writeable
 
     def test_deterministic_bit_identical(self):
-        g = build_generator(ModelParams().with_distance(3.0), "qdm")
-        a = solve_steady(g)
-        b = solve_steady(g)
-        assert (a.x == b.x).all()
-        assert a.residual == b.residual
+        g = build_generator(ModelParams().with_distance(3.0), "qdm",
+                            Gamma=1.0)
+        assert (solve_steady(g) == solve_steady(g)).all()
 
 
 class TestResidual:
@@ -87,7 +87,7 @@ class TestEvolve:
         load = 2.0
         g = build_generator(ModelParams(
             Te=0.0, Th=0.0, delta_e=0.0, delta_h=0.0, gamma1=0.0,
-            gamma2=0.0, gamma_c=0.0, gamma_v=0.0, Gamma=load), "qdm")
+            gamma2=0.0, gamma_c=0.0, gamma_v=0.0), "qdm", Gamma=load)
         x0 = np.zeros(N_STATE)
         x0[IDX_P55] = 1.0
         t = 1.3
@@ -105,16 +105,16 @@ class TestEvolve:
 
     def test_long_time_limit_matches_steady_state(self):
         # Two different initial states must forget where they started.
-        p = ModelParams()
-        g = build_generator(p, "qdm")
+        p, load = ModelParams(), 1.0
+        g = build_generator(p, "qdm", Gamma=load)
         ss = solve_steady(g)
-        t = 50.0 / min(p.gamma_v, p.gamma1, p.Gamma)
+        t = 50.0 / min(p.gamma_v, p.gamma1, load)
         dt = 0.08 / g.max_rate
         for start in (IDX_P11, IDX_P66):
             x0 = np.zeros(N_STATE)
             x0[start] = 1.0
             x = evolve(g, x0, t, dt)
-            assert np.abs(x - ss.x).max() <= 1e-6
+            assert np.abs(x - ss).max() <= 1e-6
 
     def test_step_size_guard(self):
         g = build_generator(ModelParams(), "qdm")

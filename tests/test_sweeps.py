@@ -134,7 +134,7 @@ class TestIvCurve:
         assert curve.n_dropped == 0
         gamma, got = curve.column("Gamma")[0], curve.column("V")[0]
         assert gamma == GridSpec().gamma_min
-        g = build_generator(p.replace(Gamma=gamma), kind)
+        g = build_generator(p, kind, Gamma=gamma)
 
         def voltage(mpmath, x):
             assert x[IDX_P55] > 0
@@ -185,8 +185,8 @@ class TestMaxPowerPoint:
     def test_molecule_eta_charges_each_channel_at_its_gap(self, alignment):
         p = apply_band_alignment(ModelParams(), alignment)
         mpp = max_power_point(p, kind="qdm")
-        g = build_generator(p.replace(Gamma=mpp.Gamma_star), "qdm")
-        j1, j2 = absorption_fluxes(solve_steady(g).x, g.matrix)
+        g = build_generator(p, "qdm", Gamma=mpp.Gamma_star)
+        j1, j2 = absorption_fluxes(solve_steady(g), g.matrix)
         supplied = g.energies.E12 * j1 + g.energies.E34 * j2
         assert mpp.eta == pytest.approx(mpp.P_m / supplied, rel=1e-10)
         # Dot 2 absorbs below E12, so charging it at E12 understates eta.
@@ -327,12 +327,12 @@ class TestRelativeCurrentGain:
         # Cutting both tunnelings breaks the photocurrent cycle (which
         # spans both dots), so the degenerate molecule cannot deliver
         # power: the only stationary current is zero.
-        p = ModelParams(Te=0.0, Th=0.0, gamma2=0.0)
+        p, load = ModelParams(Te=0.0, Th=0.0, gamma2=0.0), 1.0
         # Solved on the block of |1>: |4> and the coherences decouple.
-        ss = solve_steady(replace(
-            build_generator(p, "qdm"),
+        x = solve_steady(replace(
+            build_generator(p, "qdm", Gamma=load),
             active=(IDX_P11, IDX_P22, IDX_P33, IDX_P55, IDX_P66)))
-        assert abs(p.Gamma * ss.x[IDX_P55]) <= 1e-12
+        assert abs(load * x[IDX_P55]) <= 1e-12
         # Sweeps refuse the degenerate build outright rather than
         # reporting a meaningless gain.
         with pytest.raises(DegenerateSteadyStateError):
@@ -407,8 +407,8 @@ class TestGammaGridScan:
         assert np.isnan(batch.P_m[[0, 2]]).all()
         assert batch.P_m[1] == max_power_batch(ModelParams()).P_m[0]
         # The dark cell's steady state exists; its contact is empty.
-        ss = solve_steady(build_generator(dark, "qdm"))
-        assert ss.x[IDX_P55] <= 1e-300
+        x = solve_steady(build_generator(dark, "qdm", Gamma=1.0))
+        assert x[IDX_P55] <= 1e-300
 
 
 class TestEfficiencyVsDistance:
@@ -477,9 +477,9 @@ class TestPhononAssistedComparison:
 
 
 def _batch_fields(devices) -> dict:
-    """Every field but the load of each device, as batch arrays."""
+    """Every field of each device, as batch arrays."""
     return {f.name: np.array([getattr(p, f.name) for p in devices])
-            for f in fields(ModelParams) if f.name != "Gamma"}
+            for f in fields(ModelParams)}
 
 
 def _device(d, gc, gv, g_ph, alignment) -> ModelParams:
@@ -531,14 +531,14 @@ class TestLoadSweepProperties:
            log_gamma=st.floats(min_value=-6.0, max_value=6.0))
     def test_closed_form_matches_direct_solve(self, p, kind, log_gamma):
         gamma = 10.0 ** log_gamma
-        direct = solve_steady(build_generator(p.replace(Gamma=gamma), kind))
+        direct = solve_steady(build_generator(p, kind, Gamma=gamma))
         closed = _device_chain(p, kind).states(gamma)[:, 0]
-        assert np.abs(closed - direct.x).max() <= 1e-10
+        assert np.abs(closed - direct).max() <= 1e-10
 
     @settings(max_examples=50, deadline=None)
     @given(p=_devices, kind=_kinds)
     def test_open_circuit_voltage_is_zero_load_state(self, p, kind):
-        g = build_generator(p.replace(Gamma=0.0), kind)
+        g = build_generator(p, kind)
         want = photovoltaic_point(solve_steady(g), 0.0, g.energies, p.kTc).V
         assert open_circuit_voltage(p, kind).value == pytest.approx(
             want, rel=1e-9)
@@ -659,15 +659,14 @@ class TestMaxPowerBatch:
         assert batch.errors == (None,) * len(devices)
         for k, p in enumerate(devices):
             gamma = float(batch.Gamma_star[k])
-            g = build_generator(p.replace(Gamma=gamma), kind)
-            ss = solve_steady(g)
-            j1, j2 = absorption_fluxes(ss.x, g.matrix)
-            j = gamma * ss.x[IDX_P55]
-            V = photovoltaic_point(ss, gamma, g.energies, p.kTc).V
-            want = {"j_mpp": j, "V_mpp": V,
-                    "eta": j * V / (g.energies.E12 * j1
-                                    + g.energies.E34 * j2),
-                    "coh13": abs(ss.rho13), "coh24": abs(ss.rho24)}
+            g = build_generator(p, kind, Gamma=gamma)
+            x = solve_steady(g)
+            j1, j2 = absorption_fluxes(x, g.matrix)
+            pt = photovoltaic_point(x, gamma, g.energies, p.kTc)
+            want = {"j_mpp": pt.j, "V_mpp": pt.V,
+                    "eta": pt.P / (g.energies.E12 * j1
+                                   + g.energies.E34 * j2),
+                    "coh13": pt.coh13, "coh24": pt.coh24}
             for name, value in want.items():
                 assert getattr(batch, name)[k] == pytest.approx(
                     value, rel=1e-9, abs=0.0)
@@ -682,7 +681,7 @@ class TestMaxPowerBatch:
            log_gamma=st.floats(min_value=-6.0, max_value=6.0))
     def test_populations_match_high_precision_solve(self, p, kind, log_gamma):
         gamma = 10.0 ** log_gamma
-        g = build_generator(p.replace(Gamma=gamma), kind)
+        g = build_generator(p, kind, Gamma=gamma)
         pops = [i for i in g.active if i in POPULATION_INDICES]
         got = _device_chain(p, kind).states(gamma)[pops, 0]
         want = np.array(_high_precision_solve(
@@ -728,7 +727,7 @@ def _coherences(p: ModelParams, gamma: float) -> tuple:
     got = np.array([complex(x[IDX_RE13], x[IDX_IM13]),
                     complex(x[IDX_RE24], x[IDX_IM24])])
     want = np.array(_high_precision_solve(
-        build_generator(p.replace(Gamma=gamma), "qdm"), 60,
+        build_generator(p, "qdm", Gamma=gamma), 60,
         lambda mpmath, x: [complex(x[re], x[im]) for re, im in (
             (IDX_RE13, IDX_IM13), (IDX_RE24, IDX_IM24))]))
     return got, want
