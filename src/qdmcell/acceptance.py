@@ -10,6 +10,7 @@ qualitative ordering and reports the best-achieved value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ import numpy as np
 from .analytics import (asymptotic_current_qdm, asymptotic_current_sqd,
                         coherence_linearity_check, current_ratio_bound,
                         tls_saturation_threshold, tls_steady, TlsParams)
+from .errors import NUMERICAL_ERRORS
 from .model import (IDX_P55, N_STATE, ModelParams, build_generator,
                     build_generator_stack, thermal_occupations)
 from .steady import evolve, residual, solve_steady
@@ -36,6 +38,13 @@ GUIMARD_SQD = ModelParams(E12=920.0, gamma1=0.19, gamma_c=100.0,
 # Identical tunnel-coupled dots with the same gap, 2 nm barrier.
 GUIMARD_QDM = GUIMARD_SQD.replace(delta_e=0.0, delta_h=0.0,
                                   gamma2=0.19).with_distance(2.0)
+
+# Each criterion's name, by number, as its verdict line gives it.
+NAMES = dict(enumerate((
+    "single-dot calibration", "molecule calibration (identical dots, 2 nm)",
+    "relative gains at 2 nm", "escape-rate grid scan ceiling",
+    "strong-tunneling asymptotics", "efficiency bounds across alignments",
+    "phonon-assisted tunneling gains", "property suite"), start=1))
 
 
 @dataclass
@@ -101,7 +110,7 @@ def _within(value: float, target: float, rel: float) -> bool:
 
 
 def criterion_1(cal: Calibration) -> CriterionResult:
-    r = CriterionResult(1, "single-dot calibration", True)
+    r = CriterionResult(1, NAMES[1], True)
     r.note(f"calibrated hbar_gamma = {cal.hbar_gamma:g} meV")
     low, high = min(HBAR_GAMMA_CANDIDATES), max(HBAR_GAMMA_CANDIDATES)
     edge = {low: "lowest", high: "highest"}.get(cal.hbar_gamma)
@@ -119,7 +128,7 @@ def criterion_1(cal: Calibration) -> CriterionResult:
 
 
 def criterion_2(cal: Calibration) -> CriterionResult:
-    r = CriterionResult(2, "molecule calibration (identical dots, 2 nm)", True)
+    r = CriterionResult(2, NAMES[2], True)
     quant = (_within(cal.qdm_jsc, 0.0300, 0.10)
              and _within(cal.qdm_Pm, 22.28, 0.10))
     r.note(f"jsc = {cal.qdm_jsc:.5f} e*gamma (target 0.0300 +- 10%), "
@@ -151,7 +160,7 @@ def criterion_2(cal: Calibration) -> CriterionResult:
 
 
 def criterion_3() -> CriterionResult:
-    r = CriterionResult(3, "relative gains at 2 nm", True)
+    r = CriterionResult(3, NAMES[3], True)
     targets = {(100.0, 0.05): (0.07, 0.09), (50.0, 5.0): (0.31, 0.32)}
     for (gc, gv), (dj_t, dp_t) in targets.items():
         p = ModelParams(gamma_c=gc, gamma_v=gv).with_distance(2.0)
@@ -166,7 +175,7 @@ def criterion_3() -> CriterionResult:
 
 
 def criterion_4() -> CriterionResult:
-    r = CriterionResult(4, "escape-rate grid scan ceiling", True)
+    r = CriterionResult(4, NAMES[4], True)
     p = ModelParams()
     scan2 = gamma_grid_scan(p.with_distance(2.0))
     dj = scan2.delta_j
@@ -194,7 +203,7 @@ def criterion_4() -> CriterionResult:
 
 
 def criterion_5() -> CriterionResult:
-    r = CriterionResult(5, "strong-tunneling asymptotics", True)
+    r = CriterionResult(5, NAMES[5], True)
     p = ModelParams(delta_e=0.0, delta_h=0.0, Te=50.0, Th=50.0,
                     gamma_c=1000.0, gamma_v=1.0)
     load = 1e4
@@ -219,7 +228,7 @@ def criterion_5() -> CriterionResult:
 
 
 def criterion_6() -> CriterionResult:
-    r = CriterionResult(6, "efficiency bounds across alignments", True)
+    r = CriterionResult(6, NAMES[6], True)
     rows = efficiency_vs_distance(ModelParams())
     r.check(all(row.eta < CARNOT_LIMIT for row in rows),
             f"eta < {CARNOT_LIMIT} for all alignments and distances "
@@ -254,7 +263,7 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    r = CriterionResult(7, "phonon-assisted tunneling gains", True)
+    r = CriterionResult(7, NAMES[7], True)
     rows = phonon_assisted_comparison(ModelParams(), rates=(0.001, 0.01))
     def gain(gc, gv, d, g_ph):
         return next(x.delta_Pm for x in rows
@@ -288,7 +297,7 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
-    r = CriterionResult(8, "property suite", True)
+    r = CriterionResult(8, NAMES[8], True)
     rng = np.random.default_rng(seed)
 
     worst = 0.0
@@ -391,14 +400,20 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list:
-    cal = calibrate()
-    return [
-        criterion_1(cal),
-        criterion_2(cal),
-        criterion_3(),
-        criterion_4(),
-        criterion_5(),
-        criterion_6(),
-        criterion_7(),
-        criterion_8(seed=seed),
-    ]
+    """Every criterion in order.  One that raises a numerical error fails,
+    with that error as its one detail line, and the rest still run; an
+    error from ``calibrate`` fails criteria 1 and 2."""
+    # One calibration serves criteria 1 and 2, unless it raises.
+    cal = functools.cache(calibrate)
+    checks = (lambda: criterion_1(cal()), lambda: criterion_2(cal()),
+              criterion_3, criterion_4, criterion_5, criterion_6,
+              criterion_7, lambda: criterion_8(seed=seed))
+    results = []
+    for number, check in enumerate(checks, start=1):
+        try:
+            results.append(check())
+        except NUMERICAL_ERRORS as exc:
+            results.append(CriterionResult(
+                number, NAMES[number], False,
+                [f"FAIL raised {type(exc).__name__}: {exc}"]))
+    return results

@@ -15,10 +15,8 @@ from dataclasses import dataclass, fields
 
 from . import __version__
 from .acceptance import DEFAULT_SEED, calibrate, run_all
-from .errors import (BoundaryMaximumError, ConfigError,
-                     DegenerateSteadyStateError, DomainError,
-                     InvalidGeometryError, NumericalSolveError, StepSizeError,
-                     UndefinedEfficiencyError, VoltageUndefinedError)
+from .errors import (NUMERICAL_ERRORS, ConfigError, DomainError,
+                     InvalidGeometryError)
 from .model import BAND_ALIGNMENTS, ModelParams, apply_band_alignment
 from .sweeps import (GridSpec, efficiency_vs_distance, gamma_grid_scan,
                      iv_curve, max_power_point, phonon_assisted_comparison)
@@ -360,9 +358,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidGeometryError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalSolveError, DegenerateSteadyStateError,
-            BoundaryMaximumError, VoltageUndefinedError,
-            UndefinedEfficiencyError, StepSizeError) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

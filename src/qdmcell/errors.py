@@ -36,3 +36,10 @@ class UndefinedEfficiencyError(ValueError):
 
 class ConfigError(ValueError):
     """Bad key, value, or file in a run configuration."""
+
+
+# A computation that fails numerically, not on its input: the CLI exits 3,
+# and ``verify`` fails the criterion that raised and runs the rest.
+NUMERICAL_ERRORS = (NumericalSolveError, DegenerateSteadyStateError,
+                    BoundaryMaximumError, VoltageUndefinedError,
+                    UndefinedEfficiencyError, StepSizeError)

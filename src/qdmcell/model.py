@@ -125,7 +125,7 @@ _FIELD_RULES = (
 
 @dataclass(frozen=True)
 class ModelParams:
-    """All physical inputs.
+    """All physical inputs of a device; the load rate is a sweep axis.
 
     Energies in meV; every rate is a multiple of the reference radiative
     rate gamma.  ``hbar_gamma`` converts tunneling/detuning energies
@@ -468,9 +468,9 @@ def build_generator_stack(params: ModelParams, kind: str,
     field names to equal-length arrays, one entry per device.  The stack
     fills the same channels as ``build_generator``, so entry for entry it
     equals the matrices of ``build_generator(device, kind)``, device k's
-    at ``matrix[..., k]``.  An input error
-    (``DomainError``, ``InvalidGeometryError``) is raised once, for the
-    first device that has one, by building it on the single-device path.
+    at ``matrix[..., k]``.  An input error (``DomainError``,
+    ``InvalidGeometryError``) is raised once, for the first device that
+    has one, by building it on the single-device path.
     """
     c, ok = _stack_columns(params, varied)
     e = _place_levels(c, kind)

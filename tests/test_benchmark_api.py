@@ -1,7 +1,8 @@
 """The benchmark's hold on the public API, read from perfbench/ as it
-stands: the functions its tracer wraps by name, and the single-device
-request it times.  A name the benchmark still reads cannot be deleted
-before the benchmark drops it."""
+stands: the functions its tracer wraps by name, the single-device
+request it times, and the calls its per-layer cross-check times.  A name
+the benchmark still reads cannot be deleted before the benchmark drops
+it."""
 
 import importlib
 import json
@@ -13,7 +14,7 @@ import pytest
 import qdmcell
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-_BENCH_MODULES = ("layers", "request", "tracer", "workloads")
+_BENCH_MODULES = ("crosscheck", "layers", "request", "tracer", "workloads")
 
 
 @pytest.fixture
@@ -44,3 +45,11 @@ def test_device_sweep_request_returns_every_key(bench):
     assert set(got) == {"P_m", "V_mpp", "j_mpp", "eta", "Voc", "jsc", "kTc",
                         "kTs"}
     assert bench["workloads"].check_request(entry, got) == []
+
+
+def test_crosscheck_cases_run(bench):
+    cases = bench["crosscheck"].cases(qdmcell)
+    assert {name for name, _, _ in cases} == set(
+        bench["crosscheck"].BASELINE_MS)
+    for _, _, call in cases:
+        call()

@@ -11,7 +11,8 @@ import qdmcell
 from qdmcell import cli
 from qdmcell.cli import (_COMMANDS, _KEY_UNITS, build_config, main,
                          read_config_file)
-from qdmcell.errors import ConfigError
+from qdmcell.errors import (ConfigError, DegenerateSteadyStateError,
+                            NumericalSolveError)
 from qdmcell.sweeps import gamma_grid_scan
 
 NUMERIC_KEYS = [k for k in _KEY_UNITS if k not in ("kind", "alignment")]
@@ -414,3 +415,24 @@ class TestCalibrateAndVerify:
         assert len(lines) == 8
         assert all(("[PASS]" in ln) or ("[FAIL]" in ln) for ln in lines)
         assert code == 0
+
+    @pytest.mark.parametrize("target, error, failed", [
+        ("calibrate", NumericalSolveError("residual too large"), (1, 2)),
+        ("gamma_grid_scan", DegenerateSteadyStateError("two classes"), (4,))])
+    def test_verify_reports_every_criterion_when_one_raises(
+            self, capsys, monkeypatch, target, error, failed):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(qdmcell.acceptance, target, fail)
+        code, out, err = _run(capsys, "verify")
+        verdicts = re.findall(r"^criterion (\d+) \[(PASS|FAIL)\] (.+)$", out,
+                              re.MULTILINE)
+        assert [int(k) for k, _, _ in verdicts] == list(range(1, 9))
+        assert [int(k) for k, v, _ in verdicts if v == "FAIL"] == list(failed)
+        raised = f"    FAIL raised {type(error).__name__}: {error}\n"
+        for k in failed:
+            name = qdmcell.acceptance.NAMES[k]
+            assert f"criterion {k} [FAIL] {name}\n{raised}" in out
+        assert out.endswith(f"{8 - len(failed)}/8 criteria passed\n")
+        assert (code, err) == (3, "")

@@ -14,40 +14,64 @@ from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      DomainError, GridSpec, InvalidGeometryError, ModelParams,
                      UndefinedEfficiencyError, VoltageUndefinedError,
                      absorption_fluxes,
-                     apply_band_alignment, build_generator,
+                     apply_band_alignment, bose_occupation, build_generator,
+                     current_ratio_bound,
                      efficiency_vs_distance, gamma_grid_scan, iv_curve,
                      max_power_point, open_circuit_voltage,
                      phonon_assisted_comparison, photovoltaic_point,
                      relative_current_gain, short_circuit_current,
-                     solve_steady)
+                     solve_steady, tunneling_from_distance)
 from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P22, IDX_P33,
-                           IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
-                           POPULATION_INDICES, GeneratorStack)
+                           IDX_P44, IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
+                           N_STATE, POPULATION_INDICES, GeneratorStack)
 from qdmcell.observables import _POPULATION_GUARD
 from qdmcell.sweeps import (ChainForm, MaxPowerPoint, _device_chain, _gth,
                             _max_power, _short_circuit_load,
                             max_power_batch)
 
-def _high_precision_solve(g, digits: int, read):
+def _gauss(A: list) -> list:
+    """Solution of the augmented system ``A`` (rows of mpmath numbers, the
+    right-hand side last) by Gaussian elimination with partial pivoting,
+    at the working precision; zero entries are skipped."""
+    n = len(A)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(A[i][k]))
+        A[k], A[p] = A[p], A[k]
+        for row in A[k + 1:]:
+            if row[k]:
+                f = row[k] / A[k][k]
+                for j in range(k + 1, n + 1):
+                    row[j] -= f * A[k][j]
+    x = [0] * n
+    for k in reversed(range(n)):
+        x[k] = (A[k][n] - mpmath.fsum(A[k][j] * x[j]
+                                      for j in range(k + 1, n))) / A[k][k]
+    return x
+
+
+def _high_precision_solve(g, digits: int, read, load=0):
     """``read(mpmath, x)`` at ``digits`` digits, with x the stationary
-    state of generator ``g`` (indexed by state component) solved by
-    mpmath at that precision, the |6> row traded for the normalization.
-    Each population diagonal is rebuilt in mpmath as minus the other
+    state of generator ``g`` (indexed by state component) solved at that
+    precision, the |6> row traded for the normalization.  ``load``, an
+    mpmath number, is added exactly to g's load rate |5> -> |6>.  Each
+    population diagonal is rebuilt in mpmath as minus the other
     population entries of its column, so the reference conserves the
     trace exactly, as the chain form does, and not only to the rounding
     of the diagonal as built.
     """
     active = list(g.active)
     pops = [c for c, i in enumerate(active) if i in POPULATION_INDICES]
-    r6 = active.index(IDX_P66)
+    r5, r6 = active.index(IDX_P55), active.index(IDX_P66)
     with mpmath.workdps(digits):
-        B = mpmath.matrix(g.matrix[np.ix_(active, active)].tolist())
+        B = [[mpmath.mpf(v) for v in row]
+             for row in g.matrix[np.ix_(active, active)].tolist()]
+        B[r6][r5] += load
         for c in pops:
-            B[c, c] = -mpmath.fsum(B[r, c] for r in pops if r != c)
-        for c in range(len(active)):
-            B[r6, c] = 1 if c in pops else 0
-        sol = mpmath.lu_solve(B, mpmath.matrix(
-            [int(c == r6) for c in range(len(active))]))
+            B[c][c] = -mpmath.fsum(B[r][c] for r in pops if r != c)
+        B[r6] = [int(c in pops) for c in range(len(active))]
+        for c, row in enumerate(B):
+            row.append(int(c == r6))
+        sol = _gauss(B)
         return read(mpmath, {i: sol[c] for c, i in enumerate(active)})
 
 
@@ -411,6 +435,36 @@ class TestGammaGridScan:
         assert x[IDX_P55] <= 1e-300
 
 
+class TestIdenticalDots:
+    def test_current_gain_stays_below_the_ceiling(self):
+        # Identical dots (delta_e = delta_h = 0, gamma1 = gamma2, no
+        # assisted tunneling): the molecule's j_mpp over the single dot's
+        # stays below (4nv+2)/(3nv+2), its strong-tunneling limit, across
+        # this domain.  The closest device comes within 2.6e-5 of it.
+        rng = np.random.default_rng(5)
+        n = 10_000
+
+        def log_uniform(lo, hi):
+            return 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+
+        gamma, delta_v = log_uniform(0.22, 3.3), rng.uniform(2.0, 16.4, n)
+        te, th = np.array([tunneling_from_distance(d)
+                           for d in rng.uniform(0.5, 25.0, n)]).T
+        cells = dict(kTs=log_uniform(46.0, 1099.0), gamma1=gamma,
+                     gamma2=gamma, delta_v=delta_v, Te=te, Th=th,
+                     gamma_c=log_uniform(1e-2, 1e5),
+                     gamma_v=log_uniform(1e-5, 1e3))
+        base = ModelParams(delta_e=0.0, delta_h=0.0)
+        qdm = max_power_batch(base, kind="qdm", **cells)
+        sqd = max_power_batch(base, kind="sqd", **cells)
+        ok = np.isfinite(qdm.j_mpp) & np.isfinite(sqd.j_mpp)
+        assert ok.mean() >= 0.99
+        bound = np.array([current_ratio_bound(bose_occupation(dv, base.kTc))
+                          for dv in delta_v])
+        ratio = qdm.j_mpp[ok] / sqd.j_mpp[ok]
+        assert (ratio <= bound[ok] * (1.0 + 1e-12)).all()
+
+
 class TestEfficiencyVsDistance:
     def test_alignment_sweep_rows(self):
         rows = efficiency_vs_distance(ModelParams(), d_grid=(2.0, 10.0),
@@ -718,6 +772,97 @@ class TestMaxPowerBatch:
         # One elimination for x_a and x_b peaks at 5.5 MiB, one for each
         # at 7.4 MiB.
         assert peak < 6.5 * 2 ** 20
+
+
+def _high_precision_maximum(p: ModelParams, kind: str, gamma0: float):
+    """Device ``p``'s maximum-power point at 40 digits: the root of
+    dP/d ln Gamma by ``mpmath.findroot`` on ``mpmath.diff``, from
+    ln ``gamma0``, with every state from ``_high_precision_solve`` at the
+    working precision.  Maps Gamma_star, P_m, j_mpp, V_mpp and eta to
+    (value, cancellation factor of its float formula): V = (E5 - E6) +
+    kTc ln(rho55/rho66) cancels where V is small against E5 - E6, which
+    Gamma*, j and P inherit through V, and the supplied power
+    E12 J1 + E34 J2 cancels where each pump nearly balances."""
+    g = build_generator(p, kind)
+    e, M = g.energies, g.matrix
+
+    def at(ln_gamma):
+        def read(mpmath, x):
+            gamma = mpmath.exp(ln_gamma)
+            entropic = p.kTc * mpmath.log(x[IDX_P55] / x[IDX_P66])
+            pumps = [e.E12 * M[IDX_P11, IDX_P22] * x[IDX_P22],
+                     -e.E12 * M[IDX_P22, IDX_P11] * x[IDX_P11],
+                     e.E34 * M[IDX_P33, IDX_P44] * x.get(IDX_P44, 0),
+                     -e.E34 * M[IDX_P44, IDX_P33] * x.get(IDX_P33, 0)]
+            return gamma, gamma * x[IDX_P55], entropic, pumps
+        return _high_precision_solve(g, mpmath.mp.dps, read,
+                                     load=mpmath.exp(ln_gamma))
+
+    def power(ln_gamma):
+        _, j, entropic, _ = at(ln_gamma)
+        return j * (e.e5_minus_e6 + entropic)
+
+    with mpmath.workdps(40):
+        gamma, j, entropic, pumps = at(mpmath.findroot(
+            lambda t: mpmath.diff(power, t), mpmath.log(gamma0)))
+        V = e.e5_minus_e6 + entropic
+        supplied = mpmath.fsum(pumps)
+        k_V = (abs(e.e5_minus_e6) + abs(entropic)) / abs(V)
+        k_S = mpmath.fsum(abs(t) for t in pumps) / abs(supplied)
+        return {name: (float(value), float(cond)) for name, value, cond in (
+            ("Gamma_star", gamma, k_V), ("P_m", j * V, k_V),
+            ("j_mpp", j, k_V), ("V_mpp", V, k_V),
+            ("eta", j * V / supplied, k_V + k_S))}
+
+
+class TestHighPrecisionMaximum:
+    def test_elimination_matches_mpmath_lu_solve(self):
+        # A generator is singular; shifted by -1 it is not.
+        g = build_generator(ModelParams(gamma_13=0.01, gamma_24=0.01),
+                            "qdm", Gamma=1.0)
+        A = [[mpmath.mpf(v) for v in row]
+             for row in (g.matrix - np.eye(N_STATE)).tolist()]
+        b = [mpmath.mpf(k) for k in range(1, N_STATE + 1)]
+        with mpmath.workdps(40):
+            want = mpmath.lu_solve(mpmath.matrix(A), mpmath.matrix(b))
+            got = _gauss([row + [v] for row, v in zip(A, b)])
+            assert all(abs(got[i] - want[i]) <= mpmath.mpf(10) ** -36
+                       * abs(want[i]) for i in range(N_STATE))
+
+    def test_maxima_match_40_digit_maxima(self):
+        # Both routes' maxima of seeded wide devices and of the devices
+        # behind criteria 3 and 7, to 1e-14 relative times the
+        # cancellation factor of each quantity's formula.  In this sample
+        # that factor reaches 189 for V and 248 for eta, where a flat
+        # 1e-14 fails V_mpp, P_m and eta (1.1e-14); every error stays
+        # below 5e-16 times its factor.  The search starts from the
+        # curve's grid argmax, not from Gamma*.
+        rng = np.random.default_rng(7)
+        wide = [_wide_device(
+            **{name: 10.0 ** rng.uniform(lo, hi)
+               for name, (lo, hi) in _WIDE_LOG10.items()},
+            g_ph=rng.choice(_WIDE_G_PH), d=rng.uniform(*_WIDE_D),
+            alignment=rng.choice(BAND_ALIGNMENTS)) for _ in range(20)]
+        rate_sets = ((100.0, 0.05), (50.0, 5.0))
+        gains = [ModelParams(gamma_c=gc, gamma_v=gv).with_distance(2.0)
+                 for gc, gv in rate_sets]
+        assisted = [ModelParams(gamma_c=gc, gamma_v=gv, gamma_13=g_ph,
+                                gamma_24=g_ph).with_distance(d)
+                    for gc, gv in rate_sets for d in (2.0, 10.0)
+                    for g_ph in (0.001, 0.01)]
+        for kind, devices in (("qdm", wide + gains + assisted),
+                              ("sqd", wide + gains)):
+            batch = max_power_batch(ModelParams(), kind=kind,
+                                    **_batch_fields(devices))
+            for k, p in enumerate(devices):
+                curve = iv_curve(p, kind=kind)
+                alone = max_power_point(curve=curve)
+                start = curve.column("Gamma")[curve.column("P").argmax()]
+                for name, (want, cond) in _high_precision_maximum(
+                        p, kind, start).items():
+                    for got in (getattr(alone, name), getattr(batch, name)[k]):
+                        assert abs(got - want) <= 1e-14 * cond * abs(want), (
+                            name, kind, p)
 
 
 def _coherences(p: ModelParams, gamma: float) -> tuple:
