@@ -19,7 +19,7 @@ import numpy as np
 from .analytics import (asymptotic_current_qdm, asymptotic_current_sqd,
                         coherence_linearity_check, current_ratio_bound,
                         tls_saturation_threshold, tls_steady, TlsParams)
-from .errors import NUMERICAL_ERRORS
+from .errors import NUMERICAL_ERRORS, NumericalSolveError
 from .model import (IDX_P55, N_STATE, ModelParams, build_generator,
                     build_generator_stack, thermal_occupations)
 from .steady import evolve, residual, solve_steady
@@ -179,6 +179,9 @@ def criterion_4() -> CriterionResult:
     p = ModelParams()
     scan2 = gamma_grid_scan(p.with_distance(2.0))
     dj = scan2.delta_j
+    if np.isnan(dj).all():  # no maximum to place
+        raise NumericalSolveError("every cell of the d=2 scan failed, the "
+                                  f"first with {scan2.failures[0][2]}")
     iv, ic = np.unravel_index(np.nanargmax(dj), dj.shape)
     gv_star = scan2.gamma_v_values[iv]
     gc_star = scan2.gamma_c_values[ic]
@@ -401,9 +404,8 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def run_all(seed: int = DEFAULT_SEED) -> list:
     """Every criterion in order.  One that raises a numerical error fails,
-    with that error as its one detail line, and the rest still run; an
-    error from ``calibrate`` fails criteria 1 and 2."""
-    # One calibration serves criteria 1 and 2, unless it raises.
+    with that error as its one detail line, and the rest still run;
+    criteria 1 and 2 share one ``calibrate``, and fail if it raises."""
     cal = functools.cache(calibrate)
     checks = (lambda: criterion_1(cal()), lambda: criterion_2(cal()),
               criterion_3, criterion_4, criterion_5, criterion_6,

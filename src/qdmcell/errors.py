@@ -38,8 +38,7 @@ class ConfigError(ValueError):
     """Bad key, value, or file in a run configuration."""
 
 
-# A computation that fails numerically, not on its input: the CLI exits 3,
-# and ``verify`` fails the criterion that raised and runs the rest.
+# Numerical failures, not input errors: the CLI exits 3 on them.
 NUMERICAL_ERRORS = (NumericalSolveError, DegenerateSteadyStateError,
                     BoundaryMaximumError, VoltageUndefinedError,
                     UndefinedEfficiencyError, StepSizeError)

@@ -8,8 +8,10 @@ document the achieved values next to the targets.
 import dataclasses
 import time
 
+import numpy as np
 import pytest
 
+from qdmcell import GammaGridScan, NumericalSolveError, acceptance
 from qdmcell.acceptance import (HBAR_GAMMA_CANDIDATES, Calibration,
                                 calibrate, criterion_1, criterion_2,
                                 criterion_3, criterion_4, criterion_5,
@@ -69,6 +71,19 @@ def test_criterion_3_relative_gains():
 
 def test_criterion_4_grid_scan_ceiling():
     _report(criterion_4())
+
+
+def test_criterion_4_raises_when_every_cell_fails(monkeypatch):
+    # A typed error, which verify reports as this criterion's failure,
+    # and not numpy's ValueError for an all-NaN argmax.
+    failed = GammaGridScan(np.ones(2), np.ones(2), np.full((2, 2), np.nan),
+                           tuple((iv, ic, "NumericalSolveError: residual")
+                                 for iv in range(2) for ic in range(2)))
+    monkeypatch.setattr(acceptance, "gamma_grid_scan", lambda p: failed)
+    with pytest.raises(NumericalSolveError,
+                       match="every cell of the d=2 scan failed, the first "
+                             "with NumericalSolveError: residual"):
+        criterion_4()
 
 
 def test_criterion_5_asymptotic_oracle():

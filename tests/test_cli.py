@@ -418,7 +418,8 @@ class TestCalibrateAndVerify:
 
     @pytest.mark.parametrize("target, error, failed", [
         ("calibrate", NumericalSolveError("residual too large"), (1, 2)),
-        ("gamma_grid_scan", DegenerateSteadyStateError("two classes"), (4,))])
+        ("gamma_grid_scan", DegenerateSteadyStateError("two classes"), (4,))],
+        ids=["calibrate", "criterion_4"])
     def test_verify_reports_every_criterion_when_one_raises(
             self, capsys, monkeypatch, target, error, failed):
         def fail(*args, **kwargs):

@@ -787,16 +787,16 @@ def _high_precision_maximum(p: ModelParams, kind: str, gamma0: float):
     e, M = g.energies, g.matrix
 
     def at(ln_gamma):
+        gamma = mpmath.exp(ln_gamma)
+
         def read(mpmath, x):
-            gamma = mpmath.exp(ln_gamma)
             entropic = p.kTc * mpmath.log(x[IDX_P55] / x[IDX_P66])
             pumps = [e.E12 * M[IDX_P11, IDX_P22] * x[IDX_P22],
                      -e.E12 * M[IDX_P22, IDX_P11] * x[IDX_P11],
                      e.E34 * M[IDX_P33, IDX_P44] * x.get(IDX_P44, 0),
                      -e.E34 * M[IDX_P44, IDX_P33] * x.get(IDX_P33, 0)]
             return gamma, gamma * x[IDX_P55], entropic, pumps
-        return _high_precision_solve(g, mpmath.mp.dps, read,
-                                     load=mpmath.exp(ln_gamma))
+        return _high_precision_solve(g, mpmath.mp.dps, read, load=gamma)
 
     def power(ln_gamma):
         _, j, entropic, _ = at(ln_gamma)
