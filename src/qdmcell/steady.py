@@ -38,6 +38,13 @@ def solve_steady(G: GeneratorMatrix) -> np.ndarray:
     |6> row, a fixed choice that keeps results bit-reproducible).  Raises
     if the generator supports more than one stationary state.  Only the
     components in ``G.active`` are solved for; the others stay zero.
+
+    The LU solution is refined twice against the trace-exact system: each
+    population diagonal rebuilt as minus the other population entries of
+    its column, the residual computed in ``np.longdouble``.  That removes
+    both the rounding of the diagonals as built and the LU solve's own
+    error.  Where ``longdouble`` is just ``double``, it removes only the
+    LU part.
     """
     _check_trace_conserving(G)
 
@@ -56,16 +63,23 @@ def solve_steady(G: GeneratorMatrix) -> np.ndarray:
         raise DegenerateSteadyStateError(
             "multiple steady states: the generator has disconnected blocks")
 
+    pops = list(POPULATION_INDICES)
+    exact = G.matrix.astype(np.longdouble)
+    exact[pops, pops] = 0.0
+    exact[pops, pops] = -exact[pops].sum(axis=0)[pops]
+    exact = exact[np.ix_(active, active)]
     pop_pos = [k for k, i in enumerate(active) if i in POPULATION_INDICES]
-    B = A.copy()
     norm_row = pop_pos[-1]
-    B[norm_row, :] = 0.0
-    B[norm_row, pop_pos] = 1.0
-    b = np.zeros(len(active))
+    exact[norm_row, :] = 0.0
+    exact[norm_row, pop_pos] = 1.0
+    B = exact.astype(float)
+    b = np.zeros(len(active), dtype=np.longdouble)
     b[norm_row] = 1.0
 
     try:
-        sol = np.linalg.solve(B, b)
+        sol = np.linalg.solve(B, b.astype(float))
+        for _ in range(2):
+            sol += np.linalg.solve(B, (b - exact @ sol).astype(float))
     except np.linalg.LinAlgError as exc:
         raise NumericalSolveError("singular constrained system") from exc
 

@@ -69,8 +69,32 @@ def test_criterion_3_relative_gains():
     _report(criterion_3())
 
 
+EDGE = "d=2: the maximum is on the grid's edge ("
+
+
 def test_criterion_4_grid_scan_ceiling():
-    _report(criterion_4())
+    result = criterion_4()
+    _report(result)
+    # The paper's grid peaks in its corner: a note, not a verdict.
+    assert [ln for ln in result.details if ln.startswith(EDGE)] == [
+        EDGE + "gv = 20 is the highest of 40, gc = 500 is the highest of "
+        "40): a larger gain may lie outside the grid"]
+
+
+@pytest.mark.parametrize("peak, note", [
+    ((1, 1), None), ((0, 1), "gv = 0.1 is the lowest of 3"),
+    ((1, 2), "gc = 100 is the highest of 3"),
+    ((2, 0), "gv = 10 is the highest of 3, gc = 1 is the lowest of 3")])
+def test_criterion_4_notes_a_maximum_on_the_grid_edge(monkeypatch, peak,
+                                                      note):
+    dj = np.full((3, 3), 0.01)
+    dj[peak] = 0.3
+    scan = GammaGridScan(np.array([1.0, 10.0, 100.0]),
+                         np.array([0.1, 1.0, 10.0]), dj, ())
+    monkeypatch.setattr(acceptance, "gamma_grid_scan", lambda p: scan)
+    notes = [ln for ln in criterion_4().details if ln.startswith(EDGE)]
+    assert notes == ([] if note is None else [
+        f"{EDGE}{note}): a larger gain may lie outside the grid"])
 
 
 def test_criterion_4_raises_when_every_cell_fails(monkeypatch):
@@ -126,3 +150,11 @@ def test_criterion_8_property_suite():
     assert sum(ln.startswith(
         "ok   chain form matches the direct solve on the same 100 parameter "
         "sets (worst componentwise diff ") for ln in result.details) == 1
+
+
+@pytest.mark.parametrize("seed", [63, 287])
+def test_criterion_8_passes_where_an_unrefined_solve_misses(seed):
+    # These seeds draw devices where the direct solve, without its
+    # refinement against the trace-exact system, is 1.09e-12 and
+    # 1.06e-12 off the chain form: over the 1e-12 bound.
+    _report(criterion_8(seed=seed))

@@ -6,6 +6,8 @@ it."""
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,6 +37,20 @@ def test_every_traced_function_resolves(bench):
                if not callable(getattr(
                    importlib.import_module(f"qdmcell.{layer}"), func, None))]
     assert missing == []
+
+
+def test_package_import_loads_every_traced_layer(bench):
+    # ``layers.install`` reads each layer from ``sys.modules`` after the
+    # program is imported, so a layer imported lazily would crash every
+    # traced run.  A fresh interpreter, since this one imported them all.
+    layers = sorted(f"qdmcell.{layer}" for layer in bench["layers"].TRACED)
+    script = ("import sys\nimport qdmcell, qdmcell.cli\n"
+              f"print([m for m in {layers!r} if m not in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(qdmcell.__file__)))
+    child = subprocess.run([sys.executable, "-c", script], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stderr, child.stdout) == (0, "", "[]\n")
 
 
 def test_device_sweep_request_returns_every_key(bench):

@@ -437,3 +437,22 @@ class TestCalibrateAndVerify:
             assert f"criterion {k} [FAIL] {name}\n{raised}" in out
         assert out.endswith(f"{8 - len(failed)}/8 criteria passed\n")
         assert (code, err) == (3, "")
+
+    def test_verify_imports_neither_numpy_random_nor_openssl(self):
+        # In a fresh interpreter, since this one may have loaded both.
+        # numpy.random brings secrets, hashlib and OpenSSL's _hashlib in
+        # with it: about 6 MB of the gate's peak memory.
+        script = (
+            "import contextlib, io, sys\n"
+            "from qdmcell.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = main(['verify'])\n"
+            "print(code, out.getvalue().splitlines()[-1])\n"
+            "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(qdmcell.__file__)))
+        child = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout == "0 8/8 criteria passed\n[]\n"

@@ -11,6 +11,7 @@ from qdmcell import (DegenerateSteadyStateError, ModelParams, StepSizeError,
 from qdmcell.model import (IDX_P11, IDX_P22, IDX_P33, IDX_P44, IDX_P55,
                            IDX_P66, N_STATE)
 from qdmcell.steady import RESIDUAL_TOL
+from test_sweeps import _high_precision_solve
 
 
 def _zero_generator():
@@ -57,6 +58,19 @@ class TestSolveSteady:
         x = solve_steady(g)
         assert residual(g, x) <= RESIDUAL_TOL * g.max_rate
         assert x.shape == (N_STATE,) and not x.flags.writeable
+
+    def test_matches_trace_exact_reference(self):
+        # The device behind criterion 8's worst chain-vs-direct gap at
+        # seed 43 of the earlier numpy stream.  An unrefined LU solve is
+        # 1.01e-12 off here: 4.8e-13 from rounding the population
+        # diagonals as built, 5.3e-13 from the solve itself.
+        p = ModelParams(gamma_c=197.76791079147617,
+                        gamma_v=0.0013647673284908103).with_distance(
+                            9.542943348549683)
+        g = build_generator(p, "qdm", Gamma=0.00514474214255742)
+        want = _high_precision_solve(
+            g, 40, lambda mp, x: [float(x.get(i, 0)) for i in range(N_STATE)])
+        assert np.abs(solve_steady(g) - want).max() <= 1e-15
 
     def test_deterministic_bit_identical(self):
         g = build_generator(ModelParams().with_distance(3.0), "qdm",
