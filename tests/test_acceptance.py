@@ -84,7 +84,8 @@ def test_criterion_4_grid_scan_ceiling():
 @pytest.mark.parametrize("peak, note", [
     ((1, 1), None), ((0, 1), "gv = 0.1 is the lowest of 3"),
     ((1, 2), "gc = 100 is the highest of 3"),
-    ((2, 0), "gv = 10 is the highest of 3, gc = 1 is the lowest of 3")])
+    ((2, 0), "gv = 10 is the highest of 3, gc = 1 is the lowest of 3")],
+    ids=["interior", "gv-edge", "gc-edge", "corner"])
 def test_criterion_4_notes_a_maximum_on_the_grid_edge(monkeypatch, peak,
                                                       note):
     dj = np.full((3, 3), 0.01)

@@ -205,10 +205,15 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                     reason="no /dev/full device")
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this qdmcell."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(qdmcell.__file__)))
+
+
 def _cli_process(*argv, stdout, buffered: bool) -> subprocess.Popen:
     """``qdmcell`` in a child interpreter, writing to ``stdout``."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(qdmcell.__file__)))
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -450,9 +455,8 @@ class TestCalibrateAndVerify:
             "    code = main(['verify'])\n"
             "print(code, out.getvalue().splitlines()[-1])\n"
             "print(sorted({'numpy.random', '_hashlib'} & set(sys.modules)))\n")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(qdmcell.__file__)))
-        child = subprocess.run([sys.executable, "-c", script], env=env,
-                               capture_output=True, text=True, timeout=120)
+        child = subprocess.run([sys.executable, "-c", script],
+                               env=_child_env(), capture_output=True,
+                               text=True, timeout=120)
         assert (child.returncode, child.stderr) == (0, "")
         assert child.stdout == "0 8/8 criteria passed\n[]\n"

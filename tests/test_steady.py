@@ -60,10 +60,10 @@ class TestSolveSteady:
         assert x.shape == (N_STATE,) and not x.flags.writeable
 
     def test_matches_trace_exact_reference(self):
-        # The device behind criterion 8's worst chain-vs-direct gap at
-        # seed 43 of the earlier numpy stream.  An unrefined LU solve is
-        # 1.01e-12 off here: 4.8e-13 from rounding the population
-        # diagonals as built, 5.3e-13 from the solve itself.
+        # A device from criterion 8's domain where an unrefined LU solve
+        # is 1.01e-12 off, over that criterion's 1e-12 bound: 4.8e-13
+        # from rounding the population diagonals as built, 5.3e-13 from
+        # the solve itself.
         p = ModelParams(gamma_c=197.76791079147617,
                         gamma_v=0.0013647673284908103).with_distance(
                             9.542943348549683)
