@@ -19,15 +19,15 @@ from .errors import DomainError
 
 def asymptotic_current_qdm(n1: float, n2: float, nv: float) -> float:
     """Strong-tunneling short-circuit current (n1+n2)(nv+1)/(3nv+2)."""
-    if min(n1, n2, nv) < 0.0:
-        raise DomainError("occupations must be nonnegative")
+    if not all(0.0 <= n < math.inf for n in (n1, n2, nv)):
+        raise DomainError("occupations must be finite and nonnegative")
     return (n1 + n2) * (nv + 1.0) / (3.0 * nv + 2.0)
 
 
 def asymptotic_current_sqd(n1: float, nv: float) -> float:
     """Single-dot short-circuit current n1(nv+1)/(2nv+1)."""
-    if min(n1, nv) < 0.0:
-        raise DomainError("occupations must be nonnegative")
+    if not all(0.0 <= n < math.inf for n in (n1, nv)):
+        raise DomainError("occupations must be finite and nonnegative")
     return n1 * (nv + 1.0) / (2.0 * nv + 1.0)
 
 
@@ -36,8 +36,8 @@ def current_ratio_bound(nv: float) -> float:
 
     Strictly increasing in nv with supremum 4/3.
     """
-    if nv < 0.0:
-        raise DomainError("occupation must be nonnegative")
+    if not 0.0 <= nv < math.inf:
+        raise DomainError("occupation must be finite and nonnegative")
     return (4.0 * nv + 2.0) / (3.0 * nv + 2.0)
 
 
@@ -97,8 +97,7 @@ def tls_saturation_threshold(delta: float, gamma0: float,
     W' = sqrt(gamma0/gammap) * sqrt(delta^2 + gammap^2); beyond it the
     population saturates and the coherence decays.
     """
-    if gammap <= 0.0 or gamma0 <= 0.0:
-        raise DomainError("damping rates must be positive")
+    TlsParams(0.0, delta, gamma0, gammap)  # raises outside its domain
     return math.sqrt(gamma0 / gammap) * math.sqrt(delta ** 2 + gammap ** 2)
 
 

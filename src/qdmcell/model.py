@@ -434,9 +434,9 @@ def _stack_columns(params: ModelParams, varied: dict) -> tuple:
     cols = {name: np.asarray(values, dtype=float)
             for name, values in varied.items()}
     shapes = {col.shape for col in cols.values()}
-    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-        raise DomainError("varied fields need equal-length 1-D arrays, got "
-                          f"shapes {sorted(shapes)}")
+    if len(shapes) > 1 or any(len(s) != 1 or s == (0,) for s in shapes):
+        raise DomainError("varied fields need equal-length nonempty 1-D "
+                          f"arrays, got shapes {sorted(shapes)}")
     n = shapes.pop()[0] if shapes else 1
     ok = np.ones(n, dtype=bool)
     for names, low, _ in _FIELD_RULES:

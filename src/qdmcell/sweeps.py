@@ -12,11 +12,12 @@ and read it for one ``model.build_generator_stack`` call (equal, entry for
 entry, to ``build_generator``) in ``max_power_batch``.  Every array of a
 stack keeps the devices on its last axis, so one ``ChainForm.states``
 serves a curve (one device, many loads) and a batch (one load per
-device).  Both find the maximum-power load by the same Newton iteration
-(``_max_power``), one device's on floats with numpy's log (the C
-library's may differ in the last bit and move the maximum off the
-batch's).  Scan rows are named tuples whose fields follow the CLI's CSV
-columns.
+device).  Both find the maximum-power load by one search (``_max_power``)
+between the load grid's bounds, so a lone device's maximum is its batch
+row bit for bit; one device's Newton iteration runs on floats with
+numpy's log (the C library's may differ in the last bit and move the
+maximum off the batch's).  Scan rows are named tuples whose fields
+follow the CLI's CSV columns.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ class GridSpec:
     gamma_max: float = 1e6
 
     def __post_init__(self):
-        if self.n < 50:
-            raise DomainError("load grid needs at least 50 points")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 50):
+            raise DomainError("load grid needs an integer of at least 50 "
+                              f"points, got {self.n!r}")
         if not 0.0 < self.gamma_min < self.gamma_max < math.inf:
             raise DomainError("need 0 < gamma_min < gamma_max < inf")
 
@@ -437,10 +439,10 @@ def _device_chain(params: ModelParams, kind: str) -> ChainForm:
 
 
 @np.errstate(all="ignore")  # as in ``_chain_form``
-def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
+def _max_power(chain: ChainForm, grid: GridSpec,
                errors: list) -> MaxPowerBatch:
     """Maximum-power point of each device of ``chain`` between the loads
-    ``lo`` and ``hi``, one pair per device.
+    lo = ``grid.gamma_min`` and hi = ``grid.gamma_max``.
 
     With j = Gamma/(s_a + Gamma s_b) and V = (E5 - E6) - kTc ln w6,
     w6 = a6 + Gamma b6, dP/dGamma has the sign of the concave
@@ -462,10 +464,11 @@ def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
 
     # f at points spaced evenly in ln Gamma from lo to hi; Newton starts
     # from the first point right of the maximum.
-    points = lo ** (1.0 - _SPACING[:, None]) * hi ** _SPACING[:, None]
-    f = slope(points)[0]
-    first = (f < 0.0).argmax(axis=0), np.arange(len(lo))
-    gamma, f_start = points[first], f[first]
+    lo, hi = grid.gamma_min, grid.gamma_max
+    points = lo ** (1.0 - _SPACING) * hi ** _SPACING
+    f = slope(points[:, None])[0]
+    first = (f < 0.0).argmax(axis=0)
+    gamma, f_start = points[first], f[first, np.arange(len(errors))]
 
     def unbracketed(k):
         if not chain.x_a[IDX_P55, k] > 0.0:
@@ -473,11 +476,11 @@ def _max_power(chain: ChainForm, lo: np.ndarray, hi: np.ndarray,
                 "the conduction contact is empty at every load: no power")
         if not f[0, k] > 0.0:
             return BoundaryMaximumError(
-                f"power does not rise above Gamma = {lo[k]:g}: no positive "
+                f"power does not rise above Gamma = {lo:g}: no positive "
                 "interior maximum; widen the load grid")
         if not f[-1, k] < 0.0:
             return BoundaryMaximumError(
-                f"power still rises at Gamma = {hi[k]:g}; widen the load grid")
+                f"power still rises at Gamma = {hi:g}; widen the load grid")
         return NumericalSolveError(
             f"power slope overflows at Gamma = {gamma[k]:g}")
 
@@ -556,31 +559,22 @@ def max_power_point(params: ModelParams | None = None,
                     kind: str | None = None,
                     curve: IVCurve | None = None,
                     grid: GridSpec | None = None) -> MaxPowerPoint:
-    """Locate the interior power maximum of ``curve`` (given alone), or of
-    ``iv_curve(params, kind, grid)``, by default of kind "qdm".
-
-    The grid argmax and its two neighbours bracket the maximum, which
-    ``_max_power`` then solves for to rounding on the curve's chain form.
-    A maximum on the grid boundary raises; the grid must be widened.
+    """Interior power maximum of the device of ``curve`` (given alone)
+    between its grid's bounds, or of ``params`` (kind "qdm" by default)
+    between those of ``grid``: ``max_power_batch``'s row for the device,
+    bit for bit.  A maximum at either bound raises; the grid must be
+    widened.
     """
     if curve is None:
         if params is None:
             raise DomainError("need either params or a precomputed curve")
-        curve = iv_curve(params, "qdm" if kind is None else kind, grid)
+        chain = _device_chain(params, "qdm" if kind is None else kind)
     elif (kind not in (None, curve.kind)
           or any(v is not None for v in (params, grid))):
         raise DomainError("a precomputed curve takes no other argument")
-    gammas, powers = curve.column("Gamma"), curve.column("P")
-    if len(powers) == 0:
-        raise BoundaryMaximumError("curve has no valid points")
-    k = int(powers.argmax())
-    if powers[k] <= 0.0:
-        raise BoundaryMaximumError("no positive power anywhere on the grid")
-    if k == 0 or k == len(powers) - 1:
-        raise BoundaryMaximumError(
-            f"power maximum at grid edge Gamma = {gammas[k]:g}; "
-            "widen the load grid")
-    mpp = _max_power(curve.chain, gammas[[k - 1]], gammas[[k + 1]], [None])
+    else:
+        chain, grid = curve.chain, curve.grid
+    mpp = _max_power(chain, grid or GridSpec(), [None])
     mpp.raise_first()
     return MaxPowerPoint(*(float(getattr(mpp, name)[0]) for name in (
         "Gamma_star", "j_mpp", "V_mpp", "P_m", "eta", "coh13", "coh24")))
@@ -653,12 +647,9 @@ def max_power_batch(params: ModelParams, kind: str = "qdm",
     ``grid.gamma_max``.  An input error in any device raises at once;
     numerical failures are recorded per device.
     """
-    grid = grid or GridSpec()
     stack = build_generator_stack(params, kind, **varied)
     errors = [None] * stack.matrix.shape[-1]
-    chain = _chain_form(stack, errors)
-    bounds = np.full((2, len(errors)), [[grid.gamma_min], [grid.gamma_max]])
-    return _max_power(chain, *bounds, errors)
+    return _max_power(_chain_form(stack, errors), grid or GridSpec(), errors)
 
 
 @dataclass(frozen=True)

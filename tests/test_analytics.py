@@ -15,6 +15,28 @@ from qdmcell import (DomainError, ModelParams, TlsParams,
 _rates = st.floats(min_value=1e-2, max_value=1e2)
 
 
+_NON_FINITE_CALLS = [
+    (current_ratio_bound, (math.nan,)),
+    (current_ratio_bound, (math.inf,)),
+    (asymptotic_current_qdm, (math.nan, 1.0, 1.0)),
+    (asymptotic_current_qdm, (1.0, 1.0, math.inf)),
+    (asymptotic_current_sqd, (math.inf, 1.0)),
+    (asymptotic_current_sqd, (1.0, math.nan)),
+    (tls_saturation_threshold, (0.0, math.nan, 1.0)),
+    (tls_saturation_threshold, (0.0, 1.0, math.inf)),
+    (tls_saturation_threshold, (math.inf, 1.0, 1.0)),
+    (tls_saturation_threshold, (math.nan, 1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("formula, args", _NON_FINITE_CALLS, ids=[
+    f"{formula.__name__}{args}".replace(" ", "")
+    for formula, args in _NON_FINITE_CALLS])
+def test_closed_forms_reject_nan_and_infinity(formula, args):
+    with pytest.raises(DomainError):
+        formula(*args)
+
+
 class TestAsymptoticCurrents:
     def test_qdm_cold_phonon_limit(self):
         assert asymptotic_current_qdm(0.1, 0.3, 0.0) == pytest.approx(0.2)

@@ -94,6 +94,12 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(gamma_min=1.0, gamma_max=0.1)
 
+    @pytest.mark.parametrize("n", [60.5, 60.0, "60"])
+    def test_point_count_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match="integer"):
+            GridSpec(n=n)
+        assert len(GridSpec(n=np.int64(60)).values()) == 60
+
 
 class TestIvCurve:
     def test_curve_invariants(self):
@@ -496,6 +502,14 @@ class TestScanErrors:
             max_power_batch(ModelParams(), kind="qdm",
                             gamma_c=[100.0, -1.0, np.nan])
 
+    def test_empty_batches_raise_domain_error(self):
+        for call in (lambda: max_power_batch(ModelParams(), gamma_c=[]),
+                     lambda: gamma_grid_scan(ModelParams(), gamma_c_grid=[]),
+                     lambda: efficiency_vs_distance(ModelParams(),
+                                                    d_grid=[])):
+            with pytest.raises(DomainError, match="nonempty"):
+                call()
+
     def test_scans_raise_first_typed_error(self):
         # Every maximum lies above a load range that ends at 1e-3.
         narrow = GridSpec(gamma_max=1e-3)
@@ -687,14 +701,64 @@ class TestSingleDeviceFastPaths:
     def test_lone_maximum_equals_array_branch(self, p, kind, n):
         curve = iv_curve(p, kind=kind, grid=GridSpec(n=n))
         mpp = max_power_point(curve=curve)
-        gammas = curve.column("Gamma")
-        k = int(curve.column("P").argmax())
-        batch = _max_power(_twin(curve.chain), gammas[[k - 1] * 2],
-                           gammas[[k + 1] * 2], [None, None])
+        batch = _max_power(_twin(curve.chain), curve.grid, [None, None])
         assert batch.errors == (None, None)
         for f in fields(MaxPowerPoint):
             got = np.array([getattr(mpp, f.name)] * 2)
             assert got.tobytes() == getattr(batch, f.name).tobytes(), f.name
+
+
+def _routes(p: ModelParams, kind: str, grid: GridSpec) -> tuple:
+    """The lone device's two routes to its maximum."""
+    return (lambda: max_power_point(p, kind=kind, grid=grid),
+            lambda: max_power_point(curve=iv_curve(p, kind=kind, grid=grid)))
+
+
+# Devices whose search bracket fails, with their load grids.
+_EDGE_DEVICES = {
+    "grid-ends-at-1e-3": (ModelParams(), "qdm", GridSpec(gamma_max=1e-3)),
+    "grid-starts-at-1e3": (ModelParams(), "qdm", GridSpec(gamma_min=1e3)),
+    "dark-cell": (ModelParams(kTs=1e-2), "qdm", GridSpec()),
+    "cold-single-dot": (ModelParams(kTs=1.5), "sqd", GridSpec()),
+    "cut-molecule": (ModelParams(Te=0.0, Th=0.0), "qdm", GridSpec()),
+    "gamma_c-0": (ModelParams(gamma_c=0.0), "qdm", GridSpec()),
+}
+
+
+class TestOneMaximumSearch:
+    """A lone device's maximum, from its params or from its curve, is its
+    row of ``max_power_batch``: one search between the grid's bounds."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(p=_devices, kind=_kinds, grid=st.sampled_from((
+        GridSpec(n=50), GridSpec(), GridSpec(n=2000),
+        GridSpec(n=60, gamma_min=1e-9, gamma_max=1e9))))
+    # Devices whose maximum moved in its last bits when the curve's
+    # largest sampled power and its neighbours bracketed the search.
+    @example(p=_device(6.983, 100.476, 1.642, 0.1, "B2"), kind="qdm",
+             grid=GridSpec())
+    @example(p=_device(4.838, 26.071, 1.293, 0.0, "B2"), kind="sqd",
+             grid=GridSpec())
+    def test_lone_maximum_is_its_batch_row(self, p, kind, grid):
+        batch = max_power_batch(p, kind=kind, grid=grid)
+        assert batch.errors == (None,)
+        for route in _routes(p, kind, grid):
+            mpp = route()
+            for f in fields(MaxPowerPoint):
+                got = np.array([getattr(mpp, f.name)])
+                assert got.tobytes() == getattr(batch, f.name).tobytes(), \
+                    f.name
+
+    @pytest.mark.parametrize("p, kind, grid", _EDGE_DEVICES.values(),
+                             ids=_EDGE_DEVICES)
+    def test_lone_device_raises_its_batch_error(self, p, kind, grid):
+        err = max_power_batch(p, kind=kind, grid=grid).errors[0]
+        assert err is not None
+        for route in _routes(p, kind, grid):
+            with pytest.raises(type(err)) as info:
+                route()
+            assert type(info.value) is type(err)
+            assert str(info.value) == str(err)
 
 
 # The same devices under a hot sun, where ``solve_steady`` (and so the
