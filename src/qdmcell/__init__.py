@@ -8,10 +8,9 @@ from .errors import (BoundaryMaximumError, ConfigError,
                      DegenerateSteadyStateError, DomainError,
                      InvalidGeometryError, NumericalSolveError, StepSizeError,
                      UndefinedEfficiencyError, VoltageUndefinedError)
-from .model import (BAND_ALIGNMENTS, GeneratorMatrix, GeneratorStack,
-                    LevelEnergies, ModelParams, ThermalOccupations,
-                    apply_band_alignment, bose_occupation, build_generator,
-                    build_generator_stack, thermal_occupations,
+from .model import (BAND_ALIGNMENTS, GeneratorStack, LevelEnergies,
+                    ModelParams, ThermalOccupations, apply_band_alignment,
+                    bose_occupation, build_generator, thermal_occupations,
                     tunneling_from_distance)
 from .observables import (PhotovoltaicPoint, absorption_fluxes,
                           photovoltaic_point)

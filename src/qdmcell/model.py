@@ -14,19 +14,18 @@ The single-dot baseline uses the same layout and leaves |3>, |4> and
 both coherences at zero.
 
 The channels of the master equation are written once, in
-``_add_channels``.  ``build_generator(params, kind, Gamma=0.0)`` fills
-one device's matrix, the only place a load enters; the parameter scans
-build all their devices at once with ``build_generator_stack``, which
-takes a base parameter set plus arrays of the fields that vary and fills
-the zero-load generators as one stack M[i, j, k], devices last, each
-equal, entry for entry, to its ``build_generator(params, kind)``.
+``_add_channels``.  ``build_generator``, the one builder and the only
+place a load enters, returns a ``GeneratorStack``, matrices M[i, j, k]
+with the devices last: a lone device is a stack of one, and the scans
+pass arrays of the fields that vary, one entry per device.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +64,14 @@ _SMALLEST_INVERTIBLE = 2.0 / sys.float_info.max
 _RATE_LIMIT = math.sqrt(sys.float_info.max / 2.0)
 
 
-def _bose_of_ratio(x: float) -> float:
+def _bose(E, kT):
+    # 1/(exp(E/kT) - 1) where the domain checks hold, on floats or arrays.
+    # ``math`` takes an array's distinct ratios (few in a scan): numpy's
+    # vectorised exp/expm1 may differ from the C library's in the last bit.
+    x = E / kT
+    if not isinstance(x, float):
+        ratios, where = np.unique(x, return_inverse=True)
+        return np.array([_bose(r, 1.0) for r in ratios.tolist()])[where]
     if x > 700.0:  # expm1 would overflow; occupation ~ e^-x
         return math.exp(-x)
     em1 = math.expm1(x)
@@ -80,16 +86,7 @@ def bose_occupation(E: float, kT: float) -> float:
         raise DomainError(f"bose_occupation needs E > 0, got {E}")
     if not 0.0 < kT < math.inf:
         raise DomainError(f"bose_occupation needs finite kT > 0, got {kT}")
-    return _bose_of_ratio(E / kT)
-
-
-def _bose_stack(E: np.ndarray, kT) -> np.ndarray:
-    # ``bose_occupation`` over arrays the domain checks already cover.  The
-    # exponentials go through ``math`` once per distinct ratio: numpy's
-    # vectorised exp/expm1 may differ from the C library's in the last bit,
-    # and a scan holds few distinct energies.
-    ratios, where = np.unique(E / kT, return_inverse=True)
-    return np.array([_bose_of_ratio(x) for x in ratios.tolist()])[where]
+    return _bose(E, kT)
 
 
 def tunneling_from_distance(d: float) -> tuple[float, float]:
@@ -111,8 +108,8 @@ _TE_D2, _TH_D2 = tunneling_from_distance(2.0)
 
 # The domain of each parameter: lower bound <= value < inf.  Every bound
 # is closed, so "positive" uses the smallest positive float; NaN fails
-# every bound.  ``ModelParams`` checks floats, ``build_generator_stack``
-# arrays.
+# every bound.  ``ModelParams`` checks floats, ``build_generator`` the
+# arrays of the fields it varies.
 _FIELD_RULES = (
     (("gamma1", "gamma2", "gamma_c", "gamma_v", "gamma_13", "gamma_24"),
      0.0, "rate {} must be finite and >= 0"),
@@ -173,12 +170,11 @@ class ModelParams:
         return self.replace(Te=te, Th=th)
 
 
-@dataclass(frozen=True)
-class LevelEnergies:
-    """Absolute level energies (meV) and the derived transition energies.
-
-    Reference: valence state of dot 1 at zero.  The fields are floats for
-    one device, or arrays with one entry per device of a generator stack.
+class LevelEnergies(NamedTuple):
+    """Absolute level energies w1..w6 (meV), the valence state of dot 1 at
+    zero, and the transition energies E12 = w1 - w2, E34 = w3 - w4,
+    E35 = w3 - w5, E62 = w6 - w2 and e5_minus_e6 = w5 - w6.  The fields
+    are floats for one device, or one entry per device of a stack.
     """
 
     w1: float
@@ -187,26 +183,11 @@ class LevelEnergies:
     w4: float
     w5: float
     w6: float
-
-    @property
-    def E12(self) -> float:
-        return self.w1 - self.w2
-
-    @property
-    def E34(self) -> float:
-        return self.w3 - self.w4
-
-    @property
-    def E35(self) -> float:
-        return self.w3 - self.w5
-
-    @property
-    def E62(self) -> float:
-        return self.w6 - self.w2
-
-    @property
-    def e5_minus_e6(self) -> float:
-        return self.w5 - self.w6
+    E12: float
+    E34: float
+    E35: float
+    E62: float
+    e5_minus_e6: float
 
 
 def _place_levels(f, kind: str) -> LevelEnergies:
@@ -221,29 +202,45 @@ def _place_levels(f, kind: str) -> LevelEnergies:
         w3, w4 = w1, w2
     else:
         raise DomainError(f"unknown model kind {kind!r}")
-    return LevelEnergies(w1, w2, w3, w4, w3 - f["delta_c"], w2 + f["delta_v"])
+    w5, w6 = w3 - f["delta_c"], w2 + f["delta_v"]
+    return LevelEnergies(w1, w2, w3, w4, w5, w6, w1 - w2, w3 - w4, w3 - w5,
+                         w6 - w2, w5 - w6)
 
 
-def _device_levels(params: ModelParams, kind: str) -> LevelEnergies:
-    # One device's levels; a layout outside the model raises.
-    e = _place_levels(params.__dict__, kind)
+def _level_checks(e: LevelEnergies, kind: str) -> list:
+    # Whether each device's levels are a layout of the model, in the order
+    # checked, with device k's error (see ``_raise_first``).
+    downhill = (e.E35 > 0.0) & (e.E62 > 0.0)
     if kind == "sqd":
-        if e.E35 <= 0.0 or e.E62 <= 0.0:
-            raise InvalidGeometryError(
-                "contact offsets delta_c, delta_v must be positive for the "
-                "single-dot model")
-        return e
-    if not (abs(e.w3) < math.inf and abs(e.w5) < math.inf):
-        raise DomainError(
-            f"level energies overflow: w3 = {e.w3}, w5 = {e.w5}")
-    if e.E34 <= 0.0:
-        raise InvalidGeometryError(
-            f"E34 = {e.E34} meV <= 0: detunings exceed the gap")
-    if e.E35 <= 0.0 or e.E62 <= 0.0:
-        raise InvalidGeometryError(
+        return [(downhill, lambda k: InvalidGeometryError(
+            "contact offsets delta_c, delta_v must be positive for the "
+            "single-dot model"))]
+    return [
+        ((abs(e.w3) < math.inf) & (abs(e.w5) < math.inf),
+         lambda k: DomainError("level energies overflow: w3 = "
+                               f"{np.ravel(e.w3)[k]}, w5 = "
+                               f"{np.ravel(e.w5)[k]}")),
+        (e.E34 > 0.0, lambda k: InvalidGeometryError(
+            f"E34 = {np.ravel(e.E34)[k]} meV <= 0: detunings exceed the "
+            "gap")),
+        (downhill, lambda k: InvalidGeometryError(
             "phonon channels must be downhill: need E35 > 0 and E62 > 0, "
-            f"got E35 = {e.E35}, E62 = {e.E62}")
-    return e
+            f"got E35 = {np.ravel(e.E35)[k]}, E62 = {np.ravel(e.E62)[k]}"))]
+
+
+def _raise_first(checks) -> None:
+    # Raise the error of the first device that fails one of ``checks``,
+    # (ok, error) pairs in the order they apply: ``ok`` is a bool for all
+    # devices or one per device, ``error(k)`` device k's exception.
+    for ok, _ in checks:
+        if ok is not True and (ok is False or not ok.all()):
+            break
+    else:
+        return
+    fails = ~np.array(np.broadcast_arrays(*(ok for ok, _ in checks),
+                                          [True]))[:-1]
+    k = int(fails.any(axis=0).argmax())
+    raise next(error for (_, error), bad in zip(checks, fails[:, k]) if bad)(k)
 
 
 @dataclass(frozen=True)
@@ -256,19 +253,18 @@ class ThermalOccupations:
     nv: float
 
 
-def _occupations(e: LevelEnergies, f, occupation, kind: str) -> tuple:
+def _occupations(e: LevelEnergies, f, kind: str) -> tuple:
     # n1, n2, nc, nv; the single dot has no second dot, hence no n2.
     kTs, kTc = f["kTs"], f["kTc"]
-    return (occupation(e.E12, kTs),
-            occupation(e.E34, kTs) if kind == "qdm" else None,
-            occupation(e.E35, kTc), occupation(e.E62, kTc))
+    return (_bose(e.E12, kTs), _bose(e.E34, kTs) if kind == "qdm" else None,
+            _bose(e.E35, kTc), _bose(e.E62, kTc))
 
 
 def thermal_occupations(params: ModelParams) -> ThermalOccupations:
     """Reservoir occupations for the molecule's four incoherent channels."""
-    return ThermalOccupations(*_occupations(
-        _device_levels(params, "qdm"), params.__dict__, bose_occupation,
-        "qdm"))
+    e = _place_levels(params.__dict__, "qdm")
+    _raise_first(_level_checks(e, "qdm"))
+    return ThermalOccupations(*_occupations(e, params.__dict__, "qdm"))
 
 
 def apply_band_alignment(params: ModelParams, config: str) -> ModelParams:
@@ -296,31 +292,6 @@ def apply_band_alignment(params: ModelParams, config: str) -> ModelParams:
     return params.replace(delta_e=de, delta_h=dh)
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Real linear generator d/dt x = M x on the 10-component state.
-
-    ``energies`` places the device's levels; ``active`` lists the state
-    components the model actually couples.
-    """
-
-    matrix: np.ndarray
-    energies: LevelEnergies
-    active: tuple
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-        if not self.max_rate < _RATE_LIMIT:
-            raise DomainError(
-                f"generator entry {self.max_rate:.3e} (gamma units) is not "
-                f"below {_RATE_LIMIT:.3e}: a rate, or a tunneling or "
-                "detuning over hbar_gamma, overflows")
-
-    @property
-    def max_rate(self) -> float:
-        return float(np.abs(self.matrix).max())
-
-
 def _add_thermal_channel(M: np.ndarray, upper: int, lower: int,
                          rate: float, n: float) -> None:
     # Two-level thermal (detailed-balance) population channel:
@@ -331,16 +302,12 @@ def _add_thermal_channel(M: np.ndarray, upper: int, lower: int,
     M[upper, lower] += rate * n
 
 
-def _add_channels(M: np.ndarray, f, e: LevelEnergies, occupation,
-                  kind: str) -> None:
-    # Every channel of the zero-load master equation, written once for
-    # both builders.  One device fills a (10, 10) M from floats (``f`` is
-    # ``params.__dict__``, ``occupation`` is ``bose_occupation``); a stack
-    # fills (10, 10, N), devices last, from arrays (``_bose_stack``).  The
-    # arithmetic and its order are the same for both, so each matrix of a
-    # stack equals its single-device build bit for bit.
+def _add_channels(M: np.ndarray, f, e: LevelEnergies, kind: str) -> None:
+    # Every channel of the zero-load master equation, into a lone device's
+    # (10, 10) M from floats or a stack's (10, 10, N) from fields that are
+    # floats or one value per device: the same arithmetic in the same order.
     g1, g2, gc, gv = f["gamma1"], f["gamma2"], f["gamma_c"], f["gamma_v"]
-    n1, n2, nc, nv = _occupations(e, f, occupation, kind)
+    n1, n2, nc, nv = _occupations(e, f, kind)
     qdm = kind == "qdm"
     _add_thermal_channel(M, IDX_P11, IDX_P22, g1, n1)
     # Valence contact sits above the dot-1 valence state: |6> -> |2> is
@@ -376,10 +343,10 @@ def _add_channels(M: np.ndarray, f, e: LevelEnergies, occupation,
         # gap, with the phonon energy floored so that resonant levels stay
         # off the Bose divergence, and the dephasing it adds to rho_ab.
         # The devices of a stack without it get E / False = inf, so n = 0.
-        on = rate > 0.0
-        if not np.count_nonzero(on):
+        on = rate > 0.0  # a bool for a lone device
+        if on is False or not np.count_nonzero(on):
             continue
-        n = occupation(np.maximum(abs(gap), PHONON_ENERGY_FLOOR) / on, kTc)
+        n = _bose(np.maximum(abs(gap), PHONON_ENERGY_FLOOR) / on, kTc)
         _add_thermal_channel(M, a, b, rate * (gap >= 0.0), n)
         _add_thermal_channel(M, b, a, rate * (gap < 0.0), n)
         extra = 0.5 * rate * (2.0 * n + 1.0)
@@ -387,34 +354,13 @@ def _add_channels(M: np.ndarray, f, e: LevelEnergies, occupation,
         M[im, im] -= extra
 
 
-def build_generator(params: ModelParams, kind: str,
-                    Gamma: float = 0.0) -> GeneratorMatrix:
-    """Generator of one device at load rate ``Gamma``: the molecule
-    ("qdm") or the single dot ("sqd") with the same gap.  At the default
-    zero load it equals the device's entry of ``build_generator_stack``.
-
-    The molecule's coupled population/coherence equations carry the
-    conjugate coherences as Re/Im rho13 and Re/Im rho24.  The single dot
-    couples four levels, the dot pair |1>, |2> and the contacts, with the
-    conduction escape attached directly to |1>; it ignores the tunnelings
-    and the second dot, and its coherence components stay zero.
-    """
-    if not 0.0 <= Gamma < math.inf:
-        raise DomainError("load rate Gamma must be finite and >= 0, "
-                          f"got {Gamma}")
-    energies = _device_levels(params, kind)
-    M = np.zeros((N_STATE, N_STATE))
-    _add_channels(M, params.__dict__, energies, bose_occupation, kind)
-    M[IDX_P55, IDX_P55] += -Gamma
-    M[IDX_P66, IDX_P55] += Gamma
-    return GeneratorMatrix(M, energies,
-                           QDM_ACTIVE if kind == "qdm" else SQD_ACTIVE)
-
-
 @dataclass(frozen=True)
 class GeneratorStack:
-    """Zero-load generators of a batch of devices, with the energies that
-    the maximum-power search needs; one entry per device, devices last."""
+    """Real linear generators d/dt x = M x on the 10-component state,
+    device k's at ``matrix[..., k]``; ``active`` lists the components the
+    model couples.  The energies the maximum-power search reads, ``kTc``
+    and ``max_rate`` (each matrix's largest entry in magnitude) hold one
+    value per device."""
 
     matrix: np.ndarray  # (10, 10, N)
     active: tuple
@@ -422,65 +368,92 @@ class GeneratorStack:
     E12: np.ndarray
     E34: np.ndarray
     kTc: np.ndarray
+    max_rate: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_rate",
+                           np.abs(self.matrix).max(axis=(0, 1)))
 
 
-def _stack_columns(params: ModelParams, varied: dict) -> tuple:
-    # Every field as an array over the devices, and per device whether
-    # the varied fields are in their domain.
-    unknown = varied.keys() - params.__dict__.keys()
-    if unknown:
+def _check_fields(params: ModelParams, names) -> None:
+    # Only the fields of ``params`` vary; the load is an argument.
+    if unknown := names - params.__dict__.keys():
         raise DomainError(f"cannot vary {sorted(unknown)} in a generator "
                           f"stack; fields: {', '.join(params.__dict__)}")
+
+
+def _stack_columns(params: ModelParams, varied: dict, Gamma) -> tuple:
+    # The fields, floats of ``params`` or arrays of ``varied``; the load;
+    # the device count; the varied fields' checks in ``ModelParams``' order.
+    _check_fields(params, varied.keys())
     cols = {name: np.asarray(values, dtype=float)
             for name, values in varied.items()}
     shapes = {col.shape for col in cols.values()}
+    if np.ndim(Gamma):
+        Gamma = np.asarray(Gamma, dtype=float)
+        shapes.add(Gamma.shape)
     if len(shapes) > 1 or any(len(s) != 1 or s == (0,) for s in shapes):
         raise DomainError("varied fields need equal-length nonempty 1-D "
                           f"arrays, got shapes {sorted(shapes)}")
-    n = shapes.pop()[0] if shapes else 1
-    ok = np.ones(n, dtype=bool)
-    for names, low, _ in _FIELD_RULES:
-        for name in names:
-            if name in cols:
-                ok &= (cols[name] >= low) & (cols[name] < math.inf)
-    for name, value in params.__dict__.items():
-        cols.setdefault(name, np.full(n, value))
-    return cols, ok
+    checks = [((cols[name] >= low) & (cols[name] < math.inf),
+               lambda k, text=message.format(name): DomainError(text))
+              for names, low, message in _FIELD_RULES
+              for name in names if name in cols]
+    return (dict(params.__dict__, **cols), Gamma,
+            shapes.pop()[0] if shapes else 1, checks)
 
 
-def _raise_first_invalid(params: ModelParams, cols: dict, ok: np.ndarray,
-                         kind: str) -> None:
-    # The first device not ``ok`` raises its single-device input error.
-    if not ok.all():
-        k = int(np.argmin(ok))
-        build_generator(params.replace(
-            **{name: float(col[k]) for name, col in cols.items()}), kind)
-        raise DomainError(f"device {k} is outside the model's domain")
+def build_generator(params: ModelParams, kind: str, Gamma=0.0,
+                    **varied) -> GeneratorStack:
+    """Generators of the molecule ("qdm") or of the single dot ("sqd")
+    with the same gap at load rate ``Gamma``: a float, or one per device.
 
+    ``varied`` maps fields to equal-length arrays, one entry per device,
+    and ``params`` sets the others; without either the stack holds the
+    device of ``params``.  Device k's matrix is, bit for bit, the lone
+    build of its own parameters and load.  Input errors (``DomainError``,
+    ``InvalidGeometryError``) are checked in order (the varied fields'
+    domains, the load, the level layout, every entry below the rate
+    limit); the first device that fails raises its first failed check.
 
-# Overflow and invalid values end up in entries that the checks reject.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def build_generator_stack(params: ModelParams, kind: str,
-                          **varied) -> GeneratorStack:
-    """Zero-load generators of many devices in one array pass.
-
-    ``params`` sets every field that ``varied`` does not; ``varied`` maps
-    field names to equal-length arrays, one entry per device.  The stack
-    fills the same channels as ``build_generator``, so entry for entry it
-    equals the matrices of ``build_generator(device, kind)``, device k's
-    at ``matrix[..., k]``.  An input error (``DomainError``,
-    ``InvalidGeometryError``) is raised once, for the first device that
-    has one, by building it on the single-device path.
+    The molecule's coupled population/coherence equations carry the
+    conjugate coherences as Re/Im rho13 and Re/Im rho24.  The single dot
+    couples four levels, the dot pair |1>, |2> and the contacts, with the
+    conduction escape attached directly to |1>; it ignores the tunnelings
+    and the second dot, and its coherence components stay zero.
     """
-    c, ok = _stack_columns(params, varied)
-    e = _place_levels(c, kind)
-    ok &= ((abs(e.w3) < math.inf) & (abs(e.w5) < math.inf)
-           & (e.E34 > 0.0) & (e.E35 > 0.0) & (e.E62 > 0.0))
-    _raise_first_invalid(params, c, ok, kind)
-    M = np.zeros((N_STATE, N_STATE, len(ok)))
-    _add_channels(M, c, e, _bose_stack, kind)
-    # Entries outside ``GeneratorMatrix``'s range raise the device's error.
-    _raise_first_invalid(params, c, np.abs(M).max(axis=(0, 1)) < _RATE_LIMIT,
-                         kind)
-    return GeneratorStack(M, QDM_ACTIVE if kind == "qdm" else SQD_ACTIVE,
-                          e.e5_minus_e6, e.E12, e.E34, c["kTc"])
+    if not varied and isinstance(Gamma, (int, float)):
+        return _build(params.__dict__, Gamma, 1, [], kind, lone=True)
+    # Overflow and invalid values end up in entries that the checks reject.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _build(*_stack_columns(params, varied, Gamma), kind)
+
+
+def _build(f, Gamma, n: int, checks: list, kind: str,
+           lone: bool = False) -> GeneratorStack:
+    # ``build_generator`` from fields ``f`` after the varied fields'
+    # ``checks``; a lone device fills its 2-D view entry by entry.
+    e = _place_levels(f, kind)
+    _raise_first([*checks, (
+        (Gamma >= 0.0) & (Gamma < math.inf),
+        lambda k: DomainError("load rate Gamma must be finite and >= 0, "
+                              f"got {np.ravel(Gamma)[k]}")),
+        *_level_checks(e, kind)])
+    M = np.zeros((N_STATE, N_STATE, n))
+    fill = M[..., 0] if lone else M
+    _add_channels(fill, f, e, kind)
+    fill[IDX_P55, IDX_P55] += -Gamma
+    fill[IDX_P66, IDX_P55] += Gamma
+    values = (e.e5_minus_e6, e.E12, e.E34, f["kTc"])
+    energies = (np.array(values)[:, None] if lone
+                else np.array([np.broadcast_to(v, n) for v in values]))
+    M.setflags(write=False)
+    energies.setflags(write=False)
+    g = GeneratorStack(M, QDM_ACTIVE if kind == "qdm" else SQD_ACTIVE,
+                       *energies)
+    if not g.max_rate.max() < _RATE_LIMIT:
+        _raise_first([(g.max_rate < _RATE_LIMIT, lambda k: DomainError(
+            f"generator entry {g.max_rate[k]:.3e} (gamma units) is not "
+            f"below {_RATE_LIMIT:.3e}: a rate, or a tunneling or detuning "
+            "over hbar_gamma, overflows"))])
+    return g

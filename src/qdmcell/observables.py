@@ -1,5 +1,5 @@
-"""Photovoltaic observables of one stationary state x, as
-``solve_steady(build_generator(params, kind, Gamma=g))`` returns it:
+"""Photovoltaic observables of a stationary state x, a column of
+``solve_steady(build_generator(params, kind, Gamma=g))``:
 ``photovoltaic_point`` (current, voltage, power, coherence magnitudes) and
 the absorption fluxes that the efficiency charges.  The curves and scans
 of ``sweeps`` compute the same quantities from the chain form.

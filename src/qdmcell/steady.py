@@ -1,9 +1,11 @@
-"""Stationary solutions of the photocell generator.
+"""Stationary solutions of the photocell generators.
 
 ``solve_steady(build_generator(params, kind, Gamma=g))`` is the read-only
-state vector x with M x = 0 and the populations summing to one.  A
-fixed-step RK4 propagator of the same linear system serves as an
-independent cross-check; it is an oracle, not a production path.
+(10, N) array of the stack's stationary states x, M x = 0 with the
+populations summing to one, a column per device.  A fixed-step RK4
+propagator is an independent cross-check (an oracle, not a production
+path).  Each column equals its lone device's bit for bit, and the first
+device that fails raises the error of the first check it fails.
 """
 
 from __future__ import annotations
@@ -14,110 +16,136 @@ import numpy as np
 
 from .errors import (DegenerateSteadyStateError, NumericalSolveError,
                      StepSizeError)
-from .model import GeneratorMatrix, N_STATE, POPULATION_INDICES
+from .model import GeneratorStack, N_STATE, POPULATION_INDICES, _raise_first
 
 TRACE_TOL = 1e-12
 DEGENERACY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
 
-def _check_trace_conserving(G: GeneratorMatrix) -> None:
-    scale = G.max_rate
-    col_sums = G.matrix[list(POPULATION_INDICES), :].sum(axis=0)
-    if np.abs(col_sums).max() > TRACE_TOL * scale:
-        raise NumericalSolveError(
-            "generator is not trace conserving: population rows sum to "
-            f"{np.abs(col_sums).max():.3e} (scale {scale:.3e})")
+def _devices_first(a: np.ndarray) -> np.ndarray:
+    # A (..., N) stack as (N, ...), each matrix contiguous, so numpy's
+    # linear algebra treats device k as it treats a lone matrix.
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
-def solve_steady(G: GeneratorMatrix) -> np.ndarray:
-    """Unique stationary state of a trace-conserving generator; rounding
-    may leave a vanishing population slightly negative.
+def _states(x) -> np.ndarray:
+    # States, one for all (10,) or one per device (10, N), as (N, 10, 1).
+    return _devices_first(np.reshape(np.asarray(x, float), (N_STATE, 1, -1)))
 
-    One population row is traded for the normalization constraint (the
-    |6> row, a fixed choice that keeps results bit-reproducible).  Raises
-    if the generator supports more than one stationary state.  Only the
-    components in ``G.active`` are solved for; the others stay zero.
 
-    The LU solution is refined twice against the trace-exact system: each
-    population diagonal rebuilt as minus the other population entries of
-    its column, the residual computed in ``np.longdouble``.  That removes
-    both the rounding of the diagonals as built and the LU solve's own
-    error.  Where ``longdouble`` is just ``double``, it removes only the
-    LU part.
+# Failed devices may overflow on their way to the checks that reject them.
+@np.errstate(all="ignore")
+def solve_steady(G: GeneratorStack) -> np.ndarray:
+    """Unique stationary state of each trace-conserving generator of the
+    stack; rounding may leave a vanishing population slightly negative.
+    Only the components in ``G.active`` are solved for; the others stay
+    zero.  Raises if a generator supports more than one stationary state.
+
+    One population row, |6>'s (a fixed choice that keeps results
+    bit-reproducible), is traded for the normalization.  The LU solution
+    is refined twice against the trace-exact system, each population
+    diagonal rebuilt as minus the other population entries of its column
+    and the residual computed in ``np.longdouble``: that removes both the
+    diagonals' rounding as built and the LU solve's own error (only the
+    latter where ``longdouble`` is just ``double``).
     """
-    _check_trace_conserving(G)
-
-    active = list(G.active)
-    A = G.matrix[np.ix_(active, active)]
-
-    scale = float(np.abs(A).max())
-    if scale == 0.0:
-        raise DegenerateSteadyStateError(
-            "zero generator: every state is stationary")
-
+    M, n = G.matrix, G.matrix.shape[-1]
+    pops, active = list(POPULATION_INDICES), list(G.active)
+    col_sums = np.abs(M[pops].sum(axis=0)).max(axis=0)
+    A = M[np.ix_(active, active)]
+    scale = np.abs(A).max(axis=(0, 1))
     # The trace direction accounts for exactly one null dimension; any
     # further (near-)null dimension signals disconnected blocks.
-    sv = np.linalg.svd(A, compute_uv=False)
-    if len(sv) >= 2 and sv[-2] < DEGENERACY_TOL * scale:
-        raise DegenerateSteadyStateError(
-            "multiple steady states: the generator has disconnected blocks")
+    sv = np.linalg.svd(_devices_first(A), compute_uv=False)
+    connected = (~(sv[:, -2] < DEGENERACY_TOL * scale) if len(active) >= 2
+                 else True)
 
-    pops = list(POPULATION_INDICES)
-    exact = G.matrix.astype(np.longdouble)
+    exact = M.astype(np.longdouble)
     exact[pops, pops] = 0.0
     exact[pops, pops] = -exact[pops].sum(axis=0)[pops]
-    exact = exact[np.ix_(active, active)]
+    exact = _devices_first(exact[np.ix_(active, active)])
     pop_pos = [k for k, i in enumerate(active) if i in POPULATION_INDICES]
     norm_row = pop_pos[-1]
-    exact[norm_row, :] = 0.0
-    exact[norm_row, pop_pos] = 1.0
+    exact[:, norm_row, :] = 0.0
+    exact[:, norm_row, pop_pos] = 1.0
     B = exact.astype(float)
-    b = np.zeros(len(active), dtype=np.longdouble)
+    b = np.zeros((len(active), 1), dtype=np.longdouble)
     b[norm_row] = 1.0
-
+    rhs = np.broadcast_to(b.astype(float), (n, len(active), 1))
+    regular = True
     try:
-        sol = np.linalg.solve(B, b.astype(float))
-        for _ in range(2):
-            sol += np.linalg.solve(B, (b - exact @ sol).astype(float))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalSolveError("singular constrained system") from exc
+        sol = np.linalg.solve(B, rhs)
+    except np.linalg.LinAlgError:  # a zero LU pivot; solve the other devices
+        regular = np.linalg.slogdet(B)[0] != 0.0
+        B[~regular] = np.eye(len(active))
+        sol = np.linalg.solve(B, rhs)
+    for _ in range(2):
+        sol += np.linalg.solve(B, (b - exact @ sol).astype(float))
 
-    x = np.zeros(N_STATE)
-    x[active] = sol
+    x = np.zeros((N_STATE, n))
+    x[active] = sol[..., 0].T
     res = residual(G, x)
-    if res > RESIDUAL_TOL * scale:
-        raise NumericalSolveError(
-            f"steady-state residual {res:.3e} exceeds {RESIDUAL_TOL:.0e} x "
-            f"largest generator entry {scale:.3e}")
+    _raise_first([
+        (~(col_sums > TRACE_TOL * G.max_rate), lambda k: NumericalSolveError(
+            "generator is not trace conserving: population rows sum to "
+            f"{col_sums[k]:.3e} (scale {G.max_rate[k]:.3e})")),
+        (scale != 0.0, lambda k: DegenerateSteadyStateError(
+            "zero generator: every state is stationary")),
+        (connected, lambda k: DegenerateSteadyStateError(
+            "multiple steady states: the generator has disconnected blocks")),
+        (regular, lambda k: NumericalSolveError(
+            "singular constrained system")),
+        (~(res > RESIDUAL_TOL * scale), lambda k: NumericalSolveError(
+            f"steady-state residual {res[k]:.3e} exceeds {RESIDUAL_TOL:.0e} "
+            f"x largest generator entry {scale[k]:.3e}"))])
     x.setflags(write=False)
     return x
 
 
-def residual(G: GeneratorMatrix, x: np.ndarray) -> float:
-    """Max-norm of M x; zero for exact stationary states."""
-    return float(np.abs(G.matrix @ np.asarray(x, dtype=float)).max())
+def residual(G: GeneratorStack, x) -> np.ndarray:
+    """Max-norm of M x per device, (N,); zero for exact stationary states.
+    ``x`` is one state per device, (10, N), or one for all, (10,)."""
+    return np.abs(_devices_first(G.matrix) @ _states(x)).max(axis=(1, 2))
 
 
-def evolve(G: GeneratorMatrix, x0: np.ndarray, t_final: float,
-           dt: float) -> np.ndarray:
-    """Propagate d/dt x = M x with fixed-step classical RK4.
+@np.errstate(all="ignore")  # bad times fail the checks
+def evolve(G: GeneratorStack, x0, t_final, dt) -> np.ndarray:
+    """Propagate d/dt x = M x from ``x0`` (one state per device or one
+    for all) with fixed-step RK4 to the (10, N) states at ``t_final``;
+    ``t_final`` and ``dt`` are floats or one value per device.
 
-    The generator is constant, so one RK4 step is the linear map
-    I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24; the full evolution is that
-    matrix raised to the step count (computed by repeated squaring, which
-    is bit-identical to stepping).  Requires dt * max-rate <= 0.1.
+    One RK4 step is the linear map I + hM + (hM)^2/2 + (hM)^3/6 +
+    (hM)^4/24, raised to each device's step count ceil(t_final / dt) by
+    ``np.linalg.matrix_power``'s repeated squaring (bit-identical to
+    stepping), except that three steps are a(aa), not (aa)a.  Requires a
+    finite t_final > 0, dt * max-rate <= 0.1 and under 2^63 steps.
     """
-    if t_final <= 0.0:
-        raise StepSizeError(f"t_final must be positive, got {t_final}")
-    max_rate = G.max_rate
-    if dt <= 0.0 or dt * max_rate > 0.1:
-        raise StepSizeError(
-            f"dt = {dt} too large for max rate {max_rate:.3e}: "
-            "need dt * max_rate <= 0.1")
+    t_final, dt = (np.broadcast_to(np.asarray(v, dtype=float),
+                                   G.max_rate.shape) for v in (t_final, dt))
+    steps = np.ceil(t_final / dt)
+    _raise_first([
+        ((t_final > 0.0) & (t_final < math.inf), lambda k: StepSizeError(
+            f"t_final must be finite and positive, got {t_final[k]}")),
+        ((dt > 0.0) & (dt * G.max_rate <= 0.1), lambda k: StepSizeError(
+            f"dt = {dt[k]} too large for max rate {G.max_rate[k]:.3e}: "
+            "need dt * max_rate <= 0.1")),
+        (steps < 2.0 ** 63, lambda k: StepSizeError(
+            f"t_final / dt = {steps[k]:.3e} steps: too many to count"))])
 
-    n_steps = max(1, math.ceil(t_final / dt))
-    H = dt * G.matrix
-    step = np.eye(N_STATE) + H @ (np.eye(N_STATE) + H @ (
-        np.eye(N_STATE) / 2.0 + H @ (np.eye(N_STATE) / 6.0 + H / 24.0)))
-    return np.linalg.matrix_power(step, n_steps) @ np.asarray(x0, dtype=float)
+    H = dt[:, None, None] * _devices_first(G.matrix)
+    eye = np.eye(N_STATE)
+    step = eye + H @ (eye + H @ (eye / 2.0 + H @ (eye / 6.0 + H / 24.0)))
+    # Each device's count in binary: the squares z of the step multiply
+    # into the power at each set bit.
+    count = np.maximum(steps, 1.0).astype(np.int64)
+    power, started, z = np.empty_like(step), np.zeros(len(dt), bool), step
+    while True:
+        bit = (count & 1).astype(bool)
+        power[bit & started] = power[bit & started] @ z[bit & started]
+        power[bit & ~started] = z[bit & ~started]
+        started |= bit
+        count >>= 1
+        if not count.any():
+            return (power @ _states(x0))[..., 0].T
+        z = z @ z

@@ -2,22 +2,20 @@
 
 Every stationary state here is rho(Gamma) = (x_a + Gamma x_b) / (S_a +
 Gamma S_b), the chain form of ``_chain_form``, whose coherences come from
-rate chains with the coherent links cut, free of cancellation.  The
-single-device functions (``iv_curve``, ``max_power_point``,
-``open_circuit_voltage``, ``short_circuit_current``) read it for one
-``build_generator`` call, built once per (params, kind) and held read-only
-in a two-entry memo (``_device_chain``), so a curve and its open-circuit
-voltage share it; the parameter scans treat the devices as a batch axis
-and read it for one ``model.build_generator_stack`` call (equal, entry for
-entry, to ``build_generator``) in ``max_power_batch``.  Every array of a
-stack keeps the devices on its last axis, so one ``ChainForm.states``
-serves a curve (one device, many loads) and a batch (one load per
-device).  Both find the maximum-power load by one search (``_max_power``)
-between the load grid's bounds, so a lone device's maximum is its batch
-row bit for bit; one device's Newton iteration runs on floats with
-numpy's log (the C library's may differ in the last bit and move the
-maximum off the batch's).  Scan rows are named tuples whose fields
-follow the CLI's CSV columns.
+rate chains with the coherent links cut, free of cancellation; it adds
+the load to zero-load ``build_generator`` stacks.  The single-device
+functions (``iv_curve``, ``max_power_point``, ``open_circuit_voltage``,
+``short_circuit_current``) read it for a one-device stack, built once
+per (params, kind) and held read-only in a two-entry memo
+(``_device_chain``); the scans treat the devices as a batch axis, one
+stack of the varied fields in ``max_power_batch``.  With the devices on
+the last axis, one ``ChainForm.states`` serves a curve (one device, many
+loads) and a batch (one load per device).  Both find the maximum-power
+load by one search (``_max_power``) between the load grid's bounds, so a
+lone device's maximum is its batch row bit for bit; one device's Newton
+iteration runs on floats with numpy's log (the C library's may differ in
+the last bit and move the maximum off the batch's).  Scan rows are named
+tuples whose fields follow the CLI's CSV columns.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ from .errors import (BoundaryMaximumError, DegenerateSteadyStateError,
 from .model import (BAND_ALIGNMENTS, IDX_IM13, IDX_IM24, IDX_P11, IDX_P22,
                     IDX_P33, IDX_P44, IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
                     N_STATE, POPULATION_INDICES, QDM_ACTIVE, SQD_ACTIVE,
-                    GeneratorStack, ModelParams, apply_band_alignment,
-                    build_generator, build_generator_stack,
+                    GeneratorStack, ModelParams, _check_fields,
+                    apply_band_alignment, build_generator,
                     tunneling_from_distance)
 from .observables import _POPULATION_GUARD, absorption_fluxes
 from .steady import RESIDUAL_TOL, TRACE_TOL
@@ -322,7 +320,7 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
     M = stack.matrix
     n_dev = M.shape[-1]
     flat = M.reshape(-1, n_dev)
-    scale = np.abs(M).max(axis=(0, 1))
+    scale = stack.max_rate
     trace = np.abs(np.add.reduce(M[IDX_P11:IDX_P66 + 1])).max(axis=0)
     _fail(errors, ~(trace <= TRACE_TOL * scale),
           lambda k: NumericalSolveError(
@@ -421,19 +419,14 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
 # cached: a failing device runs every check again on each call.
 @functools.lru_cache(maxsize=2)
 def _device_chain(params: ModelParams, kind: str) -> ChainForm:
-    """Chain form of one device, from ``build_generator``; raises the
+    """Chain form of one device's ``build_generator`` stack; raises the
     device's error if it fails.  Its arrays are read-only, since every
     caller with the same (params, kind) shares them."""
-    g = build_generator(params, kind)
-    e = g.energies
-    stack = GeneratorStack(g.matrix[..., None], g.active, *(
-        np.array([v]) for v in (e.e5_minus_e6, e.E12, e.E34, params.kTc)))
     errors = [None]
-    chain = _chain_form(stack, errors)
+    chain = _chain_form(build_generator(params, kind), errors)
     if errors[0] is not None:
         raise errors[0]
-    for values in (chain.x_a, chain.x_b, chain.s_a, chain.s_b, stack.matrix,
-                   stack.e5_minus_e6, stack.E12, stack.E34, stack.kTc):
+    for values in (chain.x_a, chain.x_b, chain.s_a, chain.s_b):
         values.setflags(write=False)
     return chain
 
@@ -641,13 +634,14 @@ def relative_current_gain(params: ModelParams) -> CurrentGain:
 def max_power_batch(params: ModelParams, kind: str = "qdm",
                     grid: GridSpec | None = None,
                     **varied) -> MaxPowerBatch:
-    """Maximum-power points of ``params`` with the fields in ``varied``
-    set from equal-length arrays, one device per entry (see
-    ``build_generator_stack``), between ``grid.gamma_min`` and
-    ``grid.gamma_max``.  An input error in any device raises at once;
-    numerical failures are recorded per device.
+    """Maximum-power points, between ``grid.gamma_min`` and
+    ``grid.gamma_max``, of the devices of ``build_generator(params, kind,
+    **varied)``.  An input error in any device raises at once; numerical
+    failures are recorded per device.
     """
-    stack = build_generator_stack(params, kind, **varied)
+    # The chain form adds the load itself: ``Gamma`` is not a field here.
+    _check_fields(params, varied.keys())
+    stack = build_generator(params, kind, **varied)
     errors = [None] * stack.matrix.shape[-1]
     return _max_power(_chain_form(stack, errors), grid or GridSpec(), errors)
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from qdmcell import (BAND_ALIGNMENTS, DomainError, InvalidGeometryError,
                      ModelParams, apply_band_alignment, bose_occupation,
-                     build_generator, build_generator_stack,
-                     thermal_occupations, tunneling_from_distance)
+                     build_generator, thermal_occupations,
+                     tunneling_from_distance)
 from qdmcell.model import (IDX_IM13, IDX_P22, IDX_P66, N_STATE,
                            PHONON_ENERGY_FLOOR, POPULATION_INDICES,
-                           QDM_ACTIVE, SQD_ACTIVE)
+                           QDM_ACTIVE, SQD_ACTIVE, _place_levels)
 from qdmcell.steady import solve_steady
 
 
@@ -72,7 +72,7 @@ class TestTunnelingFit:
 
 class TestLevelEnergies:
     def test_default_transition_energies(self):
-        e = build_generator(ModelParams(), "qdm").energies
+        e = _place_levels(ModelParams().__dict__, "qdm")
         assert e.E12 == 1115.0
         assert e.E34 == 1109.0  # E12 - (delta_e + delta_h)
         assert e.E35 == 2.0
@@ -88,8 +88,8 @@ class TestLevelEnergies:
             build_generator(ModelParams(delta_e=600.0, delta_h=600.0), "qdm")
 
     def test_alignment_a1_makes_conduction_resonant(self):
-        e = build_generator(
-            apply_band_alignment(ModelParams(), "A1"), "qdm").energies
+        e = _place_levels(
+            apply_band_alignment(ModelParams(), "A1").__dict__, "qdm")
         assert e.w1 == e.w3
 
 
@@ -131,8 +131,7 @@ class TestBandAlignments:
         for tag in ("A1", "A2", "B1", "B2"):
             p = apply_band_alignment(base, tag)
             assert p.delta_e + p.delta_h == pytest.approx(6.0, abs=1e-12)
-            assert build_generator(p, "qdm").energies.E34 == pytest.approx(
-                1109.0)
+            assert build_generator(p, "qdm").E34 == pytest.approx([1109.0])
 
 
 class TestGeneratorStructure:
@@ -148,7 +147,7 @@ class TestGeneratorStructure:
         for kind in ("qdm", "sqd"):
             g = build_generator(ModelParams(), kind)
             col_sums = g.matrix[list(POPULATION_INDICES), :].sum(axis=0)
-            assert np.abs(col_sums).max() <= 1e-14 * g.max_rate
+            assert np.abs(col_sums).max() <= 1e-14 * g.max_rate[0]
 
     def test_active_sets(self):
         assert build_generator(ModelParams(), "qdm").active == QDM_ACTIVE
@@ -184,7 +183,7 @@ class TestGeneratorStructure:
         p = ModelParams(Te=0.0, Th=0.0, gamma1=0.0, gamma2=0.0,
                         gamma_c=0.0)
         g = build_generator(p, "qdm")
-        x = solve_steady(replace(g, active=(IDX_P22, IDX_P66)))
+        x = solve_steady(replace(g, active=(IDX_P22, IDX_P66)))[:, 0]
         nv = thermal_occupations(p).nv
         assert x[IDX_P66] / x[IDX_P22] == pytest.approx(
             nv / (nv + 1.0), rel=1e-12)
@@ -193,7 +192,7 @@ class TestGeneratorStructure:
         p = ModelParams(gamma_13=0.01, gamma_24=0.01)
         g = build_generator(p, "qdm")
         col_sums = g.matrix[list(POPULATION_INDICES), :].sum(axis=0)
-        assert np.abs(col_sums).max() <= 1e-14 * g.max_rate
+        assert np.abs(col_sums).max() <= 1e-14 * g.max_rate[0]
 
     def test_phonon_floor_handles_resonant_levels(self):
         # Degenerate interdot levels would put a zero energy into the
@@ -294,17 +293,19 @@ _stack_devices = st.builds(
     alignment=st.sampled_from(BAND_ALIGNMENTS))
 _kinds = st.sampled_from(("qdm", "sqd"))
 
-# One bad field each; whether and how a device fails is decided by the
-# single-device path (the single dot ignores delta_e, for one).
+# One bad field or load each; whether and how a device fails is decided by
+# its lone build (the single dot ignores delta_e, for one).
 _BAD_FIELDS = (("gamma_c", -1.0), ("gamma_v", math.nan), ("kTs", math.inf),
                ("Te", -math.inf), ("E12", 0.0), ("delta_c", -1.0),
                ("delta_v", 0.0), ("delta_e", 2000.0), ("gamma_c", 1e308),
-               ("hbar_gamma", 1e-320))
+               ("hbar_gamma", 1e-320), ("Gamma", -1.0), ("Gamma", math.nan),
+               ("Gamma", math.inf))
+_loads = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3))
 
 
-def _single_device_error(values: dict, kind: str):
+def _lone_device_error(values: dict, kind: str, load: float):
     try:
-        build_generator(ModelParams(**values), kind)
+        build_generator(ModelParams(**values), kind, Gamma=load)
     except (DomainError, InvalidGeometryError) as exc:
         return exc
     return None
@@ -313,7 +314,7 @@ def _single_device_error(values: dict, kind: str):
 class TestHermitianCrossCheck:
     """Rebuild each generator from the complex master equation on the 6x6
     density matrix, d rho/dt = -i[H, rho] + sum_k D[L_k] rho, and compare
-    both builders' real-packed matrices with it."""
+    the real-packed matrices of lone builds and of stacks with it."""
 
     @staticmethod
     def _reference(p, kind, Gamma):
@@ -372,16 +373,17 @@ class TestHermitianCrossCheck:
         assert np.abs(matrix - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def _assert_both_builders_match(self, p, kind):
-        self._assert_matches(build_generator(p, kind, Gamma=1.0).matrix, p,
-                             kind, Gamma=1.0)
+        # A lone build, and a device varied in a stack, at zero load.
+        lone = build_generator(p, kind, Gamma=1.0)
+        self._assert_matches(lone.matrix[..., 0], p, kind, Gamma=1.0)
         self._assert_matches(
-            build_generator_stack(p, kind, gamma_c=[p.gamma_c]).matrix[..., 0],
+            build_generator(p, kind, gamma_c=[p.gamma_c]).matrix[..., 0],
             p, kind)
 
     def test_real_packing_matches_complex_equations(self):
         p = ModelParams().with_distance(3.0)
-        self._assert_matches(build_generator(p, "qdm", Gamma=1.0).matrix, p,
-                             "qdm", Gamma=1.0)
+        g = build_generator(p, "qdm", Gamma=1.0)
+        self._assert_matches(g.matrix[..., 0], p, "qdm", Gamma=1.0)
 
     # Assisted gaps of both signs: w1 - w3 = delta_e and w2 - w4 =
     # -delta_h; A1 and A2 put one pair on resonance, onto the floor.
@@ -407,70 +409,101 @@ class TestHermitianCrossCheck:
     @given(devices=st.lists(_stack_devices, min_size=1, max_size=4),
            kind=_kinds)
     def test_random_devices_match_complex_equations(self, devices, kind):
-        stack = build_generator_stack(ModelParams(), kind,
-                                      **_stack_fields(devices))
+        loads = np.arange(len(devices)) / 2.0
+        stack = build_generator(ModelParams(), kind, Gamma=loads,
+                                **_stack_fields(devices))
         for k, p in enumerate(devices):
-            self._assert_matches(build_generator(p, kind, Gamma=1.0).matrix,
-                                 p, kind, Gamma=1.0)
-            self._assert_matches(stack.matrix[..., k], p, kind)
+            self._assert_matches(build_generator(p, kind).matrix[..., 0],
+                                 p, kind)
+            self._assert_matches(stack.matrix[..., k], p, kind, loads[k])
 
 
 class TestGeneratorStack:
     @settings(max_examples=100, deadline=None)
-    @given(devices=st.lists(_stack_devices, min_size=1, max_size=4),
+    @given(devices=st.lists(st.tuples(_stack_devices, _loads), min_size=1,
+                            max_size=4),
            kind=_kinds)
     def test_equals_single_device_builds(self, devices, kind):
-        stack = build_generator_stack(ModelParams(), kind,
-                                      **_stack_fields(devices))
-        singles = [build_generator(p, kind) for p in devices]
-        assert np.array_equal(stack.matrix,
-                              np.stack([g.matrix for g in singles], axis=-1))
-        assert stack.active == singles[0].active
-        for name, want in (
-                ("e5_minus_e6", [g.energies.e5_minus_e6 for g in singles]),
-                ("E12", [g.energies.E12 for g in singles]),
-                ("E34", [g.energies.E34 for g in singles]),
-                ("kTc", [p.kTc for p in devices])):
-            assert np.array_equal(getattr(stack, name), want)
+        # Device k of a varied stack, with a load per device, is the lone
+        # build of its own parameters and load, bit for bit: array_equal
+        # would let -0.0 stand for 0.0.
+        params, loads = zip(*devices)
+        stack = build_generator(ModelParams(), kind, Gamma=list(loads),
+                                **_stack_fields(params))
+        assert stack.matrix.shape == (N_STATE, N_STATE, len(devices))
+        for k, (p, load) in enumerate(devices):
+            lone = build_generator(p, kind, Gamma=load)
+            assert lone.active == stack.active
+            for name in ("matrix", "e5_minus_e6", "E12", "E34", "kTc",
+                         "max_rate"):
+                assert (getattr(stack, name)[..., k].tobytes()
+                        == getattr(lone, name)[..., 0].tobytes())
 
     @pytest.mark.parametrize("kind", ["qdm", "sqd"])
     @pytest.mark.parametrize("name, value", _BAD_FIELDS)
     @settings(max_examples=5, deadline=None)
-    @given(devices=st.lists(_stack_devices, min_size=1, max_size=4),
+    @given(devices=st.lists(st.tuples(_stack_devices, _loads), min_size=1,
+                            max_size=4),
            data=st.data())
     def test_invalid_device_raises_its_single_device_error(
             self, kind, name, value, devices, data):
         k = data.draw(st.integers(min_value=0, max_value=len(devices) - 1))
-        varied = _stack_fields(devices)
-        varied[name][k] = value
-        want = _single_device_error(
-            {f: float(v[k]) for f, v in varied.items()}, kind)
+        params, loads = zip(*devices)
+        varied, loads = _stack_fields(params), np.array(loads)
+        (loads if name == "Gamma" else varied[name])[k] = value
+        want = _lone_device_error(
+            {f: float(v[k]) for f, v in varied.items()}, kind, loads[k])
         if want is None:
-            build_generator_stack(ModelParams(), kind, **varied)
+            build_generator(ModelParams(), kind, Gamma=loads, **varied)
             return
         with pytest.raises(type(want)) as got:
-            build_generator_stack(ModelParams(), kind, **varied)
+            build_generator(ModelParams(), kind, Gamma=loads, **varied)
         assert str(got.value) == str(want)
+
+    def test_first_failing_device_raises_its_first_failed_check(self):
+        # Device 1's field fails the first check, device 0's layout a later
+        # one: device 0 raises.  Device 1 alone raises its own error.
+        varied = dict(delta_e=[2000.0, 3.0], gamma_c=[100.0, -1.0])
+        with pytest.raises(InvalidGeometryError, match="E34 = "):
+            build_generator(ModelParams(), "qdm", **varied)
+        with pytest.raises(DomainError, match="rate gamma_c"):
+            build_generator(ModelParams(), "qdm", Gamma=[1.0, 1.0],
+                            delta_e=[3.0, 3.0], gamma_c=[100.0, -1.0])
 
     def test_base_fields_fill_the_rest(self):
         base = ModelParams().with_distance(4.0)
-        stack = build_generator_stack(base, "qdm", gamma_c=[1.0, 50.0])
+        stack = build_generator(base, "qdm", gamma_c=[1.0, 50.0])
         for k, gc in enumerate((1.0, 50.0)):
             want = build_generator(base.replace(gamma_c=gc), "qdm").matrix
-            assert np.array_equal(stack.matrix[..., k], want)
+            assert np.array_equal(stack.matrix[..., k], want[..., 0])
 
     @pytest.mark.parametrize("kind", ["qdm", "sqd"])
     def test_zero_load_build_is_a_stack_entry(self, kind):
         # Bit for bit: array_equal would let -0.0 stand for 0.0.
         for p in (ModelParams(), ModelParams(gamma_13=0.1, kTs=3.0)):
-            assert (build_generator(p, kind).matrix.tobytes()
-                    == build_generator_stack(p, kind).matrix[..., 0].tobytes())
+            stack = build_generator(ModelParams(), kind, Gamma=[0.0, 2.5],
+                                    **_stack_fields([p, p]))
+            for k, load in enumerate((0.0, 2.5)):
+                assert (build_generator(p, kind, Gamma=load).matrix.tobytes()
+                        == stack.matrix[..., k].tobytes())
 
     def test_bad_requests_rejected(self):
+        with pytest.raises(DomainError, match=r"cannot vary \['gamma'\]"):
+            build_generator(ModelParams(), "qdm", gamma=[1.0])
         with pytest.raises(DomainError):
-            build_generator_stack(ModelParams(), "qdm", Gamma=[1.0])
+            build_generator(ModelParams(), "qdm", gamma_c=[1.0, 2.0],
+                            gamma_v=[1.0])
         with pytest.raises(DomainError):
-            build_generator_stack(ModelParams(), "qdm", gamma_c=[1.0, 2.0],
-                                  gamma_v=[1.0])
+            build_generator(ModelParams(), "qdm", Gamma=[1.0, 2.0],
+                            gamma_c=[1.0])
         with pytest.raises(DomainError):
-            build_generator_stack(ModelParams(), "dqd", gamma_c=[1.0])
+            build_generator(ModelParams(), "qdm", gamma_c=5.0)
+        with pytest.raises(DomainError):
+            build_generator(ModelParams(), "dqd", gamma_c=[1.0])
+
+    def test_lone_device_is_a_stack_of_one(self):
+        g = build_generator(ModelParams(), "qdm", Gamma=2.0)
+        assert g.matrix.shape == (N_STATE, N_STATE, 1)
+        for name in ("e5_minus_e6", "E12", "E34", "kTc", "max_rate"):
+            assert getattr(g, name).shape == (1,)
+        assert g.max_rate[0] == np.abs(g.matrix).max()

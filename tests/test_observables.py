@@ -12,10 +12,10 @@ from qdmcell import (BAND_ALIGNMENTS, ModelParams, VoltageUndefinedError,
                      build_generator, iv_curve, max_power_point,
                      photovoltaic_point, solve_steady)
 from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P55, IDX_P66,
-                           IDX_RE13, IDX_RE24, N_STATE)
+                           IDX_RE13, IDX_RE24, N_STATE, _place_levels)
 
 _DEFAULT = ModelParams()
-_LEVELS = build_generator(_DEFAULT, "qdm").energies
+_LEVELS = _place_levels(_DEFAULT.__dict__, "qdm")
 
 
 def _state(**components) -> np.ndarray:
@@ -30,9 +30,15 @@ def _point(state: np.ndarray, Gamma: float = 1.0):
     return photovoltaic_point(state, Gamma, _LEVELS, _DEFAULT.kTc)
 
 
-def _solved_point(params: ModelParams, kind: str, Gamma: float = 1.0):
+def _lone_state(params: ModelParams, kind: str, Gamma: float):
+    # The matrix and stationary state of the one-device stack.
     g = build_generator(params, kind, Gamma=Gamma)
-    return photovoltaic_point(solve_steady(g), Gamma, g.energies, params.kTc)
+    return g.matrix[..., 0], solve_steady(g)[:, 0]
+
+
+def _solved_point(params: ModelParams, kind: str, Gamma: float = 1.0):
+    return photovoltaic_point(_lone_state(params, kind, Gamma)[1], Gamma,
+                              _place_levels(params.__dict__, kind), params.kTc)
 
 
 class TestCurrent:
@@ -44,8 +50,7 @@ class TestCurrent:
     def test_dark_cell_carries_nothing(self):
         # No pumping: the conduction side stays empty at any load, so no
         # current flows and the contact voltage is undefined.
-        ss = solve_steady(build_generator(ModelParams(kTs=1e-2), "qdm",
-                                          Gamma=1.0))
+        _, ss = _lone_state(ModelParams(kTs=1e-2), "qdm", 1.0)
         assert ss[IDX_P11] <= 1e-15
         assert ss[IDX_P55] <= 1e-15
         with pytest.raises(VoltageUndefinedError):
@@ -92,10 +97,10 @@ class TestAbsorptionFluxes:
         # Oracle solve at the maximum-power load, independent of the
         # stacked solves inside the sweep.
         mpp = max_power_point(params, kind=kind)
-        g = build_generator(params, kind, Gamma=mpp.Gamma_star)
-        ss = solve_steady(g)
-        return g, ss, photovoltaic_point(ss, mpp.Gamma_star, g.energies,
-                                         params.kTc)
+        M, ss = _lone_state(params, kind, mpp.Gamma_star)
+        return M, ss, photovoltaic_point(
+            ss, mpp.Gamma_star, _place_levels(params.__dict__, kind),
+            params.kTc)
 
     @pytest.mark.parametrize("rate", [0.0, 0.001, 0.1])
     @pytest.mark.parametrize("alignment", BAND_ALIGNMENTS)
@@ -104,14 +109,14 @@ class TestAbsorptionFluxes:
         # the absorbed fluxes carry the whole load current.
         p = apply_band_alignment(ModelParams(gamma_13=rate, gamma_24=rate),
                                  alignment)
-        g, ss, pt = self._mpp_state(p, "qdm")
-        j1, j2 = absorption_fluxes(ss, g.matrix)
+        M, ss, pt = self._mpp_state(p, "qdm")
+        j1, j2 = absorption_fluxes(ss, M)
         assert j2 > 0.0
         assert j1 + j2 == pytest.approx(pt.j, rel=1e-10)
 
     def test_single_dot_has_no_second_channel(self):
-        g, ss, pt = self._mpp_state(_DEFAULT, "sqd")
-        j1, j2 = absorption_fluxes(ss, g.matrix)
+        M, ss, pt = self._mpp_state(_DEFAULT, "sqd")
+        j1, j2 = absorption_fluxes(ss, M)
         assert j2 == 0.0
         assert j1 == pytest.approx(pt.j, rel=1e-10)
 
@@ -133,14 +138,13 @@ class TestCoherences:
 class TestPhotovoltaicPoint:
     def test_bundles_consistently(self):
         p, load = _DEFAULT, 1.0
-        g = build_generator(p, "qdm", Gamma=load)
-        ss = solve_steady(g)
-        pt = photovoltaic_point(ss, load, g.energies, p.kTc)
+        _, ss = _lone_state(p, "qdm", load)
+        pt = photovoltaic_point(ss, load, _LEVELS, p.kTc)
         p55, p66 = ss[IDX_P55], ss[IDX_P66]
         assert pt.Gamma == load
         assert pt.state is ss
         assert pt.j == load * p55
-        assert pt.V == g.energies.e5_minus_e6 + p.kTc * math.log(p55 / p66)
+        assert pt.V == _LEVELS.e5_minus_e6 + p.kTc * math.log(p55 / p66)
         assert pt.P == pt.j * pt.V
         assert (pt.coh13, pt.coh24) == (
             abs(complex(ss[IDX_RE13], ss[IDX_IM13])),

@@ -23,7 +23,8 @@ from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      solve_steady, tunneling_from_distance)
 from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P22, IDX_P33,
                            IDX_P44, IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
-                           N_STATE, POPULATION_INDICES, GeneratorStack)
+                           N_STATE, POPULATION_INDICES, GeneratorStack,
+                           _place_levels)
 from qdmcell.observables import _POPULATION_GUARD
 from qdmcell.sweeps import (ChainForm, MaxPowerPoint, _device_chain, _gth,
                             _max_power, _short_circuit_load,
@@ -51,20 +52,20 @@ def _gauss(A: list) -> list:
 
 def _high_precision_solve(g, digits: int, read, load=0):
     """``read(mpmath, x)`` at ``digits`` digits, with x the stationary
-    state of generator ``g`` (indexed by state component) solved at that
-    precision, the |6> row traded for the normalization.  ``load``, an
-    mpmath number, is added exactly to g's load rate |5> -> |6>.  Each
-    population diagonal is rebuilt in mpmath as minus the other
-    population entries of its column, so the reference conserves the
-    trace exactly, as the chain form does, and not only to the rounding
-    of the diagonal as built.
+    state of the one-device stack ``g`` (indexed by state component)
+    solved at that precision, the |6> row traded for the normalization.
+    ``load``, an mpmath number, is added exactly to g's load rate
+    |5> -> |6>.  Each population diagonal is rebuilt in mpmath as minus
+    the other population entries of its column, so the reference conserves
+    the trace exactly, as the chain form does, and not only to the
+    rounding of the diagonal as built.
     """
     active = list(g.active)
     pops = [c for c, i in enumerate(active) if i in POPULATION_INDICES]
     r5, r6 = active.index(IDX_P55), active.index(IDX_P66)
     with mpmath.workdps(digits):
         B = [[mpmath.mpf(v) for v in row]
-             for row in g.matrix[np.ix_(active, active)].tolist()]
+             for row in g.matrix[..., 0][np.ix_(active, active)].tolist()]
         B[r6][r5] += load
         for c in pops:
             B[c][c] = -mpmath.fsum(B[r][c] for r in pops if r != c)
@@ -168,7 +169,7 @@ class TestIvCurve:
 
         def voltage(mpmath, x):
             assert x[IDX_P55] > 0
-            return float(g.energies.e5_minus_e6
+            return float(float(g.e5_minus_e6[0])
                          + p.kTc * mpmath.log(x[IDX_P55] / x[IDX_P66]))
 
         # The elimination cancels down to the 1e-97 scale of rho55 (at 50
@@ -217,7 +218,7 @@ class TestMaxPowerPoint:
         mpp = max_power_point(p, kind="qdm")
         g = build_generator(p, "qdm", Gamma=mpp.Gamma_star)
         j1, j2 = absorption_fluxes(solve_steady(g), g.matrix)
-        supplied = g.energies.E12 * j1 + g.energies.E34 * j2
+        supplied = (g.E12 * j1 + g.E34 * j2)[0]
         assert mpp.eta == pytest.approx(mpp.P_m / supplied, rel=1e-10)
         # Dot 2 absorbs below E12, so charging it at E12 understates eta.
         assert mpp.eta > mpp.V_mpp / p.E12
@@ -361,7 +362,7 @@ class TestRelativeCurrentGain:
         # Solved on the block of |1>: |4> and the coherences decouple.
         x = solve_steady(replace(
             build_generator(p, "qdm", Gamma=load),
-            active=(IDX_P11, IDX_P22, IDX_P33, IDX_P55, IDX_P66)))
+            active=(IDX_P11, IDX_P22, IDX_P33, IDX_P55, IDX_P66)))[:, 0]
         assert abs(load * x[IDX_P55]) <= 1e-12
         # Sweeps refuse the degenerate build outright rather than
         # reporting a meaningless gain.
@@ -437,7 +438,7 @@ class TestGammaGridScan:
         assert np.isnan(batch.P_m[[0, 2]]).all()
         assert batch.P_m[1] == max_power_batch(ModelParams()).P_m[0]
         # The dark cell's steady state exists; its contact is empty.
-        x = solve_steady(build_generator(dark, "qdm", Gamma=1.0))
+        x = solve_steady(build_generator(dark, "qdm", Gamma=1.0))[:, 0]
         assert x[IDX_P55] <= 1e-300
 
 
@@ -501,6 +502,16 @@ class TestScanErrors:
         with pytest.raises(DomainError):
             max_power_batch(ModelParams(), kind="qdm",
                             gamma_c=[100.0, -1.0, np.nan])
+
+    def test_load_is_not_a_batch_field(self):
+        # The chain form adds the load itself, so the zero-load stack it
+        # reads must not take one.
+        with pytest.raises(DomainError, match=r"cannot vary \['Gamma'\]"):
+            max_power_batch(ModelParams(), Gamma=[1.0])
+        with pytest.raises(DomainError,
+                           match=r"cannot vary \['Gamma', 'gamma'\]"):
+            max_power_batch(ModelParams(), gamma_c=[1.0], Gamma=[1.0],
+                            gamma=[1.0])
 
     def test_empty_batches_raise_domain_error(self):
         for call in (lambda: max_power_batch(ModelParams(), gamma_c=[]),
@@ -599,15 +610,16 @@ class TestLoadSweepProperties:
            log_gamma=st.floats(min_value=-6.0, max_value=6.0))
     def test_closed_form_matches_direct_solve(self, p, kind, log_gamma):
         gamma = 10.0 ** log_gamma
-        direct = solve_steady(build_generator(p, kind, Gamma=gamma))
+        direct = solve_steady(build_generator(p, kind, Gamma=gamma))[:, 0]
         closed = _device_chain(p, kind).states(gamma)[:, 0]
         assert np.abs(closed - direct).max() <= 1e-10
 
     @settings(max_examples=50, deadline=None)
     @given(p=_devices, kind=_kinds)
     def test_open_circuit_voltage_is_zero_load_state(self, p, kind):
-        g = build_generator(p, kind)
-        want = photovoltaic_point(solve_steady(g), 0.0, g.energies, p.kTc).V
+        want = photovoltaic_point(
+            solve_steady(build_generator(p, kind))[:, 0], 0.0,
+            _place_levels(p.__dict__, kind), p.kTc).V
         assert open_circuit_voltage(p, kind).value == pytest.approx(
             want, rel=1e-9)
 
@@ -627,7 +639,7 @@ class TestLoadSweepProperties:
         state = curve.chain.states(gamma)[:, 0]
         # The voltage from the normalized populations, not from the
         # a6 + Gamma b6 form the crossing was solved with.
-        e56 = build_generator(curve.params, kind).energies.e5_minus_e6
+        e56 = _place_levels(curve.params.__dict__, kind).e5_minus_e6
         V = e56 + p.kTc * np.log(state[IDX_P55] / state[IDX_P66])
         assert abs(V) <= 1e-9
         assert jsc.value == pytest.approx(gamma * state[IDX_P55], rel=1e-12)
@@ -778,12 +790,12 @@ class TestMaxPowerBatch:
         for k, p in enumerate(devices):
             gamma = float(batch.Gamma_star[k])
             g = build_generator(p, kind, Gamma=gamma)
-            x = solve_steady(g)
-            j1, j2 = absorption_fluxes(x, g.matrix)
-            pt = photovoltaic_point(x, gamma, g.energies, p.kTc)
+            x = solve_steady(g)[:, 0]
+            j1, j2 = absorption_fluxes(x, g.matrix[..., 0])
+            e = _place_levels(p.__dict__, kind)
+            pt = photovoltaic_point(x, gamma, e, p.kTc)
             want = {"j_mpp": pt.j, "V_mpp": pt.V,
-                    "eta": pt.P / (g.energies.E12 * j1
-                                   + g.energies.E34 * j2),
+                    "eta": pt.P / (e.E12 * j1 + e.E34 * j2),
                     "coh13": pt.coh13, "coh24": pt.coh24}
             for name, value in want.items():
                 assert getattr(batch, name)[k] == pytest.approx(
@@ -848,7 +860,7 @@ def _high_precision_maximum(p: ModelParams, kind: str, gamma0: float):
     Gamma*, j and P inherit through V, and the supplied power
     E12 J1 + E34 J2 cancels where each pump nearly balances."""
     g = build_generator(p, kind)
-    e, M = g.energies, g.matrix
+    e, M = _place_levels(p.__dict__, kind), g.matrix[..., 0]
 
     def at(ln_gamma):
         gamma = mpmath.exp(ln_gamma)
@@ -885,7 +897,7 @@ class TestHighPrecisionMaximum:
         g = build_generator(ModelParams(gamma_13=0.01, gamma_24=0.01),
                             "qdm", Gamma=1.0)
         A = [[mpmath.mpf(v) for v in row]
-             for row in (g.matrix - np.eye(N_STATE)).tolist()]
+             for row in (g.matrix[..., 0] - np.eye(N_STATE)).tolist()]
         b = [mpmath.mpf(k) for k in range(1, N_STATE + 1)]
         with mpmath.workdps(40):
             want = mpmath.lu_solve(mpmath.matrix(A), mpmath.matrix(b))
