@@ -16,9 +16,8 @@ from .observables import (PhotovoltaicPoint, absorption_fluxes,
                           photovoltaic_point)
 from .steady import evolve, residual, solve_steady
 from .sweeps import (CurrentGain, EfficiencyRow, GammaGridScan, GridSpec,
-                     IVCurve, MaxPowerBatch, MaxPowerPoint,
-                     OpenCircuitVoltage, PhononAssistedRow,
-                     ShortCircuitCurrent,
+                     IVCurve, MaxPowerPoint, OpenCircuitVoltage,
+                     PhononAssistedRow, ShortCircuitCurrent,
                      efficiency_vs_distance, gamma_grid_scan, iv_curve,
                      max_power_batch, max_power_point, open_circuit_voltage,
                      phonon_assisted_comparison, relative_current_gain,

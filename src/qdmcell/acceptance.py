@@ -14,6 +14,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +66,7 @@ class CriterionResult:
         return ok
 
 
-@dataclass(frozen=True)
-class Calibration:
+class Calibration(NamedTuple):
     hbar_gamma: float
     sqd_Voc: float
     sqd_jsc: float

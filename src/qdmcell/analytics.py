@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,7 @@ class TlsParams:
                 raise DomainError(f"{name} must be {what}")
 
 
-@dataclass(frozen=True)
-class TlsSteadyState:
+class TlsSteadyState(NamedTuple):
     rho_ee: float
     rho_eg: complex
 
@@ -101,8 +101,7 @@ def tls_saturation_threshold(delta: float, gamma0: float,
     return math.sqrt(gamma0 / gammap) * math.sqrt(delta ** 2 + gammap ** 2)
 
 
-@dataclass(frozen=True)
-class LinearityResult:
+class LinearityResult(NamedTuple):
     slope: float
     r_squared: float
     n_excluded: int
@@ -114,15 +113,25 @@ def coherence_linearity_check(dataset) -> LinearityResult:
     ``dataset`` holds (Te, j, coh13) triples; points with vanishing
     coherence are excluded and counted.  R^2 uses the uncentered total
     sum of squares, the usual convention for a through-origin fit.
+    Raises ``DomainError`` for a value that is not finite, fewer than five
+    usable points, or a fit whose Te or j are all zero or whose sums of
+    squares overflow.
     """
-    rows = [(te, j, c) for te, j, c in dataset if c > 0.0]
-    n_excluded = len(dataset) - len(rows)
-    if len(rows) < 5:
+    data = np.array(dataset, dtype=float).reshape(-1, 3)
+    if not np.isfinite(data).all():
+        raise DomainError("Te, j and coh13 must be finite")
+    x, j, c = data[data[:, 2] > 0.0].T
+    if len(x) < 5:
         raise DomainError("need at least 5 usable points")
-    x = np.array([te for te, _, _ in rows])
-    y = np.array([j / c for _, j, c in rows])
-    slope = float((x * y).sum() / (x * x).sum())
-    ss_res = float(((y - slope * x) ** 2).sum())
-    ss_tot = float((y ** 2).sum())
+    with np.errstate(all="ignore"):  # a degenerate fit is caught below
+        y = j / c
+        ss_x = float((x * x).sum())
+        slope = float((x * y).sum() / ss_x)
+        ss_res = float(((y - slope * x) ** 2).sum())
+        ss_tot = float((y ** 2).sum())
+    if not (0.0 < ss_x < math.inf and 0.0 < ss_tot < math.inf
+            and math.isfinite(ss_res)):
+        raise DomainError("degenerate fit: Te and j must not all be zero, "
+                          "and their sums of squares must be finite")
     return LinearityResult(slope=slope, r_squared=1.0 - ss_res / ss_tot,
-                           n_excluded=n_excluded)
+                           n_excluded=len(data) - len(x))

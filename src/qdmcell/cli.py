@@ -11,7 +11,7 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from . import __version__
 from .acceptance import DEFAULT_SEED, calibrate, run_all
@@ -37,8 +37,7 @@ _KEY_UNITS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved run configuration (model + sweep controls)."""
 
     params: ModelParams
@@ -117,7 +116,7 @@ def _parse_overrides(pairs) -> dict:
     return values
 
 
-_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"params"}
+_RUN_KEYS = set(RunConfig._fields) - {"params"}
 
 
 def build_config(file_values: dict, override_values: dict) -> RunConfig:
@@ -180,8 +179,7 @@ def _cmd_max_power(config: RunConfig, out) -> int:
     _write_csv(out, "max-power", config,
                ["Gamma_star_over_gamma", "j_over_egamma", "V_mV",
                 "Pm_over_gamma_meV", "eta", "coh13", "coh24"],
-               [(mpp.Gamma_star, mpp.j_mpp, mpp.V_mpp, mpp.P_m, mpp.eta,
-                 mpp.coh13, mpp.coh24)])
+               [mpp[:7]])
     return 0
 
 

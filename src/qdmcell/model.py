@@ -243,8 +243,7 @@ def _raise_first(checks) -> None:
     raise next(error for (_, error), bad in zip(checks, fails[:, k]) if bad)(k)
 
 
-@dataclass(frozen=True)
-class ThermalOccupations:
+class ThermalOccupations(NamedTuple):
     """Mean photon (n1, n2) and phonon (nc, nv) reservoir occupations."""
 
     n1: float

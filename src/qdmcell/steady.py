@@ -117,9 +117,12 @@ def evolve(G: GeneratorStack, x0, t_final, dt) -> np.ndarray:
 
     One RK4 step is the linear map I + hM + (hM)^2/2 + (hM)^3/6 +
     (hM)^4/24, raised to each device's step count ceil(t_final / dt) by
-    ``np.linalg.matrix_power``'s repeated squaring (bit-identical to
-    stepping), except that three steps are a(aa), not (aa)a.  Requires a
-    finite t_final > 0, dt * max-rate <= 0.1 and under 2^63 steps.
+    repeated squaring of the stack's own matrices.  The power equals
+    ``np.linalg.matrix_power``'s bit for bit, except that three steps are
+    a(aa), not (aa)a.  It is not the step applied one at a time: on the
+    default molecule (Gamma = 1, dt = 0.05 / max rate) the two differ by
+    up to 4.4e-16 at 5 steps and 5.1e-14 at 1 000.  Requires a finite
+    t_final > 0, dt * max-rate <= 0.1 and under 2^63 steps.
     """
     t_final, dt = (np.broadcast_to(np.asarray(v, dtype=float),
                                    G.max_rate.shape) for v in (t_final, dt))

@@ -14,8 +14,10 @@ loads) and a batch (one load per device).  Both find the maximum-power
 load by one search (``_max_power``) between the load grid's bounds, so a
 lone device's maximum is its batch row bit for bit; one device's Newton
 iteration runs on floats with numpy's log (the C library's may differ in
-the last bit and move the maximum off the batch's).  Scan rows are named
-tuples whose fields follow the CLI's CSV columns.
+the last bit and move the maximum off the batch's).  Every result record
+but the curve, which carries its chain form, is a named tuple: a scan
+row's fields follow the CLI's CSV columns, and a maximum's fields are
+floats for a lone device or per-device arrays.
 """
 
 from __future__ import annotations
@@ -121,14 +123,16 @@ class IVCurve:
         return self.columns[name]
 
 
-@dataclass(frozen=True)
-class MaxPowerPoint:
-    """Maximum-power state of a load sweep.
+class MaxPowerPoint(NamedTuple):
+    """Maximum-power point of a load sweep: floats for a lone device, or
+    one entry per device of a batch.
 
     ``eta`` is P_m over the power drawn from the radiation field,
     E12*J1 + E34*J2, with J_k the net absorption flux of optical channel
     k (see ``observables.absorption_fluxes``).  For the single dot it is
-    P_m / (E12 * j_mpp) = V_mpp / E12.
+    P_m / (E12 * j_mpp) = V_mpp / E12.  A device that failed is NaN in
+    every value, and ``errors`` holds the typed exception it raised (None
+    where it succeeded).
     """
 
     Gamma_star: float
@@ -136,25 +140,8 @@ class MaxPowerPoint:
     V_mpp: float
     P_m: float
     eta: float
-    coh13: float = 0.0
-    coh24: float = 0.0
-
-
-@dataclass(frozen=True)
-class MaxPowerBatch:
-    """Maximum-power points of a batch of devices, one entry per device.
-
-    A device that failed is NaN in every array, and ``errors`` holds the
-    typed exception it raised (None where it succeeded).
-    """
-
-    Gamma_star: np.ndarray
-    j_mpp: np.ndarray
-    V_mpp: np.ndarray
-    P_m: np.ndarray
-    eta: np.ndarray
-    coh13: np.ndarray
-    coh24: np.ndarray
+    coh13: float
+    coh24: float
     errors: tuple
 
     def raise_first(self) -> None:
@@ -164,19 +151,16 @@ class MaxPowerBatch:
                 raise exc
 
 
-@dataclass(frozen=True)
-class ShortCircuitCurrent:
+class ShortCircuitCurrent(NamedTuple):
     value: float
     from_crossing: bool  # False: tail value, a lower bound only
 
 
-@dataclass(frozen=True)
-class OpenCircuitVoltage:
+class OpenCircuitVoltage(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class CurrentGain:
+class CurrentGain(NamedTuple):
     """Molecule-over-single-dot comparison at the maximum-power points."""
 
     delta_j: float
@@ -433,7 +417,7 @@ def _device_chain(params: ModelParams, kind: str) -> ChainForm:
 
 @np.errstate(all="ignore")  # as in ``_chain_form``
 def _max_power(chain: ChainForm, grid: GridSpec,
-               errors: list) -> MaxPowerBatch:
+               errors: list) -> MaxPowerPoint:
     """Maximum-power point of each device of ``chain`` between the loads
     lo = ``grid.gamma_min`` and hi = ``grid.gamma_max``.
 
@@ -520,7 +504,7 @@ def _max_power(chain: ChainForm, grid: GridSpec,
     failed = [e is not None for e in errors]
     if any(failed):
         columns[:, failed] = np.nan
-    return MaxPowerBatch(*columns, errors=tuple(errors))
+    return MaxPowerPoint(*columns, errors=tuple(errors))
 
 
 def iv_curve(params: ModelParams, kind: str = "qdm",
@@ -555,8 +539,8 @@ def max_power_point(params: ModelParams | None = None,
     """Interior power maximum of the device of ``curve`` (given alone)
     between its grid's bounds, or of ``params`` (kind "qdm" by default)
     between those of ``grid``: ``max_power_batch``'s row for the device,
-    bit for bit.  A maximum at either bound raises; the grid must be
-    widened.
+    bit for bit, as floats.  A maximum at either bound raises; the grid
+    must be widened.
     """
     if curve is None:
         if params is None:
@@ -569,8 +553,7 @@ def max_power_point(params: ModelParams | None = None,
         chain, grid = curve.chain, curve.grid
     mpp = _max_power(chain, grid or GridSpec(), [None])
     mpp.raise_first()
-    return MaxPowerPoint(*(float(getattr(mpp, name)[0]) for name in (
-        "Gamma_star", "j_mpp", "V_mpp", "P_m", "eta", "coh13", "coh24")))
+    return MaxPowerPoint(*(float(v[0]) for v in mpp[:-1]), mpp.errors)
 
 
 def open_circuit_voltage(params: ModelParams,
@@ -633,7 +616,7 @@ def relative_current_gain(params: ModelParams) -> CurrentGain:
 
 def max_power_batch(params: ModelParams, kind: str = "qdm",
                     grid: GridSpec | None = None,
-                    **varied) -> MaxPowerBatch:
+                    **varied) -> MaxPowerPoint:
     """Maximum-power points, between ``grid.gamma_min`` and
     ``grid.gamma_max``, of the devices of ``build_generator(params, kind,
     **varied)``.  An input error in any device raises at once; numerical
@@ -646,8 +629,7 @@ def max_power_batch(params: ModelParams, kind: str = "qdm",
     return _max_power(_chain_form(stack, errors), grid or GridSpec(), errors)
 
 
-@dataclass(frozen=True)
-class GammaGridScan:
+class GammaGridScan(NamedTuple):
     """Relative current gain over an escape-rate grid."""
 
     gamma_c_values: np.ndarray

@@ -5,7 +5,6 @@ captured output) and asserts the criterion outcome.  Criterion details
 document the achieved values next to the targets.
 """
 
-import dataclasses
 import time
 
 import numpy as np
@@ -45,8 +44,7 @@ def test_criterion_1_single_dot_calibration():
 @pytest.mark.parametrize("index, edge", [(0, "lowest"), (-1, "highest"),
                                          (4, None)])
 def test_criterion_1_flags_an_optimum_at_the_range_edge(cal, index, edge):
-    moved = dataclasses.replace(cal,
-                                hbar_gamma=HBAR_GAMMA_CANDIDATES[index])
+    moved = cal._replace(hbar_gamma=HBAR_GAMMA_CANDIDATES[index])
     notes = [ln for ln in criterion_1(moved).details
              if ln.startswith("hbar_gamma is the ")]
     if edge is None:

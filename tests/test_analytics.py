@@ -162,6 +162,19 @@ class TestCoherenceLinearity:
             coherence_linearity_check([(1.0, 1.0, 0.5)] * 4
                                       + [(2.0, 1.0, 0.0)])
 
+    # Five usable points each, with no line to fit or a value no fit reads.
+    _DEGENERATE = {
+        "every-j-0": [(te, 0.0, 0.01) for te in (1, 2, 3, 4, 5)],
+        "every-Te-0": [(0.0, j, 0.01) for j in (1, 2, 3, 4, 5)],
+        "a-nan": [(1.0, 0.01, 0.01)] * 4 + [(2.0, math.nan, 0.01)],
+        "an-inf": [(1.0, 0.01, 0.01)] * 4 + [(math.inf, 0.02, 0.01)],
+    }
+
+    @pytest.mark.parametrize("data", _DEGENERATE.values(), ids=_DEGENERATE)
+    def test_degenerate_data_rejected(self, data):
+        with pytest.raises(DomainError):
+            coherence_linearity_check(data)
+
     @pytest.mark.parametrize("gc,gv", [(100.0, 0.05), (50.0, 5.0)])
     def test_current_coherence_ratio_linear_in_tunneling(self, gc, gv):
         data = []

@@ -715,9 +715,9 @@ class TestSingleDeviceFastPaths:
         mpp = max_power_point(curve=curve)
         batch = _max_power(_twin(curve.chain), curve.grid, [None, None])
         assert batch.errors == (None, None)
-        for f in fields(MaxPowerPoint):
-            got = np.array([getattr(mpp, f.name)] * 2)
-            assert got.tobytes() == getattr(batch, f.name).tobytes(), f.name
+        for name in MaxPowerPoint._fields[:-1]:  # all but ``errors``
+            got = np.array([getattr(mpp, name)] * 2)
+            assert got.tobytes() == getattr(batch, name).tobytes(), name
 
 
 def _routes(p: ModelParams, kind: str, grid: GridSpec) -> tuple:
@@ -756,10 +756,11 @@ class TestOneMaximumSearch:
         assert batch.errors == (None,)
         for route in _routes(p, kind, grid):
             mpp = route()
-            for f in fields(MaxPowerPoint):
-                got = np.array([getattr(mpp, f.name)])
-                assert got.tobytes() == getattr(batch, f.name).tobytes(), \
-                    f.name
+            assert type(mpp) is type(batch)
+            assert mpp.errors == batch.errors
+            for name in MaxPowerPoint._fields[:-1]:  # all but ``errors``
+                got = np.array([getattr(mpp, name)])
+                assert got.tobytes() == getattr(batch, name).tobytes(), name
 
     @pytest.mark.parametrize("p, kind, grid", _EDGE_DEVICES.values(),
                              ids=_EDGE_DEVICES)
