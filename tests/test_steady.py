@@ -14,6 +14,7 @@ from qdmcell import (DegenerateSteadyStateError, GeneratorStack, ModelParams,
 from qdmcell.model import (IDX_P11, IDX_P22, IDX_P33, IDX_P44, IDX_P55,
                            IDX_P66, IDX_RE13, N_STATE)
 from qdmcell.steady import RESIDUAL_TOL
+from qdmcell.sweeps import _chain_form
 from test_sweeps import _high_precision_solve
 
 
@@ -82,6 +83,58 @@ class TestSolveSteady:
         g = build_generator(ModelParams().with_distance(3.0), "qdm",
                             Gamma=1.0)
         assert (solve_steady(g) == solve_steady(g)).all()
+
+
+def _altered(kind: str, alter) -> tuple:
+    """Two copies of the default zero-load device, the second with its
+    matrix changed in place by ``alter``, and the unchanged stack."""
+    g = build_generator(ModelParams(), kind, gamma_c=[100.0, 100.0])
+    M = g.matrix.copy()
+    alter(M[..., 1])
+    return replace(g, matrix=M), g
+
+
+class TestSolverChecks:
+    """Both solvers, the direct solve and the chain form, check a stack
+    in the same order and report a failing device with the same error."""
+
+    def test_trace_violation(self):
+        def leak(M):
+            M[IDX_P11, IDX_P11] += 0.5
+        g, _ = _altered("qdm", leak)
+        message = ("generator is not trace conserving: population rows sum "
+                   f"to 5.000e-01 (scale {g.max_rate[1]:.3e})")
+        with pytest.raises(NumericalSolveError) as exc:
+            solve_steady(g)
+        assert str(exc.value) == message
+        errors = [None, None]
+        _chain_form(g, errors)
+        assert errors[0] is None
+        assert type(errors[1]) is NumericalSolveError
+        assert str(errors[1]) == message
+
+    def test_residual_outside_the_solved_components(self):
+        # The single dot solves only its active components; a rate from
+        # |1> into the inactive Re rho13 leaves that row unbalanced.
+        def feed(M):
+            M[IDX_RE13, IDX_P11] = 1.0
+        g, clean = _altered("sqd", feed)
+        x = solve_steady(clean)
+        with pytest.raises(NumericalSolveError) as exc:
+            solve_steady(g)
+        assert str(exc.value) == (
+            f"steady-state residual {residual(g, x)[1]:.3e} exceeds 1e-10 "
+            f"x largest generator entry {clean.max_rate[1]:.3e}")
+        chain = _chain_form(clean, [None, None])
+        errors = [None, None]
+        _chain_form(g, errors)
+        assert errors[0] is None
+        assert type(errors[1]) is NumericalSolveError
+        assert str(errors[1]) == (
+            "chain-form residual "
+            f"{chain.x_a[IDX_P11, 1] / chain.s_a[1]:.3e} + Gamma "
+            f"{chain.x_b[IDX_P11, 1] / chain.s_b[1]:.3e} exceeds 1e-10 x "
+            f"largest generator entry {g.max_rate[1]:.3e}")
 
 
 class TestResidual:

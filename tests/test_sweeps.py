@@ -229,6 +229,25 @@ class TestMaxPowerPoint:
         with pytest.raises(UndefinedEfficiencyError):
             max_power_point(ModelParams(), kind="qdm")
 
+    def test_undamped_resonant_coherence_is_degenerate(self):
+        # No pump and no conduction escape leave rho13 undamped, and
+        # delta_e = 0 makes it resonant: D = Delta = 0.
+        undamped = ModelParams(gamma1=0.0, gamma2=0.0, gamma_c=0.0,
+                               delta_e=0.0)
+        message = "undamped resonant coherence: multiple steady states"
+        with pytest.raises(DegenerateSteadyStateError) as exc:
+            max_power_point(undamped)
+        assert str(exc.value) == message
+        # In a batch it is recorded for that device alone, either way round.
+        for devices in ([ModelParams(), undamped], [undamped, ModelParams()]):
+            batch = max_power_batch(ModelParams(), **_batch_fields(devices))
+            bad = devices.index(undamped)
+            assert type(batch.errors[bad]) is DegenerateSteadyStateError
+            assert str(batch.errors[bad]) == message
+            assert batch.errors[1 - bad] is None
+            assert np.isnan(batch.P_m[bad])
+            assert batch.P_m[1 - bad] == max_power_point(ModelParams()).P_m
+
 
 class TestOpenCircuitVoltage:
     def test_single_dot_reference(self):
@@ -341,6 +360,14 @@ class TestShortCircuitCurrent:
                          grid=GridSpec(gamma_max=1e5))
         assert jsc.value == pytest.approx(
             short_circuit_current(curve).value, rel=1e-4)
+
+    def test_empty_curve_raises(self):
+        # A dark cell's contact is empty at every load: all 200 points drop.
+        curve = iv_curve(ModelParams(kTs=1e-2))
+        assert curve.n_dropped == 200 and len(curve.column("V")) == 0
+        with pytest.raises(VoltageUndefinedError) as exc:
+            short_circuit_current(curve)
+        assert str(exc.value) == "empty curve: no short-circuit estimate"
 
 
 class TestRelativeCurrentGain:
