@@ -208,8 +208,8 @@ def _place_levels(f, kind: str) -> LevelEnergies:
 
 
 def _level_checks(e: LevelEnergies, kind: str) -> list:
-    # Whether each device's levels are a layout of the model, in the order
-    # checked, with device k's error (see ``_raise_first``).
+    # Whether each device's levels are a layout of the model, as ordered
+    # (ok, error) pairs (see ``_record``).
     downhill = (e.E35 > 0.0) & (e.E62 > 0.0)
     if kind == "sqd":
         return [(downhill, lambda k: InvalidGeometryError(
@@ -228,19 +228,26 @@ def _level_checks(e: LevelEnergies, kind: str) -> list:
             f"got E35 = {np.ravel(e.E35)[k]}, E62 = {np.ravel(e.E62)[k]}"))]
 
 
-def _raise_first(checks) -> None:
-    # Raise the error of the first device that fails one of ``checks``,
-    # (ok, error) pairs in the order they apply: ``ok`` is a bool for all
-    # devices or one per device, ``error(k)`` device k's exception.
-    for ok, _ in checks:
-        if ok is not True and (ok is False or not ok.all()):
-            break
-    else:
-        return
-    fails = ~np.array(np.broadcast_arrays(*(ok for ok, _ in checks),
-                                          [True]))[:-1]
-    k = int(fails.any(axis=0).argmax())
-    raise next(error for (_, error), bad in zip(checks, fails[:, k]) if bad)(k)
+def _record(errors: list, checks) -> list:
+    # Record, for each device not failed yet (None in ``errors``), the
+    # error of the first of ``checks`` it fails, and return ``errors``.
+    # The checks are (ok, error) pairs in the order they apply: ``ok`` is
+    # a bool for all devices or one per device, ``error(k)`` device k's
+    # exception.
+    for ok, error in checks:
+        if ok is True or ok is not False and np.count_nonzero(ok) == ok.size:
+            continue
+        for k in np.flatnonzero(~np.broadcast_to(ok, len(errors))):
+            if errors[k] is None:
+                errors[k] = error(int(k))
+    return errors
+
+
+def _raise_first(errors) -> None:
+    # Raise the first error that ``_record`` recorded, if any.
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 class ThermalOccupations(NamedTuple):
@@ -262,7 +269,7 @@ def _occupations(e: LevelEnergies, f, kind: str) -> tuple:
 def thermal_occupations(params: ModelParams) -> ThermalOccupations:
     """Reservoir occupations for the molecule's four incoherent channels."""
     e = _place_levels(params.__dict__, "qdm")
-    _raise_first(_level_checks(e, "qdm"))
+    _raise_first(_record([None], _level_checks(e, "qdm")))
     return ThermalOccupations(*_occupations(e, params.__dict__, "qdm"))
 
 
@@ -433,11 +440,12 @@ def _build(f, Gamma, n: int, checks: list, kind: str,
     # ``build_generator`` from fields ``f`` after the varied fields'
     # ``checks``; a lone device fills its 2-D view entry by entry.
     e = _place_levels(f, kind)
-    _raise_first([*checks, (
+    errors = _record([None] * n, [*checks, (
         (Gamma >= 0.0) & (Gamma < math.inf),
         lambda k: DomainError("load rate Gamma must be finite and >= 0, "
                               f"got {np.ravel(Gamma)[k]}")),
         *_level_checks(e, kind)])
+    _raise_first(errors)
     M = np.zeros((N_STATE, N_STATE, n))
     fill = M[..., 0] if lone else M
     _add_channels(fill, f, e, kind)
@@ -450,9 +458,9 @@ def _build(f, Gamma, n: int, checks: list, kind: str,
     energies.setflags(write=False)
     g = GeneratorStack(M, QDM_ACTIVE if kind == "qdm" else SQD_ACTIVE,
                        *energies)
-    if not g.max_rate.max() < _RATE_LIMIT:
-        _raise_first([(g.max_rate < _RATE_LIMIT, lambda k: DomainError(
+    _raise_first(_record(errors, [(
+        g.max_rate < _RATE_LIMIT, lambda k: DomainError(
             f"generator entry {g.max_rate[k]:.3e} (gamma units) is not "
             f"below {_RATE_LIMIT:.3e}: a rate, or a tunneling or detuning "
-            "over hbar_gamma, overflows"))])
+            "over hbar_gamma, overflows"))]))
     return g

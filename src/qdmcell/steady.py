@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import (DegenerateSteadyStateError, NumericalSolveError,
                      StepSizeError)
-from .model import GeneratorStack, N_STATE, POPULATION_INDICES, _raise_first
+from .model import (IDX_P11, IDX_P66, N_STATE, POPULATION_INDICES,
+                    GeneratorStack, _raise_first, _record)
 
 TRACE_TOL = 1e-12
 DEGENERACY_TOL = 1e-12
@@ -32,6 +33,15 @@ def _devices_first(a: np.ndarray) -> np.ndarray:
 def _states(x) -> np.ndarray:
     # States, one for all (10,) or one per device (10, N), as (N, 10, 1).
     return _devices_first(np.reshape(np.asarray(x, float), (N_STATE, 1, -1)))
+
+
+def _generator_checks(G: GeneratorStack) -> list:
+    # The checks both solvers make first, as ordered (ok, error) pairs
+    # (see ``model._record``): zero population-row sums.
+    trace = np.abs(np.add.reduce(G.matrix[IDX_P11:IDX_P66 + 1])).max(axis=0)
+    return [(trace <= TRACE_TOL * G.max_rate, lambda k: NumericalSolveError(
+                "generator is not trace conserving: population rows sum to "
+                f"{trace[k]:.3e} (scale {G.max_rate[k]:.3e})"))]
 
 
 # Failed devices may overflow on their way to the checks that reject them.
@@ -52,7 +62,6 @@ def solve_steady(G: GeneratorStack) -> np.ndarray:
     """
     M, n = G.matrix, G.matrix.shape[-1]
     pops, active = list(POPULATION_INDICES), list(G.active)
-    col_sums = np.abs(M[pops].sum(axis=0)).max(axis=0)
     A = M[np.ix_(active, active)]
     scale = np.abs(A).max(axis=(0, 1))
     # The trace direction accounts for exactly one null dimension; any
@@ -72,24 +81,19 @@ def solve_steady(G: GeneratorStack) -> np.ndarray:
     B = exact.astype(float)
     b = np.zeros((len(active), 1), dtype=np.longdouble)
     b[norm_row] = 1.0
-    rhs = np.broadcast_to(b.astype(float), (n, len(active), 1))
-    regular = True
-    try:
-        sol = np.linalg.solve(B, rhs)
-    except np.linalg.LinAlgError:  # a zero LU pivot; solve the other devices
-        regular = np.linalg.slogdet(B)[0] != 0.0
-        B[~regular] = np.eye(len(active))
-        sol = np.linalg.solve(B, rhs)
+    # A zero LU pivot would stop the solve of every device.
+    regular = np.linalg.slogdet(B)[0] != 0.0
+    B[~regular] = np.eye(len(active))
+    sol = np.linalg.solve(B, np.broadcast_to(b.astype(float),
+                                             (n, len(active), 1)))
     for _ in range(2):
         sol += np.linalg.solve(B, (b - exact @ sol).astype(float))
 
     x = np.zeros((N_STATE, n))
     x[active] = sol[..., 0].T
     res = residual(G, x)
-    _raise_first([
-        (~(col_sums > TRACE_TOL * G.max_rate), lambda k: NumericalSolveError(
-            "generator is not trace conserving: population rows sum to "
-            f"{col_sums[k]:.3e} (scale {G.max_rate[k]:.3e})")),
+    _raise_first(_record([None] * n, [
+        *_generator_checks(G),
         (scale != 0.0, lambda k: DegenerateSteadyStateError(
             "zero generator: every state is stationary")),
         (connected, lambda k: DegenerateSteadyStateError(
@@ -98,7 +102,7 @@ def solve_steady(G: GeneratorStack) -> np.ndarray:
             "singular constrained system")),
         (~(res > RESIDUAL_TOL * scale), lambda k: NumericalSolveError(
             f"steady-state residual {res[k]:.3e} exceeds {RESIDUAL_TOL:.0e} "
-            f"x largest generator entry {scale[k]:.3e}"))])
+            f"x largest generator entry {scale[k]:.3e}"))]))
     x.setflags(write=False)
     return x
 
@@ -127,14 +131,14 @@ def evolve(G: GeneratorStack, x0, t_final, dt) -> np.ndarray:
     t_final, dt = (np.broadcast_to(np.asarray(v, dtype=float),
                                    G.max_rate.shape) for v in (t_final, dt))
     steps = np.ceil(t_final / dt)
-    _raise_first([
+    _raise_first(_record([None] * len(dt), [
         ((t_final > 0.0) & (t_final < math.inf), lambda k: StepSizeError(
             f"t_final must be finite and positive, got {t_final[k]}")),
         ((dt > 0.0) & (dt * G.max_rate <= 0.1), lambda k: StepSizeError(
             f"dt = {dt[k]} too large for max rate {G.max_rate[k]:.3e}: "
             "need dt * max_rate <= 0.1")),
         (steps < 2.0 ** 63, lambda k: StepSizeError(
-            f"t_final / dt = {steps[k]:.3e} steps: too many to count"))])
+            f"t_final / dt = {steps[k]:.3e} steps: too many to count"))]))
 
     H = dt[:, None, None] * _devices_first(G.matrix)
     eye = np.eye(N_STATE)

@@ -35,11 +35,11 @@ from .errors import (BoundaryMaximumError, DegenerateSteadyStateError,
 from .model import (BAND_ALIGNMENTS, IDX_IM13, IDX_IM24, IDX_P11, IDX_P22,
                     IDX_P33, IDX_P44, IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
                     N_STATE, POPULATION_INDICES, QDM_ACTIVE, SQD_ACTIVE,
-                    GeneratorStack, ModelParams, _check_fields,
-                    apply_band_alignment, build_generator,
+                    GeneratorStack, ModelParams, _check_fields, _raise_first,
+                    _record, apply_band_alignment, build_generator,
                     tunneling_from_distance)
 from .observables import _POPULATION_GUARD, absorption_fluxes
-from .steady import RESIDUAL_TOL, TRACE_TOL
+from .steady import RESIDUAL_TOL, _generator_checks
 
 # Far above the maximum a Newton step about halves Gamma (the power slope
 # is close to a quadratic there).  No float range needs 2 100 halvings.
@@ -146,9 +146,7 @@ class MaxPowerPoint(NamedTuple):
 
     def raise_first(self) -> None:
         """Raise the error of the first device that failed, if any."""
-        for exc in self.errors:
-            if exc is not None:
-                raise exc
+        _raise_first(self.errors)
 
 
 class ShortCircuitCurrent(NamedTuple):
@@ -217,15 +215,6 @@ def _chain_layout(active: tuple) -> tuple:
 
 _LAYOUTS = {active: _chain_layout(active)
             for active in (QDM_ACTIVE, SQD_ACTIVE)}
-
-
-def _fail(errors: list, bad: np.ndarray, make) -> None:
-    """Record ``make(k)`` for each device k flagged in ``bad`` that has not
-    failed yet."""
-    if np.count_nonzero(bad):
-        for k in np.flatnonzero(bad):
-            if errors[k] is None:
-                errors[k] = make(int(k))
 
 
 def _gth(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,11 +294,7 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
     n_dev = M.shape[-1]
     flat = M.reshape(-1, n_dev)
     scale = stack.max_rate
-    trace = np.abs(np.add.reduce(M[IDX_P11:IDX_P66 + 1])).max(axis=0)
-    _fail(errors, ~(trace <= TRACE_TOL * scale),
-          lambda k: NumericalSolveError(
-              "generator is not trace conserving: population rows sum to "
-              f"{trace[k]:.3e} (scale {scale[k]:.3e})"))
+    _record(errors, _generator_checks(stack))
 
     # rates[j, i] is the incoherent rate i -> j between chain states.
     rates = flat[rate_entries]
@@ -327,9 +312,9 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
         t, D, det, two_t = flat[pair_entries]
         D = -D
         den = D * D + det * det
-        _fail(errors, ~(den > 0.0).all(axis=0),
-              lambda k: DegenerateSteadyStateError(
-                  "undamped resonant coherence: multiple steady states"))
+        _record(errors, [(
+            (den > 0.0).all(axis=0), lambda k: DegenerateSteadyStateError(
+                "undamped resonant coherence: multiple steady states"))])
         # Re and Im of each coherence per unit rho_a - rho_b.
         re_c, im_c = t * det / den, t * D / den
         kappa = -two_t * im_c
@@ -355,10 +340,10 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
         if pairs:
             link[ia, ib] = rates[ia, ib] + kappa > 0.0
             link[ib, ia] = rates[ib, ia] + kappa > 0.0
-        _fail(errors, ~ok & ~_closed_classes(link),
-              lambda k: DegenerateSteadyStateError(
-                  "reducible rate chain: more than one closed class of "
-                  "levels, so more than one steady state"))
+        _record(errors, [(
+            ok | _closed_classes(link), lambda k: DegenerateSteadyStateError(
+                "reducible rate chain: more than one closed class of "
+                "levels, so more than one steady state"))])
     w = W[:, :, 0]
     w[..., empty] = 0.0
     X = np.zeros((len(M), 2, n_dev))
@@ -389,12 +374,12 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
     R[IDX_P55, 1] -= X[IDX_P55, 0]
     R[IDX_P66, 1] += X[IDX_P55, 0]
     c0, c1 = np.abs(R).max(axis=0)
-    _fail(errors, ~((c0 <= RESIDUAL_TOL * scale * s_a)
-                    & (c1 <= RESIDUAL_TOL * scale * s_b)),
-          lambda k: NumericalSolveError(
-              f"chain-form residual {c0[k] / s_a[k]:.3e} + Gamma "
-              f"{c1[k] / s_b[k]:.3e} exceeds {RESIDUAL_TOL:.0e} x largest "
-              f"generator entry {scale[k]:.3e}"))
+    _record(errors, [(
+        (c0 <= RESIDUAL_TOL * scale * s_a)
+        & (c1 <= RESIDUAL_TOL * scale * s_b), lambda k: NumericalSolveError(
+            f"chain-form residual {c0[k] / s_a[k]:.3e} + Gamma "
+            f"{c1[k] / s_b[k]:.3e} exceeds {RESIDUAL_TOL:.0e} x largest "
+            f"generator entry {scale[k]:.3e}"))])
     return ChainForm(stack, X[:, 0], X[:, 1], s_a, s_b)
 
 
@@ -408,8 +393,7 @@ def _device_chain(params: ModelParams, kind: str) -> ChainForm:
     caller with the same (params, kind) shares them."""
     errors = [None]
     chain = _chain_form(build_generator(params, kind), errors)
-    if errors[0] is not None:
-        raise errors[0]
+    _raise_first(errors)
     for values in (chain.x_a, chain.x_b, chain.s_a, chain.s_b):
         values.setflags(write=False)
     return chain
@@ -446,23 +430,16 @@ def _max_power(chain: ChainForm, grid: GridSpec,
     f = slope(points[:, None])[0]
     first = (f < 0.0).argmax(axis=0)
     gamma, f_start = points[first], f[first, np.arange(len(errors))]
-
-    def unbracketed(k):
-        if not chain.x_a[IDX_P55, k] > 0.0:
-            return BoundaryMaximumError(
-                "the conduction contact is empty at every load: no power")
-        if not f[0, k] > 0.0:
-            return BoundaryMaximumError(
-                f"power does not rise above Gamma = {lo:g}: no positive "
-                "interior maximum; widen the load grid")
-        if not f[-1, k] < 0.0:
-            return BoundaryMaximumError(
-                f"power still rises at Gamma = {hi:g}; widen the load grid")
-        return NumericalSolveError(
-            f"power slope overflows at Gamma = {gamma[k]:g}")
-
-    _fail(errors, ~((f[0] > 0.0) & (f[-1] < 0.0) & (-np.inf < f_start)),
-          unbracketed)
+    _record(errors, [
+        (chain.x_a[IDX_P55] > 0.0, lambda k: BoundaryMaximumError(
+            "the conduction contact is empty at every load: no power")),
+        (f[0] > 0.0, lambda k: BoundaryMaximumError(
+            f"power does not rise above Gamma = {lo:g}: no positive "
+            "interior maximum; widen the load grid")),
+        (f[-1] < 0.0, lambda k: BoundaryMaximumError(
+            f"power still rises at Gamma = {hi:g}; widen the load grid")),
+        (-np.inf < f_start, lambda k: NumericalSolveError(
+            f"power slope overflows at Gamma = {gamma[k]:g}"))])
     moving = np.array([e is None for e in errors], dtype=bool)
     if len(gamma) == 1:
         # One device steps on floats with numpy's log (module docstring).
@@ -485,8 +462,8 @@ def _max_power(chain: ChainForm, grid: GridSpec,
             # A device whose step no longer falls stays where it is, and so
             # keeps failing that test; failed devices' values are dropped.
             gamma = np.fmin(step, gamma)
-    _fail(errors, moving, lambda k: NumericalSolveError(
-        f"maximum-power search still moving after {_NEWTON_STEPS} steps"))
+    _record(errors, [(~moving, lambda k: NumericalSolveError(
+        f"maximum-power search still moving after {_NEWTON_STEPS} steps"))])
 
     x = chain.states(gamma)
     j = gamma * x[IDX_P55]
@@ -494,10 +471,11 @@ def _max_power(chain: ChainForm, grid: GridSpec,
     P = j * V
     j1, j2 = absorption_fluxes(x, chain.stack.matrix)
     supplied = j1 * chain.stack.E12 + j2 * chain.stack.E34
-    _fail(errors, ~((P > 0.0) & (supplied > 0.0)),
-          lambda k: BoundaryMaximumError("no positive power at the maximum")
-          if not P[k] > 0.0 else UndefinedEfficiencyError(
-              "supplied power is zero; efficiency undefined"))
+    _record(errors, [
+        (P > 0.0, lambda k: BoundaryMaximumError(
+            "no positive power at the maximum")),
+        (supplied > 0.0, lambda k: UndefinedEfficiencyError(
+            "supplied power is zero; efficiency undefined"))])
     columns = np.array([gamma, j, V, P, P / supplied,
                         np.hypot(x[IDX_RE13], x[IDX_IM13]),
                         np.hypot(x[IDX_RE24], x[IDX_IM24])])
