@@ -37,9 +37,12 @@ def _states(x) -> np.ndarray:
 
 def _generator_checks(G: GeneratorStack) -> list:
     # The checks both solvers make first, as ordered (ok, error) pairs
-    # (see ``model._record``): zero population-row sums.
+    # (see ``model._record``): finite entries, zero population-row sums.
     trace = np.abs(np.add.reduce(G.matrix[IDX_P11:IDX_P66 + 1])).max(axis=0)
-    return [(trace <= TRACE_TOL * G.max_rate, lambda k: NumericalSolveError(
+    return [(G.max_rate < math.inf, lambda k: NumericalSolveError(
+                "generator entries are not finite: largest magnitude "
+                f"{G.max_rate[k]}")),
+            (trace <= TRACE_TOL * G.max_rate, lambda k: NumericalSolveError(
                 "generator is not trace conserving: population rows sum to "
                 f"{trace[k]:.3e} (scale {G.max_rate[k]:.3e})"))]
 
@@ -60,8 +63,10 @@ def solve_steady(G: GeneratorStack) -> np.ndarray:
     diagonals' rounding as built and the LU solve's own error (only the
     latter where ``longdouble`` is just ``double``).
     """
-    M, n = G.matrix, G.matrix.shape[-1]
-    pops, active = list(POPULATION_INDICES), list(G.active)
+    # A device with a non-finite entry fails the first check; zeroing its
+    # matrix keeps the SVD and the LU from failing on it.
+    M = np.where(G.max_rate < math.inf, G.matrix, 0.0)
+    n, pops, active = M.shape[-1], list(POPULATION_INDICES), list(G.active)
     A = M[np.ix_(active, active)]
     scale = np.abs(A).max(axis=(0, 1))
     # The trace direction accounts for exactly one null dimension; any

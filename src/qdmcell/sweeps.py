@@ -630,6 +630,9 @@ def gamma_grid_scan(params: ModelParams,
                if gamma_c_grid is None else np.asarray(gamma_c_grid, float))
     gv_vals = (np.logspace(-4, math.log10(20.0), 40)
                if gamma_v_grid is None else np.asarray(gamma_v_grid, float))
+    if gc_vals.ndim != 1 or gv_vals.ndim != 1:
+        raise DomainError("escape-rate grids need 1-D arrays, got shapes "
+                          f"{gc_vals.shape} and {gv_vals.shape}")
     gc_cells, gv_cells = np.meshgrid(gc_vals, gv_vals)
     cells = dict(gamma_c=gc_cells.ravel(), gamma_v=gv_cells.ravel())
     sqd = max_power_batch(params, kind="sqd", grid=grid, **cells)

@@ -85,12 +85,12 @@ class TestSolveSteady:
         assert (solve_steady(g) == solve_steady(g)).all()
 
 
-def _altered(kind: str, alter) -> tuple:
-    """Two copies of the default zero-load device, the second with its
+def _altered(kind: str, alter, k: int = 1) -> tuple:
+    """Two copies of the default zero-load device, device ``k`` with its
     matrix changed in place by ``alter``, and the unchanged stack."""
     g = build_generator(ModelParams(), kind, gamma_c=[100.0, 100.0])
     M = g.matrix.copy()
-    alter(M[..., 1])
+    alter(M[..., k])
     return replace(g, matrix=M), g
 
 
@@ -135,6 +135,29 @@ class TestSolverChecks:
             f"{chain.x_a[IDX_P11, 1] / chain.s_a[1]:.3e} + Gamma "
             f"{chain.x_b[IDX_P11, 1] / chain.s_b[1]:.3e} exceeds 1e-10 x "
             f"largest generator entry {g.max_rate[1]:.3e}")
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("entry, value", [
+        ((IDX_RE13, IDX_RE13), np.nan), ((IDX_P33, IDX_P11), np.inf)])
+    def test_non_finite_entry_fails_its_device_alone(self, k, entry, value):
+        def spoil(M):
+            M[entry] = value
+        g, clean = _altered("qdm", spoil, k)
+        message = ("generator entries are not finite: largest magnitude "
+                   f"{value}")
+        # Neither the SVD nor the LU sees the spoiled device.
+        with pytest.raises(NumericalSolveError) as exc:
+            solve_steady(g)
+        assert str(exc.value) == message
+        errors = [None, None]
+        chain = _chain_form(g, errors)
+        assert type(errors[k]) is NumericalSolveError
+        assert str(errors[k]) == message
+        assert errors[1 - k] is None
+        want = _chain_form(clean, [None, None])
+        for name in ("x_a", "x_b", "s_a", "s_b"):
+            assert (getattr(chain, name)[..., 1 - k].tobytes()
+                    == getattr(want, name)[..., 1 - k].tobytes())
 
 
 class TestResidual:

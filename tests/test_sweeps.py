@@ -540,6 +540,17 @@ class TestScanErrors:
             max_power_batch(ModelParams(), gamma_c=[1.0], Gamma=[1.0],
                             gamma=[1.0])
 
+    def test_grids_must_be_one_dimensional(self, monkeypatch):
+        # Rejected before any device is solved.
+        monkeypatch.setattr("qdmcell.sweeps.max_power_batch", None)
+        for gc, gv, shapes in (([[1.0, 2.0]], [1.0], "(1, 2) and (1,)"),
+                               ([1.0], 2.0, "(1,) and ()")):
+            with pytest.raises(DomainError) as exc:
+                gamma_grid_scan(ModelParams(), gamma_c_grid=gc,
+                                gamma_v_grid=gv)
+            assert str(exc.value) == ("escape-rate grids need 1-D arrays, "
+                                      f"got shapes {shapes}")
+
     def test_empty_batches_raise_domain_error(self):
         for call in (lambda: max_power_batch(ModelParams(), gamma_c=[]),
                      lambda: gamma_grid_scan(ModelParams(), gamma_c_grid=[]),
