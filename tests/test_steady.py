@@ -85,12 +85,12 @@ class TestSolveSteady:
         assert (solve_steady(g) == solve_steady(g)).all()
 
 
-def _altered(kind: str, alter, k: int = 1) -> tuple:
+def _altered(kind: str, entry: tuple, value: float, k: int = 1) -> tuple:
     """Two copies of the default zero-load device, device ``k`` with its
-    matrix changed in place by ``alter``, and the unchanged stack."""
+    matrix ``entry`` set to ``value``, and the unchanged stack."""
     g = build_generator(ModelParams(), kind, gamma_c=[100.0, 100.0])
     M = g.matrix.copy()
-    alter(M[..., k])
+    M[entry + (k,)] = value
     return replace(g, matrix=M), g
 
 
@@ -99,9 +99,8 @@ class TestSolverChecks:
     in the same order and report a failing device with the same error."""
 
     def test_trace_violation(self):
-        def leak(M):
-            M[IDX_P11, IDX_P11] += 0.5
-        g, _ = _altered("qdm", leak)
+        # A rate from |4> into |1> that leaves |4> no faster.
+        g, _ = _altered("qdm", (IDX_P11, IDX_P44), 0.5)
         message = ("generator is not trace conserving: population rows sum "
                    f"to 5.000e-01 (scale {g.max_rate[1]:.3e})")
         with pytest.raises(NumericalSolveError) as exc:
@@ -116,9 +115,7 @@ class TestSolverChecks:
     def test_residual_outside_the_solved_components(self):
         # The single dot solves only its active components; a rate from
         # |1> into the inactive Re rho13 leaves that row unbalanced.
-        def feed(M):
-            M[IDX_RE13, IDX_P11] = 1.0
-        g, clean = _altered("sqd", feed)
+        g, clean = _altered("sqd", (IDX_RE13, IDX_P11), 1.0)
         x = solve_steady(clean)
         with pytest.raises(NumericalSolveError) as exc:
             solve_steady(g)
@@ -140,9 +137,7 @@ class TestSolverChecks:
     @pytest.mark.parametrize("entry, value", [
         ((IDX_RE13, IDX_RE13), np.nan), ((IDX_P33, IDX_P11), np.inf)])
     def test_non_finite_entry_fails_its_device_alone(self, k, entry, value):
-        def spoil(M):
-            M[entry] = value
-        g, clean = _altered("qdm", spoil, k)
+        g, clean = _altered("qdm", entry, value, k)
         message = ("generator entries are not finite: largest magnitude "
                    f"{value}")
         # Neither the SVD nor the LU sees the spoiled device.
