@@ -10,7 +10,7 @@ from .errors import (BoundaryMaximumError, ConfigError,
                      UndefinedEfficiencyError, VoltageUndefinedError)
 from .model import (BAND_ALIGNMENTS, GeneratorStack, LevelEnergies,
                     ModelParams, ThermalOccupations, apply_band_alignment,
-                    bose_occupation, build_generator, thermal_occupations,
+                    build_generator, thermal_occupations,
                     tunneling_from_distance)
 from .observables import (PhotovoltaicPoint, absorption_fluxes,
                           photovoltaic_point)

@@ -80,15 +80,6 @@ def _bose(E, kT):
     return 1.0 / em1
 
 
-def bose_occupation(E: float, kT: float) -> float:
-    """Mean thermal occupation 1/(exp(E/kT) - 1) of a mode at energy E."""
-    if not E > 0.0:
-        raise DomainError(f"bose_occupation needs E > 0, got {E}")
-    if not 0.0 < kT < math.inf:
-        raise DomainError(f"bose_occupation needs finite kT > 0, got {kT}")
-    return _bose(E, kT)
-
-
 def tunneling_from_distance(d: float) -> tuple[float, float]:
     """Electron/hole tunneling energies (meV) for barrier width d (nm).
 

@@ -14,7 +14,7 @@ from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      DomainError, GridSpec, InvalidGeometryError, ModelParams,
                      UndefinedEfficiencyError, VoltageUndefinedError,
                      absorption_fluxes,
-                     apply_band_alignment, bose_occupation, build_generator,
+                     apply_band_alignment, build_generator,
                      current_ratio_bound,
                      efficiency_vs_distance, gamma_grid_scan, iv_curve,
                      max_power_point, open_circuit_voltage,
@@ -24,7 +24,7 @@ from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
 from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P22, IDX_P33,
                            IDX_P44, IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
                            N_STATE, POPULATION_INDICES, GeneratorStack,
-                           _place_levels)
+                           _bose, _place_levels)
 from qdmcell.observables import _POPULATION_GUARD
 from qdmcell.sweeps import (ChainForm, MaxPowerPoint, _device_chain, _gth,
                             _max_power, _short_circuit_load,
@@ -493,7 +493,7 @@ class TestIdenticalDots:
         sqd = max_power_batch(base, kind="sqd", **cells)
         ok = np.isfinite(qdm.j_mpp) & np.isfinite(sqd.j_mpp)
         assert ok.mean() >= 0.99
-        bound = np.array([current_ratio_bound(bose_occupation(dv, base.kTc))
+        bound = np.array([current_ratio_bound(_bose(dv, base.kTc))
                           for dv in delta_v])
         ratio = qdm.j_mpp[ok] / sqd.j_mpp[ok]
         assert (ratio <= bound[ok] * (1.0 + 1e-12)).all()
