@@ -198,9 +198,12 @@ def _place_levels(f, kind: str) -> LevelEnergies:
                          w6 - w2, w5 - w6)
 
 
-def _level_checks(e: LevelEnergies, kind: str) -> list:
-    # Whether each device's levels are a layout of the model, as ordered
-    # (ok, error) pairs (see ``_record``).
+def _level_checks(e: LevelEnergies, kind: str, n: int) -> list:
+    # Whether each of n devices' levels are a layout of the model, as
+    # ordered (ok, error) pairs (see ``_record``); a message reads device
+    # k's values, whether one per device or shared.
+    def at(value, k):
+        return np.broadcast_to(value, n)[k]
     downhill = (e.E35 > 0.0) & (e.E62 > 0.0)
     if kind == "sqd":
         return [(downhill, lambda k: InvalidGeometryError(
@@ -208,15 +211,13 @@ def _level_checks(e: LevelEnergies, kind: str) -> list:
             "single-dot model"))]
     return [
         ((abs(e.w3) < math.inf) & (abs(e.w5) < math.inf),
-         lambda k: DomainError("level energies overflow: w3 = "
-                               f"{np.ravel(e.w3)[k]}, w5 = "
-                               f"{np.ravel(e.w5)[k]}")),
+         lambda k: DomainError(f"level energies overflow: w3 = "
+                               f"{at(e.w3, k)}, w5 = {at(e.w5, k)}")),
         (e.E34 > 0.0, lambda k: InvalidGeometryError(
-            f"E34 = {np.ravel(e.E34)[k]} meV <= 0: detunings exceed the "
-            "gap")),
+            f"E34 = {at(e.E34, k)} meV <= 0: detunings exceed the gap")),
         (downhill, lambda k: InvalidGeometryError(
             "phonon channels must be downhill: need E35 > 0 and E62 > 0, "
-            f"got E35 = {np.ravel(e.E35)[k]}, E62 = {np.ravel(e.E62)[k]}"))]
+            f"got E35 = {at(e.E35, k)}, E62 = {at(e.E62, k)}"))]
 
 
 def _record(errors: list, checks) -> list:
@@ -260,7 +261,7 @@ def _occupations(e: LevelEnergies, f, kind: str) -> tuple:
 def thermal_occupations(params: ModelParams) -> ThermalOccupations:
     """Reservoir occupations for the molecule's four incoherent channels."""
     e = _place_levels(params.__dict__, "qdm")
-    _raise_first(_record([None], _level_checks(e, "qdm")))
+    _raise_first(_record([None], _level_checks(e, "qdm", 1)))
     return ThermalOccupations(*_occupations(e, params.__dict__, "qdm"))
 
 
@@ -434,8 +435,8 @@ def _build(f, Gamma, n: int, checks: list, kind: str,
     errors = _record([None] * n, [*checks, (
         (Gamma >= 0.0) & (Gamma < math.inf),
         lambda k: DomainError("load rate Gamma must be finite and >= 0, "
-                              f"got {np.ravel(Gamma)[k]}")),
-        *_level_checks(e, kind)])
+                              f"got {np.broadcast_to(Gamma, n)[k]}")),
+        *_level_checks(e, kind, n)])
     _raise_first(errors)
     M = np.zeros((N_STATE, N_STATE, n))
     fill = M[..., 0] if lone else M

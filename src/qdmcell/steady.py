@@ -130,13 +130,17 @@ def evolve(G: GeneratorStack, x0, t_final, dt) -> np.ndarray:
     ``np.linalg.matrix_power``'s bit for bit, except that three steps are
     a(aa), not (aa)a.  It is not the step applied one at a time: on the
     default molecule (Gamma = 1, dt = 0.05 / max rate) the two differ by
-    up to 4.4e-16 at 5 steps and 5.1e-14 at 1 000.  Requires a finite
-    t_final > 0, dt * max-rate <= 0.1 and under 2^63 steps.
+    up to 4.4e-16 at 5 steps and 5.1e-14 at 1 000.  Requires finite
+    entries, a finite t_final > 0, dt * max-rate <= 0.1 and under 2^63
+    steps.
     """
     t_final, dt = (np.broadcast_to(np.asarray(v, dtype=float),
                                    G.max_rate.shape) for v in (t_final, dt))
     steps = np.ceil(t_final / dt)
+    # Finite entries first, but not trace conservation: a propagator
+    # needs no stationary state.
     _raise_first(_record([None] * len(dt), [
+        _generator_checks(G)[0],
         ((t_final > 0.0) & (t_final < math.inf), lambda k: StepSizeError(
             f"t_final must be finite and positive, got {t_final[k]}")),
         ((dt > 0.0) & (dt * G.max_rate <= 0.1), lambda k: StepSizeError(

@@ -8,11 +8,11 @@ import sys
 import pytest
 
 import qdmcell
-from qdmcell import cli
+from qdmcell import ModelParams, build_generator, cli
 from qdmcell.cli import (_COMMANDS, _KEY_UNITS, build_config, main,
                          read_config_file)
 from qdmcell.errors import (ConfigError, DegenerateSteadyStateError,
-                            NumericalSolveError)
+                            InvalidGeometryError, NumericalSolveError)
 from qdmcell.sweeps import gamma_grid_scan
 
 NUMERIC_KEYS = [k for k in _KEY_UNITS if k not in ("kind", "alignment")]
@@ -156,6 +156,20 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: ")
+
+    # A layout that every device of the scan's stack shares: the run ends
+    # with the lone device's config error.
+    @pytest.mark.parametrize("command, name, value", [
+        ("efficiency-vs-d", "delta_c", -1.0),
+        ("phonon-assisted", "delta_e", 2000.0),
+        ("gamma-grid", "delta_h", 2000.0)])
+    def test_scan_shared_layout_error_is_the_lone_error(self, capsys,
+                                                        command, name, value):
+        with pytest.raises(InvalidGeometryError) as want:
+            build_generator(ModelParams(**{name: value}), "qdm")
+        code, out, err = _run(capsys, command, "--set", f"{name}={value:g}")
+        assert (code, out) == (2, "")
+        assert err == f"config error: {want.value}\n"
 
     @pytest.mark.parametrize("command", ["max-power", "gamma-grid"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from qdmcell import (BAND_ALIGNMENTS, DomainError, InvalidGeometryError,
                      ModelParams, apply_band_alignment, build_generator,
-                     thermal_occupations, tunneling_from_distance)
-from qdmcell.model import (IDX_IM13, IDX_P22, IDX_P66, N_STATE,
+                     max_power_batch, thermal_occupations,
+                     tunneling_from_distance)
+from qdmcell.model import (IDX_IM13, IDX_P22, IDX_P55, IDX_P66, N_STATE,
                            PHONON_ENERGY_FLOOR, POPULATION_INDICES,
-                           QDM_ACTIVE, SQD_ACTIVE, _bose, _place_levels)
+                           QDM_ACTIVE, SQD_ACTIVE, _FIELD_RULES,
+                           _add_channels, _bose, _place_levels)
 from qdmcell.steady import solve_steady
 
 
@@ -501,3 +503,134 @@ class TestGeneratorStack:
         for name in ("e5_minus_e6", "E12", "E34", "kTc", "max_rate"):
             assert getattr(g, name).shape == (1,)
         assert g.max_rate[0] == np.abs(g.matrix).max()
+
+
+class TestLoneArithmeticOracle:
+    """A lone build as plain matrix arithmetic: every channel added into a
+    (10, 10) array, then the load, entry by entry."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(device=_stack_devices, load=_loads, kind=_kinds)
+    def test_stack_of_one_is_the_matrix_arithmetic(self, device, load, kind):
+        f = device.__dict__
+        M = np.zeros((N_STATE, N_STATE))
+        _add_channels(M, f, _place_levels(f, kind), kind)
+        M[IDX_P55, IDX_P55] += -load
+        M[IDX_P66, IDX_P55] += load
+        g = build_generator(device, kind, Gamma=load)
+        assert g.matrix[..., 0].tobytes() == M.tobytes()
+
+
+def _stack_error(call):
+    try:
+        call()
+    except (DomainError, InvalidGeometryError) as exc:
+        return exc
+    return None
+
+
+def _assert_same_error(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+
+
+class TestSharedInvalidValues:
+    """A layout or load that the whole stack shares, invalid: every device
+    reads it, and the stack raises the lone device's error."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind, bad", [
+        ("qdm", {"delta_c": -1.0}), ("qdm", {"delta_c": 0.0}),
+        ("qdm", {"delta_v": -1.0}), ("qdm", {"delta_e": 2000.0}),
+        ("qdm", {"delta_h": 2000.0}),
+        ("qdm", {"E12": 1.7e308, "delta_e": -1.7e308})])
+    def test_shared_layout(self, kind, bad, n):
+        p, gamma_c = ModelParams(**bad), np.linspace(1.0, 2.0, n)
+        want = _lone_device_error(bad, kind, 0.0)
+        _assert_same_error(_stack_error(
+            lambda: build_generator(p, kind, gamma_c=gamma_c)), want)
+        _assert_same_error(_stack_error(
+            lambda: max_power_batch(p, kind, gamma_c=gamma_c)), want)
+
+    @pytest.mark.parametrize("kind", ["qdm", "sqd"])
+    @pytest.mark.parametrize("load", [-1.0, math.nan, math.inf])
+    def test_shared_load(self, kind, load):
+        want = _lone_device_error({}, kind, load)
+        _assert_same_error(_stack_error(lambda: build_generator(
+            ModelParams(), kind, Gamma=load, gamma_c=[1.0, 2.0])), want)
+
+
+# Bad values of every field rule (just below its bound, inf, NaN), of each
+# layout check, of the entry bound and of the load; each case sets one or
+# two fields, or the load.
+_BAD_CASES = (
+    *({name: value} for names, low, _ in _FIELD_RULES for name in names
+      for value in (math.nextafter(low, -math.inf), math.inf, math.nan)),
+    {"E12": 1.7e308, "delta_e": -1.7e308}, {"delta_e": 2000.0},
+    {"delta_h": 2000.0}, {"delta_c": -1.0}, {"delta_v": 0.0},
+    {"gamma_c": 1e308}, {"hbar_gamma": 1e-320},
+    {"Gamma": -1.0}, {"Gamma": math.nan}, {"Gamma": math.inf})
+_FIELD_NAMES = tuple(f.name for f in fields(ModelParams))
+
+
+def _first_lone_error(base: dict, varied: dict, kind: str, loads, n: int):
+    """The error of the first device whose lone build fails, or None."""
+    loads = np.broadcast_to(loads, n)
+    return next((exc for j in range(n) if (exc := _lone_device_error(
+        dict(base, **{f: float(v[j]) for f, v in varied.items()}), kind,
+        float(loads[j]))) is not None), None)
+
+
+def _is_field_value(values: dict) -> bool:
+    try:
+        ModelParams(**values)
+    except DomainError:
+        return False
+    return True
+
+
+class TestStackErrorsAreLoneErrors:
+    """For every field rule, layout check and the load, a stack raises
+    the error of its first failing device's lone build, whether the bad
+    value is varied at any device position or shared through ``params``
+    while other fields vary."""
+
+    @pytest.mark.parametrize("case", _BAD_CASES, ids=lambda case: ",".join(
+        f"{name}={value:g}" for name, value in case.items()))
+    @settings(max_examples=4, derandomize=True, deadline=None)
+    @given(kind=_kinds,
+           devices=st.lists(st.tuples(_stack_devices, _loads), min_size=1,
+                            max_size=3),
+           data=st.data())
+    def test_stack_error_is_the_lone_error(self, case, kind, devices, data):
+        n, bad = len(devices), dict(case)
+        load = bad.pop("Gamma", None)
+        others = data.draw(st.sets(st.sampled_from(
+            [f for f in _FIELD_NAMES if f not in bad]), min_size=1))
+        params, loads = zip(*devices)
+        columns, loads = _stack_fields(params), np.array(loads)
+        varied = {f: columns[f] for f in others}
+        base = ModelParams().__dict__
+        # ``params`` can share a layout or the load, not a field's bad value.
+        if data.draw(st.booleans()) and _is_field_value(bad):
+            base = dict(base, **bad)
+            loads = loads if load is None else load
+        else:
+            k = data.draw(st.integers(min_value=0, max_value=n - 1))
+            for f, value in bad.items():
+                varied[f] = np.full(n, base[f])
+                varied[f][k] = value
+            if load is not None:
+                loads[k] = load
+        p = ModelParams(**base)
+        calls = [(loads, lambda: build_generator(p, kind, Gamma=loads,
+                                                 **varied))]
+        if load is None:  # the maximum search sweeps its own load
+            calls.append((0.0, lambda: max_power_batch(p, kind, **varied)))
+        for lone_loads, call in calls:
+            want = _first_lone_error(base, varied, kind, lone_loads, n)
+            got = _stack_error(call)
+            if want is None:
+                assert got is None
+            else:
+                _assert_same_error(got, want)

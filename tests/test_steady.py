@@ -233,6 +233,24 @@ class TestEvolve:
         b = evolve(g, x0, 3.0, 0.05 / g.max_rate)
         assert (a == b).all()
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_non_finite_entry_is_not_blamed_on_the_step(self, k):
+        g, _ = _altered("qdm", (IDX_RE13, IDX_RE13), np.nan, k)
+        x0 = np.zeros(N_STATE)
+        x0[IDX_P22] = 1.0
+        with pytest.raises(NumericalSolveError) as exc:
+            evolve(g, x0, 1.0, 1e-6)
+        assert str(exc.value) == ("generator entries are not finite: "
+                                  "largest magnitude nan")
+
+    def test_trace_is_not_checked(self):
+        # A propagator, unlike a stationary solve, has a meaning without
+        # trace conservation.
+        g, _ = _altered("qdm", (IDX_P11, IDX_P44), 0.5)
+        x0 = np.zeros(N_STATE)
+        x0[IDX_P22] = 1.0
+        assert np.isfinite(evolve(g, x0, 1e-3, 1e-6)).all()
+
     # A time that is not finite, or a step count too large to count.
     @pytest.mark.parametrize("t_final, dt", [
         (math.nan, 1e-6), (math.inf, 1e-6), (1.0, math.nan), (1e300, 1e-9)])
