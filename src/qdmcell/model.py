@@ -17,13 +17,16 @@ The channels of the master equation are written once, in
 ``_add_channels``.  ``build_generator``, the one builder and the only
 place a load enters, returns a ``GeneratorStack``, matrices M[i, j, k]
 with the devices last: a lone device is a stack of one, and the scans
-pass arrays of the fields that vary, one entry per device.
+pass arrays of the fields that vary, one entry per device.  Every stack
+fills one way: the channels add into a map of entries, each a float or
+one value per device, and then each entry is written once.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -290,8 +293,7 @@ def apply_band_alignment(params: ModelParams, config: str) -> ModelParams:
     return params.replace(delta_e=de, delta_h=dh)
 
 
-def _add_thermal_channel(M: np.ndarray, upper: int, lower: int,
-                         rate: float, n: float) -> None:
+def _add_thermal_channel(M, upper: int, lower: int, rate, n) -> None:
     # Two-level thermal (detailed-balance) population channel:
     # downhill at rate*(n+1), uphill at rate*n.
     M[upper, upper] -= rate * (n + 1.0)
@@ -300,10 +302,10 @@ def _add_thermal_channel(M: np.ndarray, upper: int, lower: int,
     M[upper, lower] += rate * n
 
 
-def _add_channels(M: np.ndarray, f, e: LevelEnergies, kind: str) -> None:
-    # Every channel of the zero-load master equation, into a lone device's
-    # (10, 10) M from floats or a stack's (10, 10, N) from fields that are
-    # floats or one value per device: the same arithmetic in the same order.
+def _add_channels(M, f, e: LevelEnergies, kind: str) -> None:
+    # Every channel of the zero-load master equation, added into M[i, j]
+    # in a fixed order: M is ``build_generator``'s map of entries or a
+    # (10, 10) array, the fields floats or one value per device.
     g1, g2, gc, gv = f["gamma1"], f["gamma2"], f["gamma_c"], f["gamma_v"]
     n1, n2, nc, nv = _occupations(e, f, kind)
     qdm = kind == "qdm"
@@ -341,7 +343,7 @@ def _add_channels(M: np.ndarray, f, e: LevelEnergies, kind: str) -> None:
         # gap, with the phonon energy floored so that resonant levels stay
         # off the Bose divergence, and the dephasing it adds to rho_ab.
         # The devices of a stack without it get E / False = inf, so n = 0.
-        on = rate > 0.0  # a bool for a lone device
+        on = rate > 0.0  # a bool for a float rate
         if on is False or not np.count_nonzero(on):
             continue
         n = _bose(np.maximum(abs(gap), PHONON_ENERGY_FLOOR) / on, kTc)
@@ -401,6 +403,8 @@ def _stack_columns(params: ModelParams, varied: dict, Gamma) -> tuple:
             shapes.pop()[0] if shapes else 1, checks)
 
 
+# Overflow and invalid values end up in entries that the checks reject.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_generator(params: ModelParams, kind: str, Gamma=0.0,
                     **varied) -> GeneratorStack:
     """Generators of the molecule ("qdm") or of the single dot ("sqd")
@@ -420,17 +424,9 @@ def build_generator(params: ModelParams, kind: str, Gamma=0.0,
     conduction escape attached directly to |1>; it ignores the tunnelings
     and the second dot, and its coherence components stay zero.
     """
-    if not varied and isinstance(Gamma, (int, float)):
-        return _build(params.__dict__, Gamma, 1, [], kind, lone=True)
-    # Overflow and invalid values end up in entries that the checks reject.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _build(*_stack_columns(params, varied, Gamma), kind)
-
-
-def _build(f, Gamma, n: int, checks: list, kind: str,
-           lone: bool = False) -> GeneratorStack:
-    # ``build_generator`` from fields ``f`` after the varied fields'
-    # ``checks``; a lone device fills its 2-D view entry by entry.
+    f, n, checks = params.__dict__, 1, []
+    if varied or not isinstance(Gamma, (int, float)):
+        f, Gamma, n, checks = _stack_columns(params, varied, Gamma)
     e = _place_levels(f, kind)
     errors = _record([None] * n, [*checks, (
         (Gamma >= 0.0) & (Gamma < math.inf),
@@ -438,14 +434,16 @@ def _build(f, Gamma, n: int, checks: list, kind: str,
                               f"got {np.broadcast_to(Gamma, n)[k]}")),
         *_level_checks(e, kind, n)])
     _raise_first(errors)
-    M = np.zeros((N_STATE, N_STATE, n))
-    fill = M[..., 0] if lone else M
-    _add_channels(fill, f, e, kind)
-    fill[IDX_P55, IDX_P55] += -Gamma
-    fill[IDX_P66, IDX_P55] += Gamma
-    values = (e.e5_minus_e6, e.E12, e.E34, f["kTc"])
-    energies = (np.array(values)[:, None] if lone
-                else np.array([np.broadcast_to(v, n) for v in values]))
+    # Each entry sums its contributions in order, then fills its row once.
+    entries = defaultdict(float)
+    _add_channels(entries, f, e, kind)
+    entries[IDX_P55, IDX_P55] += -Gamma
+    entries[IDX_P66, IDX_P55] += Gamma
+    M, energies = np.zeros((N_STATE, N_STATE, n)), np.empty((4, n))
+    for ij, value in entries.items():
+        M[ij] = value
+    for i, value in enumerate((e.e5_minus_e6, e.E12, e.E34, f["kTc"])):
+        energies[i] = value
     M.setflags(write=False)
     energies.setflags(write=False)
     g = GeneratorStack(M, QDM_ACTIVE if kind == "qdm" else SQD_ACTIVE,
