@@ -276,7 +276,7 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     r = CriterionResult(7, NAMES[7], True)
-    rows = phonon_assisted_comparison(ModelParams(), rates=(0.001, 0.01))
+    rows = phonon_assisted_comparison(ModelParams())
     def gain(gc, gv, d, g_ph):
         return next(x.delta_Pm for x in rows
                     if x.gamma_c == gc and x.gamma_v == gv and x.d == d

@@ -76,6 +76,8 @@ def _parse_setting(key: str, raw: str, where: str = ""):
     raw = raw.strip()
     if key in ("kind", "alignment"):
         return raw
+    if key == "d" and not raw:
+        return None  # unset, as a default '#' block prints it
     if key in ("grid_n", "seed"):
         try:
             return int(raw)
@@ -121,7 +123,7 @@ _RUN_KEYS = set(RunConfig._fields) - {"params"}
 
 def build_config(file_values: dict, override_values: dict) -> RunConfig:
     merged = {**file_values, **override_values}
-    if "d" in merged and merged.keys() & {"Te", "Th"}:
+    if merged.get("d") is not None and merged.keys() & {"Te", "Th"}:
         raise ConfigError("d sets Te and Th; give d or Te and Th, not both")
     run = {key: merged.pop(key) for key in _RUN_KEYS & merged.keys()}
     if run.get("kind", "qdm") not in ("qdm", "sqd"):
@@ -265,17 +267,17 @@ def _keys(names: str) -> tuple:
 # Every model run reads the device and the load bracket of its search.
 _DEVICE = ("E12 delta_c delta_e delta_h delta_v gamma1 gamma2 hbar_gamma "
            "kTc kTs gamma_min gamma_max")
-_CURVE = _keys(f"kind alignment d Te Th gamma_13 gamma_24 gamma_c gamma_v "
-               f"grid_n {_DEVICE}")
+_LONE = f"kind alignment d Te Th gamma_13 gamma_24 gamma_c gamma_v {_DEVICE}"
 
 # Each subcommand with the config keys it reads.  It rejects every other
-# key, and its CSV '#' block lists exactly these.  A scan sets what it
-# sweeps itself: gamma-grid the escape rates and both kinds,
-# efficiency-vs-d the band alignment and the barrier width,
-# phonon-assisted the escape rates, the width and the assisted rates.
+# key, and its CSV '#' block lists exactly these.  Only iv-curve reads
+# the load grid's size.  A scan sets what it sweeps itself: gamma-grid
+# the escape rates and both kinds, efficiency-vs-d the band alignment and
+# the barrier width, phonon-assisted the escape rates, the width and the
+# assisted rates.
 _COMMANDS = {
-    "iv-curve": (_cmd_iv_curve, _CURVE),
-    "max-power": (_cmd_max_power, _CURVE),
+    "iv-curve": (_cmd_iv_curve, _keys(f"grid_n {_LONE}")),
+    "max-power": (_cmd_max_power, _keys(_LONE)),
     "gamma-grid": (_cmd_gamma_grid,
                    _keys(f"alignment d Te Th gamma_13 gamma_24 {_DEVICE}")),
     "efficiency-vs-d": (_cmd_efficiency_vs_d,

@@ -110,7 +110,6 @@ class IVCurve:
 
     columns: dict
     params: ModelParams
-    kind: str
     grid: GridSpec
     chain: ChainForm
     n_dropped: int = 0
@@ -506,8 +505,8 @@ def iv_curve(params: ModelParams, kind: str = "qdm",
     V = chain.voltage(gammas)
     columns = {"Gamma": gammas, "j": j, "V": V, "P": j * V,
                "coh13": np.hypot(re13, im13), "coh24": np.hypot(re24, im24)}
-    return IVCurve(columns=columns, params=params, kind=kind, grid=grid,
-                   chain=chain, n_dropped=int(len(keep) - keep.sum()))
+    return IVCurve(columns=columns, params=params, grid=grid, chain=chain,
+                   n_dropped=int(len(keep) - keep.sum()))
 
 
 def max_power_point(params: ModelParams | None = None,
@@ -524,8 +523,7 @@ def max_power_point(params: ModelParams | None = None,
         if params is None:
             raise DomainError("need either params or a precomputed curve")
         chain = _device_chain(params, "qdm" if kind is None else kind)
-    elif (kind not in (None, curve.kind)
-          or any(v is not None for v in (params, grid))):
+    elif any(v is not None for v in (params, kind, grid)):
         raise DomainError("a precomputed curve takes no other argument")
     else:
         chain, grid = curve.chain, curve.grid
@@ -617,22 +615,16 @@ class GammaGridScan(NamedTuple):
 
 
 def gamma_grid_scan(params: ModelParams,
-                    gamma_c_grid: np.ndarray | None = None,
-                    gamma_v_grid: np.ndarray | None = None,
                     grid: GridSpec | None = None) -> GammaGridScan:
-    """Relative current gain on a log-log escape-rate grid.
+    """Relative current gain on the paper's 40 x 40 log-log escape-rate
+    grid: gamma_c from 1 to 500, gamma_v from 1e-4 to 20.
 
     Every cell's molecule and single dot go through one
     ``max_power_batch`` call per kind.  Failed cells are NaN and recorded
     in ``failures``, with the single dot's error first.
     """
-    gc_vals = (np.logspace(0, math.log10(500.0), 40)
-               if gamma_c_grid is None else np.asarray(gamma_c_grid, float))
-    gv_vals = (np.logspace(-4, math.log10(20.0), 40)
-               if gamma_v_grid is None else np.asarray(gamma_v_grid, float))
-    if gc_vals.ndim != 1 or gv_vals.ndim != 1:
-        raise DomainError("escape-rate grids need 1-D arrays, got shapes "
-                          f"{gc_vals.shape} and {gv_vals.shape}")
+    gc_vals = np.logspace(0, math.log10(500.0), 40)
+    gv_vals = np.logspace(-4, math.log10(20.0), 40)
     gc_cells, gv_cells = np.meshgrid(gc_vals, gv_vals)
     cells = dict(gamma_c=gc_cells.ravel(), gamma_v=gv_cells.ravel())
     sqd = max_power_batch(params, kind="sqd", grid=grid, **cells)
@@ -650,18 +642,15 @@ def gamma_grid_scan(params: ModelParams,
 
 
 def efficiency_vs_distance(params: ModelParams,
-                           d_grid=None, alignments=None,
                            grid: GridSpec | None = None) -> list:
-    """Maximum-power efficiency versus barrier width per band alignment:
+    """Maximum-power efficiency at d = 2, 3, ..., 10 nm per band alignment:
     one ``EfficiencyRow`` per (alignment, d), alignments outermost.
 
     Raises the first device's error if any fails.
     """
-    d_grid = list(d_grid) if d_grid is not None else list(range(2, 11))
-    alignments = tuple(alignments) if alignments is not None else BAND_ALIGNMENTS
-    cells = [(alignment, float(d)) for alignment in alignments
-             for d in d_grid]
-    aligned = {a: apply_band_alignment(params, a) for a in alignments}
+    cells = [(alignment, float(d)) for alignment in BAND_ALIGNMENTS
+             for d in range(2, 11)]
+    aligned = {a: apply_band_alignment(params, a) for a in BAND_ALIGNMENTS}
     tunnelings = {d: tunneling_from_distance(d) for _, d in cells}
     mpp = max_power_batch(
         params, kind="qdm", grid=grid,
@@ -676,20 +665,17 @@ def efficiency_vs_distance(params: ModelParams,
 
 
 def phonon_assisted_comparison(params: ModelParams,
-                               rates=(0.001, 0.01, 0.1),
-                               rate_sets=((100.0, 0.05), (50.0, 5.0)),
-                               distances=(2.0, 10.0),
                                grid: GridSpec | None = None) -> list:
     """Maximum power with incoherent interdot channels, versus without.
 
-    One ``PhononAssistedRow`` per (escape-rate set, barrier width,
-    assisted rate) cell, with the relative gain of P_m over the
-    coherent-only baseline, whose own row has assisted rate 0.  Raises
-    the first device's error if any fails.
+    One ``PhononAssistedRow`` per cell: (gamma_c, gamma_v) of (100, 0.05)
+    or (50, 5), d of 2 or 10 nm, and assisted rate 0 (the coherent-only
+    baseline), 0.001, 0.01 or 0.1, with the relative gain of P_m over the
+    baseline.  Raises the first device's error if any fails.
     """
-    g_phs = (0.0,) + tuple(rates)
-    cells = [(gc, gv, float(d), g_ph) for gc, gv in rate_sets
-             for d in distances for g_ph in g_phs]
+    g_phs = (0.0, 0.001, 0.01, 0.1)
+    cells = [(gc, gv, d, g_ph) for gc, gv in ((100.0, 0.05), (50.0, 5.0))
+             for d in (2.0, 10.0) for g_ph in g_phs]
     gc_col, gv_col, d_col, g_ph_col = np.array(cells).T
     te, th = np.array([tunneling_from_distance(d) for d in d_col]).T
     mpp = max_power_batch(params, kind="qdm", grid=grid, gamma_c=gc_col,

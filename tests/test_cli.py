@@ -1,19 +1,23 @@
 """Command-line interface: config handling, CSV contract, exit codes."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qdmcell
-from qdmcell import ModelParams, build_generator, cli
+from qdmcell import (BAND_ALIGNMENTS, GridSpec, ModelParams,
+                     apply_band_alignment, build_generator, cli)
 from qdmcell.cli import (_COMMANDS, _KEY_UNITS, build_config, main,
                          read_config_file)
 from qdmcell.errors import (ConfigError, DegenerateSteadyStateError,
-                            InvalidGeometryError, NumericalSolveError)
-from qdmcell.sweeps import gamma_grid_scan
+                            DomainError, InvalidGeometryError,
+                            NumericalSolveError)
 
 NUMERIC_KEYS = [k for k in _KEY_UNITS if k not in ("kind", "alignment")]
 
@@ -105,7 +109,7 @@ class TestCsvContract:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_max_power_single_row(self, capsys):
-        code, out, _ = _run(capsys, "max-power", "--set", "grid_n=60")
+        code, out, _ = _run(capsys, "max-power")
         assert code == 0
         body = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert body[0].startswith("Gamma_star_over_gamma,")
@@ -140,8 +144,7 @@ class TestExitCodes:
 
     def test_numerical_failure_is_three(self, capsys):
         # A dark cell has no interior power maximum.
-        code, _, err = _run(capsys, "max-power", "--set", "kTs=0.01",
-                            "--set", "grid_n=60")
+        code, _, err = _run(capsys, "max-power", "--set", "kTs=0.01")
         assert code == 3
         assert "numerical failure" in err
 
@@ -209,10 +212,116 @@ class TestExitCodes:
         assert err.startswith("config error: ")
         assert len(err.splitlines()) == 1
 
+    def test_max_power_does_not_take_grid_n(self, capsys):
+        # Its search reads only the load grid's bounds.
+        code, out, err = _run(capsys, "max-power", "--set", "grid_n=60")
+        assert (code, out) == (2, "")
+        assert err == "config error: max-power does not take grid_n\n"
+
     def test_removed_gamma_key_is_config_error(self, capsys):
         code, _, err = _run(capsys, "max-power", "--set", "gamma=1")
         assert code == 2
         assert "unknown key 'gamma'" in err
+
+
+# The subcommands that build devices from their config.
+MODEL_COMMANDS = ["iv-curve", "max-power", "gamma-grid", "efficiency-vs-d",
+                  "phonon-assisted"]
+# Values at the edges of the numeric keys' domains: zeros, the smallest
+# floats either side of 0, tiny and huge magnitudes (1e153 pushes a
+# generator entry near its bound of about 1e154), and non-finite values.
+# grid_n takes only small grids: a huge one would allocate gigabytes.
+EDGES = ("0", "-0", "-5e-324", "5e-324", "1e-300", "1e-3", "1e3", "1e153",
+         "1e300", "-1e300", "nan", "inf", "-inf")
+EDGE_VALUES = {"kind": ("qdm", "sqd"), "alignment": BAND_ALIGNMENTS,
+               "grid_n": ("49", "50", "2000")}
+
+
+def _lone_devices(command: str, p: ModelParams, kind: str) -> list:
+    """(params, kind) of the lone devices whose input errors end a run of
+    ``command`` on the resolved device ``p``: the device itself, or the
+    cells of a scan.  Of gamma-grid's 40 x 40 cells, the corners suffice,
+    since the escape rates enter no level and every entry's magnitude
+    grows with them."""
+    if command in ("iv-curve", "max-power"):
+        return [(p, kind)]
+    if command == "gamma-grid":
+        return [(p.replace(gamma_c=gc, gamma_v=gv), k)
+                for gc, gv in ((1.0, 1e-4), (500.0, 20.0))
+                for k in ("qdm", "sqd")]
+    if command == "efficiency-vs-d":
+        return [(apply_band_alignment(p, a).with_distance(d), "qdm")
+                for a in BAND_ALIGNMENTS for d in range(2, 11)]
+    return [(p.replace(gamma_c=gc, gamma_v=gv, gamma_13=g_ph,
+                       gamma_24=g_ph).with_distance(d), "qdm")
+            for gc, gv in ((100.0, 0.05), (50.0, 5.0)) for d in (2.0, 10.0)
+            for g_ph in (0.0, 0.001, 0.01, 0.1)]
+
+
+def _is_input_error(command: str, overrides: dict) -> bool:
+    """Whether the library rejects the run's input: its load grid, d
+    given with Te or Th, or a lone ``ModelParams`` or ``build_generator``
+    call of one of its devices."""
+    values = {k: v if k in ("kind", "alignment") else
+              int(v) if k == "grid_n" else float(v)
+              for k, v in overrides.items()}
+    kind, alignment = values.pop("kind", "qdm"), values.pop("alignment", "0")
+    d = values.pop("d", None)
+    grid = {name: values.pop(key) for key, name in (
+        ("grid_n", "n"), ("gamma_min", "gamma_min"),
+        ("gamma_max", "gamma_max")) if key in values}
+    if d is not None and values.keys() & {"Te", "Th"}:
+        return True
+    try:
+        GridSpec(**grid)
+        p = apply_band_alignment(ModelParams(**values), alignment)
+        if d is not None:
+            p = p.with_distance(d)
+        for q, k in _lone_devices(command, p, kind):
+            build_generator(q, k)
+    except (DomainError, InvalidGeometryError):
+        return True
+    return False
+
+
+@st.composite
+def _model_runs(draw) -> tuple:
+    """A model subcommand and one to three of its keys at domain edges."""
+    command = draw(st.sampled_from(MODEL_COMMANDS))
+    keys = draw(st.lists(st.sampled_from(_COMMANDS[command][1]),
+                         min_size=1, max_size=3, unique=True))
+    return command, {k: draw(st.sampled_from(EDGE_VALUES.get(k, EDGES)))
+                     for k in keys}
+
+
+class TestFuzz:
+    """Runs at the edges of the domain end with a documented exit code,
+    never a traceback or a NaN cell, and exit 2 exactly where the library
+    rejects the input."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(run=_model_runs())
+    # A layout that every device of a scan shares.
+    @example(run=("efficiency-vs-d", {"delta_c": "-1"}))
+    @example(run=("phonon-assisted", {"delta_e": "2000"}))
+    @example(run=("gamma-grid", {"delta_h": "2000"}))
+    # Every point dropped, and every cell failed: exit 0 with no rows.
+    @example(run=("iv-curve", {"kTs": "1e-300"}))
+    @example(run=("gamma-grid", {"kTc": "1e-300"}))
+    def test_edge_settings(self, run):
+        command, overrides = run
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, *(arg for k, v in overrides.items()
+                                    for arg in ("--set", f"{k}={v}"))])
+        assert code in (0, 2, 3), err.getvalue()
+        assert (code == 2) == _is_input_error(command, overrides), (
+            code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        for line in out.getvalue().splitlines():
+            if not line.startswith("#"):
+                assert not {"nan", "inf", "-inf"} & set(
+                    line.lower().split(",")), line
 
 
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
@@ -315,22 +424,18 @@ class TestKeyTable:
                        f"{', '.join(unread)}\n")
 
     @pytest.mark.parametrize("command", CSV_COMMANDS)
-    def test_metadata_lists_the_keys_it_reads(self, capsys, monkeypatch,
-                                              tmp_path, command):
+    def test_metadata_lists_the_keys_it_reads(self, capsys, tmp_path,
+                                              command):
         # The default '#' block names each key of the table row once, in
-        # the row's order, and, fed back as a config file, reruns its run
-        # byte for byte: each printed value reads back as the same float.
-        # d is empty by default: the tunnelings stand.  A block with d
-        # also prints the Te and Th it sets, and its rerun takes those.
-        # gamma-grid runs on 2 x 2 cells here, to keep the test fast.
-        monkeypatch.setattr(cli, "gamma_grid_scan", lambda p, grid:
-                            gamma_grid_scan(p, [10.0, 100.0], [0.05, 5.0],
-                                            grid))
-
-        def rerun(out):
+        # the row's order, and its key lines, fed back as a config file,
+        # rerun its run byte for byte: each printed value reads back as
+        # the same float.  d is empty by default, which leaves it unset:
+        # the tunnelings stand.  A block with d also prints the Te and Th
+        # it sets, and its rerun takes those and not d.
+        def rerun(out, drop=()):
             cfg = tmp_path / "run.cfg"
             cfg.write_text("".join(f"{k} = {v}\n" for k, v in _meta(out)
-                                   if v and k != "d"))
+                                   if k not in drop))
             code, again, _ = _run(capsys, command, "-c", str(cfg))
             assert code == 0
             return again
@@ -345,17 +450,12 @@ class TestKeyTable:
             code, out, _ = _run(capsys, command, "--set", "d=2")
             assert code == 0
             assert [v for k, v in _meta(out) if k == "d"] == ["2"]
-            assert rerun(out) == out.replace("# d = 2\n", "# d = \n")
+            assert rerun(out, drop=("d",)) == out.replace("# d = 2\n",
+                                                         "# d = \n")
 
     @pytest.mark.parametrize("command", CSV_COMMANDS)
-    def test_every_key_it_reads_moves_the_run(self, capsys, monkeypatch,
-                                               command):
+    def test_every_key_it_reads_moves_the_run(self, capsys, command):
         # Each key a subcommand takes changes its rows or its exit code.
-        # gamma-grid runs on 2 x 2 cells here, to keep the test fast.
-        monkeypatch.setattr(cli, "gamma_grid_scan", lambda p, grid:
-                            gamma_grid_scan(p, [10.0, 100.0], [0.05, 5.0],
-                                            grid))
-
         def result(*argv):
             code, out, _ = _run(capsys, command, *argv)
             return code, [ln for ln in out.splitlines()
@@ -364,11 +464,7 @@ class TestKeyTable:
         default = result()
         assert default[0] == 0
         for key in _COMMANDS[command][1]:
-            # max-power's grid only brackets its Newton search, so only a
-            # grid below the minimum size moves it.
-            value = ("10" if (command, key) == ("max-power", "grid_n")
-                     else MOVED[key])
-            assert result("--set", f"{key}={value}") != default, key
+            assert result("--set", f"{key}={MOVED[key]}") != default, key
 
     def test_verify_passes_its_seed_on(self, capsys, monkeypatch):
         # The gate and the calibration run on fixed reference devices.

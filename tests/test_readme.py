@@ -1,4 +1,4 @@
-"""The README's examples: its python block runs, and every command line of
+"""The README's examples: its python blocks run, and every command line of
 its command block parses, with keys its subcommand reads."""
 
 import re
@@ -15,9 +15,12 @@ def _blocks(language: str) -> list:
 
 
 def test_python_example_runs(capsys):
-    (example,) = _blocks("python")
-    exec(compile(example, "README.md", "exec"), {})
-    assert len(capsys.readouterr().out.split()) == 4
+    # Each block prints one line of four values.
+    examples = _blocks("python")
+    assert len(examples) == 2
+    for example in examples:
+        exec(compile(example, "README.md", "exec"), {})
+        assert len(capsys.readouterr().out.split()) == 4
 
 
 def test_command_lines_parse():

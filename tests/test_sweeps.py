@@ -205,10 +205,8 @@ class TestMaxPowerPoint:
 
     def test_curve_takes_no_other_argument(self):
         curve = iv_curve(ModelParams(), kind="qdm", grid=GridSpec(n=50))
-        mpp = max_power_point(curve=curve)
-        assert max_power_point(kind="qdm", curve=curve) == mpp
-        for other in (dict(params=ModelParams()), dict(kind="sqd"),
-                      dict(grid=GridSpec(n=50))):
+        for other in (dict(params=ModelParams()), dict(kind="qdm"),
+                      dict(kind="sqd"), dict(grid=GridSpec(n=50))):
             with pytest.raises(DomainError, match="takes no other argument"):
                 max_power_point(curve=curve, **other)
 
@@ -398,13 +396,11 @@ class TestRelativeCurrentGain:
 
 
 class TestGammaGridScan:
-    def test_small_scan_structure(self):
-        gc = np.logspace(1, 2, 4)
-        gv = np.logspace(-2, 1, 5)
-        scan = gamma_grid_scan(ModelParams().with_distance(2.0),
-                               gamma_c_grid=gc, gamma_v_grid=gv,
-                               grid=GridSpec(n=60))
-        assert scan.delta_j.shape == (5, 4)
+    def test_published_scan_structure(self):
+        scan = gamma_grid_scan(ModelParams().with_distance(2.0))
+        assert scan.delta_j.shape == (40, 40)
+        assert scan.gamma_c_values[[0, -1]] == pytest.approx([1.0, 500.0])
+        assert scan.gamma_v_values[[0, -1]] == pytest.approx([1e-4, 20.0])
         assert not scan.failures
         assert np.isfinite(scan.delta_j).all()
         # Fast valence relaxation and much faster conduction escape is
@@ -413,21 +409,13 @@ class TestGammaGridScan:
         assert 0.10 <= scan.delta_j.max() <= 0.33
 
     def test_gain_band_contains_ten_to_twenty_percent(self):
-        gc = np.logspace(1.5, np.log10(500.0), 6)
-        gv = np.logspace(-2, np.log10(20.0), 6)
-        scan = gamma_grid_scan(ModelParams().with_distance(2.0),
-                               gamma_c_grid=gc, gamma_v_grid=gv,
-                               grid=GridSpec(n=60))
+        scan = gamma_grid_scan(ModelParams().with_distance(2.0))
         band = scan.delta_j[(scan.delta_j >= 0.10) & (scan.delta_j <= 0.20)]
         assert band.size > 0
 
     def test_strong_tunneling_gains_at_least_weak(self):
-        gc = np.logspace(1, 2, 3)
-        gv = np.logspace(-1, 0, 3)
-        a = gamma_grid_scan(ModelParams().with_distance(2.0),
-                            gamma_c_grid=gc, gamma_v_grid=gv)
-        b = gamma_grid_scan(ModelParams().with_distance(10.0),
-                            gamma_c_grid=gc, gamma_v_grid=gv)
+        a = gamma_grid_scan(ModelParams().with_distance(2.0))
+        b = gamma_grid_scan(ModelParams().with_distance(10.0))
         assert not a.failures and not b.failures
         assert (a.delta_j >= b.delta_j - 1e-9).all()
 
@@ -442,10 +430,9 @@ class TestGammaGridScan:
         assert isinstance(batch.errors[1], DegenerateSteadyStateError)
         assert np.isnan(batch.P_m[1])
         assert np.isfinite(batch.P_m[[0, 2]]).all()
-        scan = gamma_grid_scan(cut, gamma_c_grid=[10.0, 100.0],
-                               gamma_v_grid=[0.05, 5.0])
+        scan = gamma_grid_scan(cut)
         assert [(iv, ic) for iv, ic, _ in scan.failures] == [
-            (0, 0), (0, 1), (1, 0), (1, 1)]
+            (iv, ic) for iv in range(40) for ic in range(40)]
         assert all(msg.startswith("DegenerateSteadyStateError: ")
                    for _, _, msg in scan.failures)
         assert np.isnan(scan.delta_j).all()
@@ -501,19 +488,17 @@ class TestIdenticalDots:
 
 class TestEfficiencyVsDistance:
     def test_alignment_sweep_rows(self):
-        rows = efficiency_vs_distance(ModelParams(), d_grid=(2.0, 10.0),
-                                      grid=GridSpec(n=100))
-        assert len(rows) == 10  # 5 alignments x 2 distances
+        rows = efficiency_vs_distance(ModelParams())
+        assert [(r.alignment, r.d) for r in rows] == [
+            (a, float(d)) for a in BAND_ALIGNMENTS for d in range(2, 11)]
         assert all(0.0 < r.eta < 0.9482 for r in rows)
         for d in (2.0, 10.0):
             best = max((r for r in rows if r.d == d), key=lambda r: r.P_m)
             assert best.alignment == "A2"
 
     def test_a2_valence_coherence_strongly_suppressed(self):
-        rows = efficiency_vs_distance(ModelParams(), d_grid=(2.0,),
-                                      alignments=("0", "A2"),
-                                      grid=GridSpec(n=100))
-        by_tag = {r.alignment: r for r in rows}
+        by_tag = {r.alignment: r for r in efficiency_vs_distance(ModelParams())
+                  if r.d == 2.0}
         assert by_tag["A2"].coh24 < 1e-3
         assert by_tag["A2"].coh24 < by_tag["0"].coh24 / 1000.0
 
@@ -523,9 +508,7 @@ class TestScanErrors:
         # A geometry shared by every cell is one input error, not a failed
         # cell each.
         with pytest.raises(InvalidGeometryError):
-            gamma_grid_scan(ModelParams(delta_c=-1.0),
-                            gamma_c_grid=[10.0, 100.0],
-                            gamma_v_grid=[0.05, 5.0])
+            gamma_grid_scan(ModelParams(delta_c=-1.0))
         with pytest.raises(DomainError):
             max_power_batch(ModelParams(), kind="qdm",
                             gamma_c=[100.0, -1.0, np.nan])
@@ -540,30 +523,15 @@ class TestScanErrors:
             max_power_batch(ModelParams(), gamma_c=[1.0], Gamma=[1.0],
                             gamma=[1.0])
 
-    def test_grids_must_be_one_dimensional(self, monkeypatch):
-        # Rejected before any device is solved.
-        monkeypatch.setattr("qdmcell.sweeps.max_power_batch", None)
-        for gc, gv, shapes in (([[1.0, 2.0]], [1.0], "(1, 2) and (1,)"),
-                               ([1.0], 2.0, "(1,) and ()")):
-            with pytest.raises(DomainError) as exc:
-                gamma_grid_scan(ModelParams(), gamma_c_grid=gc,
-                                gamma_v_grid=gv)
-            assert str(exc.value) == ("escape-rate grids need 1-D arrays, "
-                                      f"got shapes {shapes}")
-
     def test_empty_batches_raise_domain_error(self):
-        for call in (lambda: max_power_batch(ModelParams(), gamma_c=[]),
-                     lambda: gamma_grid_scan(ModelParams(), gamma_c_grid=[]),
-                     lambda: efficiency_vs_distance(ModelParams(),
-                                                    d_grid=[])):
-            with pytest.raises(DomainError, match="nonempty"):
-                call()
+        with pytest.raises(DomainError, match="nonempty"):
+            max_power_batch(ModelParams(), gamma_c=[])
 
     def test_scans_raise_first_typed_error(self):
         # Every maximum lies above a load range that ends at 1e-3.
         narrow = GridSpec(gamma_max=1e-3)
         with pytest.raises(BoundaryMaximumError):
-            efficiency_vs_distance(ModelParams(), d_grid=(2.0,), grid=narrow)
+            efficiency_vs_distance(ModelParams(), grid=narrow)
         with pytest.raises(BoundaryMaximumError):
             phonon_assisted_comparison(ModelParams(), grid=narrow)
 
@@ -577,19 +545,15 @@ class TestPhononAssistedComparison:
         assert base == same
 
     def test_assisted_channels_help_weak_tunneling_most(self):
-        rows = phonon_assisted_comparison(ModelParams(), rates=(0.001,),
-                                          rate_sets=((100.0, 0.05),),
-                                          grid=GridSpec(n=100))
-        gains = {r.d: r.delta_Pm for r in rows if r.gamma_ph > 0.0}
+        gains = {r.d: r.delta_Pm for r in phonon_assisted_comparison(
+            ModelParams()) if (r.gamma_c, r.gamma_ph) == (100.0, 0.001)}
         assert gains[2.0] > 0.0
         assert gains[10.0] > gains[2.0]
 
     def test_fast_relaxation_set_unaffected_at_strong_tunneling(self):
-        rows = phonon_assisted_comparison(ModelParams(), rates=(0.001,),
-                                          rate_sets=((50.0, 5.0),),
-                                          distances=(2.0,),
-                                          grid=GridSpec(n=100))
-        gain = next(r.delta_Pm for r in rows if r.gamma_ph > 0.0)
+        rows = phonon_assisted_comparison(ModelParams())
+        (gain,) = [r.delta_Pm for r in rows
+                   if (r.gamma_c, r.d, r.gamma_ph) == (50.0, 2.0, 0.001)]
         assert abs(gain) < 0.01
 
 
