@@ -291,6 +291,72 @@ def _stack(devices, kind):
                            **_fields([p for p, _ in chosen])), chosen
 
 
+def _device(g: GeneratorStack, k: int = 0) -> GeneratorStack:
+    """Device ``k`` of stack ``g``, as a stack of one."""
+    return GeneratorStack(g.matrix[..., k:k + 1], g.active, *(
+        v[k:k + 1] for v in (g.e5_minus_e6, g.E12, g.E34, g.kTc)))
+
+
+def _joined(stacks) -> GeneratorStack:
+    """Stacks of one device each, with one ``active``, as one stack."""
+    return GeneratorStack(
+        np.concatenate([g.matrix for g in stacks], axis=-1), stacks[0].active,
+        *(np.concatenate([getattr(g, name) for g in stacks])
+          for name in ("e5_minus_e6", "E12", "E34", "kTc")))
+
+
+def _solve(devices):
+    return solve_steady(_joined([g for g, _, _ in devices]))
+
+
+def _evolve(devices):
+    x0 = np.zeros(N_STATE)
+    x0[IDX_P22] = 1.0
+    g, t_final, dt = zip(*devices)
+    return evolve(_joined(g), x0, list(t_final), list(dt))
+
+
+def _singular_system() -> GeneratorStack:
+    # On (|1>, |2>, Re rho13): a block that solves, then a trace-conserving
+    # block whose one stationary state has no population, (1, -1, 0): it
+    # passes the degeneracy check, and the normalized system is singular.
+    M = np.zeros((N_STATE, N_STATE, 2))
+    active = (IDX_P11, IDX_P22, IDX_RE13)
+    block = np.ix_(active, active)
+    M[block + (0,)] = [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, -1.0]]
+    M[block + (1,)] = [[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
+    return GeneratorStack(M, active, *np.zeros((4, 2)))
+
+
+# Each check of each solver, as the solver and a stack of two devices: one
+# that passes every check, then one that fails this one.  The solvers
+# take devices as (stack of one, t_final, dt); ``solve_steady`` reads
+# only the stack.
+_FINE = (1e-3, 1e-6)  # a time and a step that every good device takes
+_GOOD = build_generator(ModelParams(), "qdm", Gamma=1.0)
+_SOLVER_CHECKS = {
+    "solve-non-finite-entry": lambda: (_solve, _altered(
+        "qdm", (IDX_RE13, IDX_RE13), np.nan)[0]),
+    "solve-trace": lambda: (_solve, _altered(
+        "qdm", (IDX_P11, IDX_P44), 0.5)[0]),
+    "solve-zero-generator": lambda: (_solve, _joined(
+        [_GOOD, _zero_generator()])),
+    "solve-disconnected-blocks": lambda: (_solve, _joined(
+        [_GOOD, build_generator(ModelParams(Te=0.0, Th=0.0, gamma2=0.0),
+                                "qdm", Gamma=1.0)])),
+    "solve-singular-system": lambda: (_solve, _singular_system()),
+    "solve-residual": lambda: (_solve, _altered(
+        "sqd", (IDX_RE13, IDX_P11), 1.0)[0]),
+    "evolve-non-finite-entry": lambda: (_evolve, _altered(
+        "qdm", (IDX_P33, IDX_P11), np.inf)[0]),
+}
+# evolve's step checks, as the bad device's (t_final, dt).
+_STEP_CHECKS = {"t_final-0": (0.0, 1e-6), "t_final-nan": (math.nan, 1e-6),
+                "t_final-inf": (math.inf, 1e-6), "dt-0": (1.0, 0.0),
+                "dt-nan": (1.0, math.nan), "dt-too-large": (1.0, 1e-3),
+                "too-many-steps": (1e300, 1e-9)}
+
+
 class TestStackedOracle:
     @pytest.mark.parametrize("kind", ["qdm", "sqd"])
     def test_solve_column_is_the_lone_solve(self, kind):
@@ -319,24 +385,33 @@ class TestStackedOracle:
                                          **_fields(devices[::2])))
 
     def test_singular_constrained_system_raises_for_its_device(self):
-        # On (|1>, |2>, Re rho13) a trace-conserving block whose one
-        # stationary state has no population, (1, -1, 0): it passes the
-        # degeneracy check, and the normalized system is singular.
-        M = np.zeros((N_STATE, N_STATE, 2))
-        block = np.ix_([IDX_P11, IDX_P22, IDX_RE13], [IDX_P11, IDX_P22,
-                                                      IDX_RE13])
-        M[block + (0,)] = [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0],
-                           [0.0, 0.0, -1.0]]
-        M[block + (1,)] = [[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0],
-                           [0.0, 0.0, 1.0]]
-        active = (IDX_P11, IDX_P22, IDX_RE13)
+        g = _singular_system()
         with pytest.raises(NumericalSolveError,
                            match="singular constrained system"):
-            solve_steady(GeneratorStack(M, active, *np.zeros((4, 2))))
+            solve_steady(g)
         # Alone, the first device solves.
-        x = solve_steady(GeneratorStack(M[..., :1], active,
-                                        *np.zeros((4, 1))))
+        x = solve_steady(_device(g, 0))
         assert x[[IDX_P11, IDX_P22], 0].tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("n, k", [(2, 0), (2, 1), (3, 0), (3, 1),
+                                      (3, 2)])
+    @pytest.mark.parametrize("check", [*_SOLVER_CHECKS, *_STEP_CHECKS])
+    def test_failing_device_raises_its_lone_error(self, check, n, k):
+        # Device k of n fails ``check``; the others pass every check.
+        if check in _SOLVER_CHECKS:
+            solver, pair = _SOLVER_CHECKS[check]()
+            good, bad = ((_device(pair, j), *_FINE) for j in (0, 1))
+        else:
+            solver, good = _evolve, (_GOOD, *_FINE)
+            bad = (_GOOD, *_STEP_CHECKS[check])
+        with pytest.raises((NumericalSolveError, DegenerateSteadyStateError,
+                            StepSizeError)) as lone:
+            solver([bad])
+        with pytest.raises(type(lone.value)) as stacked:
+            solver([good] * k + [bad] + [good] * (n - 1 - k))
+        assert type(stacked.value) is type(lone.value)
+        assert str(stacked.value) == str(lone.value)
+        solver([good] * n)
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 7, 1000, 12345])
     def test_evolve_is_the_rk4_step_to_a_power(self, steps):
