@@ -11,7 +11,7 @@ numbers read as mV), power in gamma*meV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ _POPULATION_GUARD = 1e-300
 # Nothing in the package calls ``photovoltaic_point``: the benchmark's
 # tracer wraps it by name (perfbench/layers.py), so it and its result type
 # stay until the benchmark drops them.
-@dataclass(frozen=True)
-class PhotovoltaicPoint:
+class PhotovoltaicPoint(NamedTuple):
     """One point of a current-voltage characteristic."""
 
     Gamma: float

@@ -131,8 +131,8 @@ def evolve(G: GeneratorStack, x0, t_final, dt) -> np.ndarray:
     a(aa), not (aa)a.  It is not the step applied one at a time: on the
     default molecule (Gamma = 1, dt = 0.05 / max rate) the two differ by
     up to 4.4e-16 at 5 steps and 5.1e-14 at 1 000.  Requires finite
-    entries, a finite t_final > 0, dt * max-rate <= 0.1 and under 2^63
-    steps.
+    entries, finite t_final > 0 and dt > 0, dt * max-rate <= 0.1 and
+    under 2^63 steps.
     """
     t_final, dt = (np.broadcast_to(np.asarray(v, dtype=float),
                                    G.max_rate.shape) for v in (t_final, dt))
@@ -143,7 +143,9 @@ def evolve(G: GeneratorStack, x0, t_final, dt) -> np.ndarray:
         _generator_checks(G)[0],
         ((t_final > 0.0) & (t_final < math.inf), lambda k: StepSizeError(
             f"t_final must be finite and positive, got {t_final[k]}")),
-        ((dt > 0.0) & (dt * G.max_rate <= 0.1), lambda k: StepSizeError(
+        ((dt > 0.0) & (dt < math.inf), lambda k: StepSizeError(
+            f"dt must be finite and positive, got {dt[k]}")),
+        (dt * G.max_rate <= 0.1, lambda k: StepSizeError(
             f"dt = {dt[k]} too large for max rate {G.max_rate[k]:.3e}: "
             "need dt * max_rate <= 0.1")),
         (steps < 2.0 ** 63, lambda k: StepSizeError(

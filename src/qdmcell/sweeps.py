@@ -6,18 +6,18 @@ rate chains with the coherent links cut, free of cancellation; it adds
 the load to zero-load ``build_generator`` stacks.  The single-device
 functions (``iv_curve``, ``max_power_point``, ``open_circuit_voltage``,
 ``short_circuit_current``) read it for a one-device stack, built once
-per (params, kind) and held read-only in a two-entry memo
-(``_device_chain``); the scans treat the devices as a batch axis, one
-stack of the varied fields in ``max_power_batch``.  With the devices on
-the last axis, one ``ChainForm.states`` serves a curve (one device, many
-loads) and a batch (one load per device).  Both find the maximum-power
-load by one search (``_max_power``) between the load grid's bounds, so a
-lone device's maximum is its batch row bit for bit; one device's Newton
-iteration runs on floats with numpy's log (the C library's may differ in
-the last bit and move the maximum off the batch's).  Every result record
-but the curve, which carries its chain form, is a named tuple: a scan
-row's fields follow the CLI's CSV columns, and a maximum's fields are
-floats for a lone device or per-device arrays.
+per (params, kind) and held in a one-entry memo (``_device_chain``);
+the scans treat the devices as a batch axis, one stack of the varied
+fields in ``max_power_batch``.  A chain form's arrays are read-only.
+With the devices on the last axis, one ``ChainForm.states`` serves a
+curve (one device, many loads) and a batch (one load per device).  Both
+find the maximum-power load by one search (``_max_power``) between the
+load grid's bounds, so a lone device's maximum is its batch row bit for
+bit; one device's Newton iteration runs on floats with numpy's log (the
+C library's may differ in the last bit and move the maximum off the
+batch's).  Every result record, the chain form and the curve too, is a
+named tuple: a scan row's fields follow the CLI's CSV columns, and a
+maximum's fields are floats for a lone device or per-device arrays.
 """
 
 from __future__ import annotations
@@ -68,12 +68,12 @@ class GridSpec:
                            math.log10(self.gamma_max), self.n)
 
 
-@dataclass(frozen=True, eq=False)
-class ChainForm:
+class ChainForm(NamedTuple):
     """Stationary states of a stack of devices at every load rate: device
     k's state at load Gamma is (x_a[:, k] + Gamma x_b[:, k]) / (s_a[k] +
     Gamma s_b[k]), with |5> at weight 1 in x_a and 0 in x_b.  A device
     whose contact |5> is empty at every load has x_a = x_b = 0, s_a = 1.
+    The arrays are read-only.
     """
 
     stack: GeneratorStack
@@ -99,8 +99,7 @@ class ChainForm:
             self.x_a[IDX_P66] + gamma * self.x_b[IDX_P66])
 
 
-@dataclass(frozen=True, eq=False)
-class IVCurve:
+class IVCurve(NamedTuple):
     """Current-voltage characteristic over a load grid.
 
     ``columns`` maps Gamma, j, V, P, coh13 and coh24 to read-only arrays
@@ -113,10 +112,6 @@ class IVCurve:
     grid: GridSpec
     chain: ChainForm
     n_dropped: int = 0
-
-    def __post_init__(self):
-        for values in self.columns.values():
-            values.setflags(write=False)
 
     def column(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -379,22 +374,23 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
             f"chain-form residual {c0[k] / s_a[k]:.3e} + Gamma "
             f"{c1[k] / s_b[k]:.3e} exceeds {RESIDUAL_TOL:.0e} x largest "
             f"generator entry {scale[k]:.3e}"))])
-    return ChainForm(stack, X[:, 0], X[:, 1], s_a, s_b)
+    chain = ChainForm(stack, X[:, 0], X[:, 1], s_a, s_b)
+    for values in chain[1:]:
+        values.setflags(write=False)
+    return chain
 
 
-# Two entries hold a molecule and its single-dot twin, so characterising
-# both with interleaved calls still builds each once.  Errors are not
-# cached: a failing device runs every check again on each call.
-@functools.lru_cache(maxsize=2)
+# One entry: the only reuse is a curve followed by
+# ``open_circuit_voltage`` of the same device.  Errors are not cached: a
+# failing device runs every check again on each call.
+@functools.lru_cache(maxsize=1)
 def _device_chain(params: ModelParams, kind: str) -> ChainForm:
-    """Chain form of one device's ``build_generator`` stack; raises the
-    device's error if it fails.  Its arrays are read-only, since every
-    caller with the same (params, kind) shares them."""
+    """Chain form of one device's ``build_generator`` stack, shared by
+    every caller with the same (params, kind); raises the device's error
+    if it fails."""
     errors = [None]
     chain = _chain_form(build_generator(params, kind), errors)
     _raise_first(errors)
-    for values in (chain.x_a, chain.x_b, chain.s_a, chain.s_b):
-        values.setflags(write=False)
     return chain
 
 
@@ -505,6 +501,8 @@ def iv_curve(params: ModelParams, kind: str = "qdm",
     V = chain.voltage(gammas)
     columns = {"Gamma": gammas, "j": j, "V": V, "P": j * V,
                "coh13": np.hypot(re13, im13), "coh24": np.hypot(re24, im24)}
+    for values in columns.values():
+        values.setflags(write=False)
     return IVCurve(columns=columns, params=params, grid=grid, chain=chain,
                    n_dropped=int(len(keep) - keep.sum()))
 

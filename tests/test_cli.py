@@ -66,6 +66,11 @@ class TestConfigParsing:
         cfg.write_text("coupling = 3\n")
         with pytest.raises(Exception, match="unknown key"):
             read_config_file(str(cfg))
+        # A line without '=' is rejected before its key is read.
+        cfg.write_text("kTs 25\n")
+        with pytest.raises(ConfigError) as exc:
+            read_config_file(str(cfg))
+        assert str(exc.value) == f"{cfg}:1: expected key = value"
 
     def test_overrides_win_over_file(self):
         config = build_config({"gamma_c": 50.0}, {"gamma_c": 200.0})
@@ -133,10 +138,19 @@ class TestCsvContract:
 
 
 class TestExitCodes:
-    def test_config_error_is_two(self, capsys):
+    def test_config_error_is_two(self, capsys, tmp_path):
         code, _, err = _run(capsys, "iv-curve", "--set", "volume=11")
         assert code == 2
         assert "config error" in err
+        # Values and lines that do not parse.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kTs 25\n")
+        for argv, want in [
+                (("--set", "kTs=abc"), "kTs must be a number, got 'abc'"),
+                (("--set", "foo"), "override 'foo': expected key=value"),
+                (("-c", str(cfg)), f"{cfg}:1: expected key = value")]:
+            code, out, err = _run(capsys, "max-power", *argv)
+            assert (code, out, err) == (2, "", f"config error: {want}\n")
 
     def test_missing_config_file_is_two(self, capsys):
         code, _, err = _run(capsys, "iv-curve", "-c", "/no/such/file.cfg")

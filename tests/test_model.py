@@ -16,6 +16,7 @@ from qdmcell.model import (IDX_IM13, IDX_P22, IDX_P55, IDX_P66, N_STATE,
                            QDM_ACTIVE, SQD_ACTIVE, _FIELD_RULES,
                            _add_channels, _bose, _place_levels)
 from qdmcell.steady import solve_steady
+from test_sweeps import _batch_fields
 
 
 class TestBoseOccupation:
@@ -266,12 +267,6 @@ class TestParamValidation:
         assert (p.Te, p.Th) == (te, th)
 
 
-def _stack_fields(devices) -> dict:
-    """Every field of each device, as batch arrays."""
-    return {f.name: np.array([getattr(p, f.name) for p in devices])
-            for f in fields(ModelParams)}
-
-
 # Devices over the scans' ranges; kTs reaches 1.5 meV, where E12/kTs > 700
 # takes the exp(-x) branch of the occupation, and gamma_13 = gamma_24 = 0.1
 # opens phonon-assisted gaps of both signs across the alignments.
@@ -407,7 +402,7 @@ class TestHermitianCrossCheck:
     def test_random_devices_match_complex_equations(self, devices, kind):
         loads = np.arange(len(devices)) / 2.0
         stack = build_generator(ModelParams(), kind, Gamma=loads,
-                                **_stack_fields(devices))
+                                **_batch_fields(devices))
         for k, p in enumerate(devices):
             self._assert_matches(build_generator(p, kind).matrix[..., 0],
                                  p, kind)
@@ -425,7 +420,7 @@ class TestGeneratorStack:
         # would let -0.0 stand for 0.0.
         params, loads = zip(*devices)
         stack = build_generator(ModelParams(), kind, Gamma=list(loads),
-                                **_stack_fields(params))
+                                **_batch_fields(params))
         assert stack.matrix.shape == (N_STATE, N_STATE, len(devices))
         for k, (p, load) in enumerate(devices):
             lone = build_generator(p, kind, Gamma=load)
@@ -445,7 +440,7 @@ class TestGeneratorStack:
             self, kind, name, value, devices, data):
         k = data.draw(st.integers(min_value=0, max_value=len(devices) - 1))
         params, loads = zip(*devices)
-        varied, loads = _stack_fields(params), np.array(loads)
+        varied, loads = _batch_fields(params), np.array(loads)
         (loads if name == "Gamma" else varied[name])[k] = value
         want = _lone_device_error(
             {f: float(v[k]) for f, v in varied.items()}, kind, loads[k])
@@ -478,7 +473,7 @@ class TestGeneratorStack:
         # Bit for bit: array_equal would let -0.0 stand for 0.0.
         for p in (ModelParams(), ModelParams(gamma_13=0.1, kTs=3.0)):
             stack = build_generator(ModelParams(), kind, Gamma=[0.0, 2.5],
-                                    **_stack_fields([p, p]))
+                                    **_batch_fields([p, p]))
             for k, load in enumerate((0.0, 2.5)):
                 assert (build_generator(p, kind, Gamma=load).matrix.tobytes()
                         == stack.matrix[..., k].tobytes())
@@ -609,7 +604,7 @@ class TestStackErrorsAreLoneErrors:
         others = data.draw(st.sets(st.sampled_from(
             [f for f in _FIELD_NAMES if f not in bad]), min_size=1))
         params, loads = zip(*devices)
-        columns, loads = _stack_fields(params), np.array(loads)
+        columns, loads = _batch_fields(params), np.array(loads)
         varied = {f: columns[f] for f in others}
         base = ModelParams().__dict__
         # ``params`` can share a layout or the load, not a field's bad value.

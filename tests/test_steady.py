@@ -15,7 +15,7 @@ from qdmcell.model import (IDX_P11, IDX_P22, IDX_P33, IDX_P44, IDX_P55,
                            IDX_P66, IDX_RE13, N_STATE)
 from qdmcell.steady import RESIDUAL_TOL
 from qdmcell.sweeps import _chain_form
-from test_sweeps import _high_precision_solve
+from test_sweeps import _batch_fields, _high_precision_solve
 
 
 def _zero_generator_params():
@@ -220,10 +220,16 @@ class TestEvolve:
         g = build_generator(ModelParams(), "qdm")
         x0 = np.zeros(N_STATE)
         x0[IDX_P22] = 1.0
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError, match="too large for max rate"):
             evolve(g, x0, 1.0, 1.0)  # dt * max_rate >> 0.1
         with pytest.raises(StepSizeError):
             evolve(g, x0, -1.0, 1e-6)
+        # A step that is not a positive float is not blamed on its size.
+        for dt in (0.0, math.nan, -1e-6, math.inf):
+            with pytest.raises(StepSizeError) as exc:
+                evolve(g, x0, 1.0, dt)
+            assert str(exc.value) == ("dt must be finite and positive, "
+                                      f"got {dt}")
 
     def test_bit_identical_reruns(self):
         g = build_generator(ModelParams().with_distance(6.0), "qdm")
@@ -277,18 +283,12 @@ def _devices(n: int, seed: int) -> list:
             for k in range(n)]
 
 
-def _fields(params) -> dict:
-    """Every field of each device, as the varied fields of a stack."""
-    return {name: [p.__dict__[name] for p in params]
-            for name in ModelParams().__dict__}
-
-
 def _stack(devices, kind):
     """The devices of ``kind`` as one stack, each at its own load."""
     chosen = [(p, load) for p, k, load in devices if k == kind]
     return build_generator(ModelParams(), kind,
                            Gamma=[load for _, load in chosen],
-                           **_fields([p for p, _ in chosen])), chosen
+                           **_batch_fields([p for p, _ in chosen])), chosen
 
 
 def _device(g: GeneratorStack, k: int = 0) -> GeneratorStack:
@@ -353,7 +353,8 @@ _SOLVER_CHECKS = {
 # evolve's step checks, as the bad device's (t_final, dt).
 _STEP_CHECKS = {"t_final-0": (0.0, 1e-6), "t_final-nan": (math.nan, 1e-6),
                 "t_final-inf": (math.inf, 1e-6), "dt-0": (1.0, 0.0),
-                "dt-nan": (1.0, math.nan), "dt-too-large": (1.0, 1e-3),
+                "dt-nan": (1.0, math.nan), "dt-negative": (1.0, -1e-6),
+                "dt-inf": (1.0, math.inf), "dt-too-large": (1.0, 1e-3),
                 "too-many-steps": (1e300, 1e-9)}
 
 
@@ -374,7 +375,7 @@ class TestStackedOracle:
         devices = [ModelParams(), ModelParams(Te=0.0, Th=0.0, gamma2=0.0),
                    _zero_generator_params()]
         g = build_generator(ModelParams(), "qdm", Gamma=[1.0, 1.0, 0.0],
-                            **_fields(devices))
+                            **_batch_fields(devices))
         with pytest.raises(DegenerateSteadyStateError,
                            match="multiple steady states"):
             solve_steady(g)
@@ -382,7 +383,7 @@ class TestStackedOracle:
                            match="zero generator"):
             solve_steady(build_generator(ModelParams(), "qdm",
                                          Gamma=[1.0, 0.0],
-                                         **_fields(devices[::2])))
+                                         **_batch_fields(devices[::2])))
 
     def test_singular_constrained_system_raises_for_its_device(self):
         g = _singular_system()

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      DegenerateSteadyStateError,
                      DomainError, GridSpec, InvalidGeometryError, ModelParams,
+                     NumericalSolveError,
                      UndefinedEfficiencyError, VoltageUndefinedError,
                      absorption_fluxes,
                      apply_band_alignment, build_generator,
@@ -21,14 +22,15 @@ from qdmcell import (BAND_ALIGNMENTS, BoundaryMaximumError,
                      phonon_assisted_comparison, photovoltaic_point,
                      relative_current_gain, short_circuit_current,
                      solve_steady, tunneling_from_distance)
+from qdmcell.acceptance import GUIMARD_QDM, GUIMARD_SQD
 from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P22, IDX_P33,
                            IDX_P44, IDX_P55, IDX_P66, IDX_RE13, IDX_RE24,
                            N_STATE, POPULATION_INDICES, GeneratorStack,
                            _bose, _place_levels)
 from qdmcell.observables import _POPULATION_GUARD
-from qdmcell.sweeps import (ChainForm, MaxPowerPoint, _device_chain, _gth,
-                            _max_power, _short_circuit_load,
-                            max_power_batch)
+from qdmcell.sweeps import (ChainForm, MaxPowerPoint, _chain_form,
+                            _device_chain, _gth, _max_power,
+                            _short_circuit_load, max_power_batch)
 
 def _gauss(A: list) -> list:
     """Solution of the augmented system ``A`` (rows of mpmath numbers, the
@@ -74,12 +76,6 @@ def _high_precision_solve(g, digits: int, read, load=0):
             row.append(int(c == r6))
         sol = _gauss(B)
         return read(mpmath, {i: sol[c] for c, i in enumerate(active)})
-
-
-GUIMARD_SQD = ModelParams(E12=920.0, gamma1=0.19, gamma_c=100.0,
-                          gamma_v=0.05)
-GUIMARD_QDM = GUIMARD_SQD.replace(delta_e=0.0, delta_h=0.0,
-                                  gamma2=0.19).with_distance(2.0)
 
 
 class TestGridSpec:
@@ -296,14 +292,21 @@ class TestDeviceChainMemo:
         assert builds == [kind]
 
     def test_shared_form_is_read_only(self):
-        chain = iv_curve(ModelParams(), kind="qdm").chain
-        stack = chain.stack
-        for values in (chain.x_a, chain.x_b, chain.s_a, chain.s_b,
-                       stack.matrix, stack.e5_minus_e6, stack.E12,
-                       stack.E34, stack.kTc):
-            with pytest.raises(ValueError):
-                values[0] = 1.0
-        assert chain.x_a[IDX_P55, 0] == 1.0
+        # A lone device's chain form, and a batch's over the 40 x 40
+        # escape-rate grid.
+        gc, gv = np.meshgrid(np.logspace(0, math.log10(500.0), 40),
+                             np.logspace(-4, math.log10(20.0), 40))
+        batch = _chain_form(build_generator(
+            ModelParams(), "qdm", gamma_c=gc.ravel(), gamma_v=gv.ravel()),
+            [None] * gc.size)
+        for chain in (iv_curve(ModelParams(), kind="qdm").chain, batch):
+            stack = chain.stack
+            for values in (chain.x_a, chain.x_b, chain.s_a, chain.s_b,
+                           stack.matrix, stack.e5_minus_e6, stack.E12,
+                           stack.E34, stack.kTc):
+                with pytest.raises(ValueError):
+                    values[0] = 1.0
+            assert chain.x_a[IDX_P55, 0] == 1.0
 
     @pytest.mark.parametrize("kind", ["qdm", "sqd"])
     @pytest.mark.parametrize("alignment", BAND_ALIGNMENTS)
@@ -366,6 +369,22 @@ class TestShortCircuitCurrent:
         with pytest.raises(VoltageUndefinedError) as exc:
             short_circuit_current(curve)
         assert str(exc.value) == "empty curve: no short-circuit estimate"
+
+    def test_no_crossing_at_positive_load_raises(self):
+        # Chain forms with b6 = 0, and with a6 at exp((E5 - E6)/kTc), where
+        # the voltage is already 0 at zero load.
+        chain = _device_chain(ModelParams(), "qdm")
+        r = float(np.exp(chain.stack.e5_minus_e6[0] / chain.stack.kTc[0]))
+        for name, value in (("x_b", 0.0), ("x_a", r)):
+            values = getattr(chain, name).copy()
+            values[IDX_P66] = value
+            bad = chain._replace(**{name: values})
+            a6, b6 = bad.x_a[IDX_P66, 0], bad.x_b[IDX_P66, 0]
+            with pytest.raises(NumericalSolveError) as exc:
+                _short_circuit_load(bad)
+            assert str(exc.value) == (
+                f"no short-circuit load at positive Gamma: a6 = {a6:.3e}, "
+                f"b6 = {b6:.3e}, exp((E5 - E6)/kTc) = {r:.3e}")
 
 
 class TestRelativeCurrentGain:
