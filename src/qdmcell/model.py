@@ -440,8 +440,11 @@ def build_generator(params: ModelParams, kind: str, Gamma=0.0,
     entries[IDX_P55, IDX_P55] += -Gamma
     entries[IDX_P66, IDX_P55] += Gamma
     M, energies = np.zeros((N_STATE, N_STATE, n)), np.empty((4, n))
-    for ij, value in entries.items():
-        M[ij] = value
+    if f is params.__dict__:  # a lone device's floats: one write
+        M[(*zip(*entries), 0)] = list(entries.values())
+    else:
+        for ij, value in entries.items():
+            M[ij] = value
     for i, value in enumerate((e.e5_minus_e6, e.E12, e.E34, f["kTc"])):
         energies[i] = value
     M.setflags(write=False)

@@ -3,22 +3,22 @@
 Every stationary state here is rho(Gamma) = (x_a + Gamma x_b) / (S_a +
 Gamma S_b), the chain form of ``_chain_form``, whose coherences come from
 rate chains with the coherent links cut, free of cancellation; it adds
-the load to zero-load ``build_generator`` stacks.  The single-device
-functions (``iv_curve``, ``max_power_point``, ``open_circuit_voltage``,
-``short_circuit_current``) read it for a one-device stack, built once
-per (params, kind) and held in a one-entry memo (``_device_chain``);
-the scans treat the devices as a batch axis, one stack of the varied
-fields in ``max_power_batch``.  A chain form's arrays are read-only.
-With the devices on the last axis, one ``ChainForm.states`` serves a
-curve (one device, many loads) and a batch (one load per device).  Both
-find the maximum-power load by one search (``_max_power``) between the
-load grid's bounds, so a lone device's maximum is its batch row bit for
-bit; one device's Newton iteration runs on floats with numpy's log (the
-C library's may differ in the last bit and move the maximum off the
-batch's).  Every result record, the chain form and the curve too, is a
-named tuple: a scan row's fields follow the CLI's CSV columns, and a
-maximum's fields are floats for a lone device or per-device arrays.
-"""
+the load to zero-load ``build_generator`` stacks, and its arrays are
+read-only.  A lone request (``iv_curve``, then ``max_power_point``,
+``short_circuit_current`` and ``open_circuit_voltage``) builds one
+device's stack, filled in one write, and its chain form once, held in a
+one-entry memo (``_device_chain``); the load grid and the search's nine
+bracket points come from a small memo of read-only arrays, as a process
+uses few grids, and V_oc straight from x_a / s_a.  The scans treat the
+devices as a batch axis, one stack of the varied fields in
+``max_power_batch``.  With the devices last, one ``ChainForm.states``
+serves a curve (one device, many loads) and a batch (one load per
+device).  Both find the maximum-power load by one search (``_max_power``)
+between the grid's bounds, so a lone device's maximum is its batch row
+bit for bit; its Newton iteration runs on floats with numpy's log (the C
+library's may differ in the last bit).  Every result record is a named
+tuple: a scan row's fields follow the CLI's CSV columns, and a maximum's
+are floats for a lone device or per-device arrays."""
 
 from __future__ import annotations
 
@@ -44,28 +44,40 @@ from .steady import RESIDUAL_TOL, _generator_checks
 # Far above the maximum a Newton step about halves Gamma (the power slope
 # is close to a quadratic there).  No float range needs 2 100 halvings.
 _NEWTON_STEPS = 2200
-# Where the maximum-power search samples its bracket, in ln Gamma.
-_SPACING = np.linspace(0.0, 1.0, 9)
+# The largest load grid: 10**6 points take 8 MB per column.
+MAX_GRID_N = 10 ** 6
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Log-spaced load-rate grid (gamma units)."""
+    """Log-spaced load-rate grid (gamma units) of 50 to ``MAX_GRID_N``
+    points; equal grids share one read-only array of load rates."""
 
     n: int = 200
     gamma_min: float = 1e-6
     gamma_max: float = 1e6
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 50):
-            raise DomainError("load grid needs an integer of at least 50 "
-                              f"points, got {self.n!r}")
+        if not (isinstance(self.n, (int, np.integer))
+                and 50 <= self.n <= MAX_GRID_N):
+            raise DomainError(f"load grid needs an integer of 50 to "
+                              f"{MAX_GRID_N} points, got {self.n!r}")
         if not 0.0 < self.gamma_min < self.gamma_max < math.inf:
             raise DomainError("need 0 < gamma_min < gamma_max < inf")
 
     def values(self) -> np.ndarray:
-        return np.logspace(math.log10(self.gamma_min),
-                           math.log10(self.gamma_max), self.n)
+        return _grid_points(self.n, self.gamma_min, self.gamma_max)[0]
+
+
+# Few grids per process (device-sweep uses two, a scan or the gate one).
+@functools.lru_cache(maxsize=4)
+def _grid_points(n: int, lo: float, hi: float) -> tuple:
+    spacing = np.linspace(0.0, 1.0, 9)
+    points = (np.logspace(math.log10(lo), math.log10(hi), n),
+              lo ** (1.0 - spacing) * hi ** spacing)
+    for values in points:
+        values.setflags(write=False)
+    return points
 
 
 class ChainForm(NamedTuple):
@@ -194,17 +206,22 @@ def _chain_layout(active: tuple) -> tuple:
     # The state-vector index of each chain state, |5> first; per coherent
     # pair (a, b, re, im) and the chain positions of a and b; flat
     # generator indices (row * N_STATE + column) of the population rates
-    # and of t, -D, Delta, -2 t.
+    # and of t, -D, Delta, -2 t; the pairs' links b -> a, then a -> b, in
+    # chains and cut chains, their pairs, and rates in, out and diagonal.
     pops = [IDX_P55] + [i for i in active
                         if i in POPULATION_INDICES and i != IDX_P55]
     pairs = [(a, b, re, im, pops.index(a), pops.index(b))
              for a, b, re, im in _COHERENCES if im in active]
     pairs = tuple(np.array(col) for col in zip(*pairs))
-    a, b, re, im, _, _ = pairs or (np.zeros(0, dtype=int),) * 6
+    a, b, re, im, ia, ib = pairs or (np.zeros(0, dtype=int),) * 6
     index = np.array(pops) * N_STATE
+    pair = np.tile(np.arange(len(a)), 2)
+    to, fro, ends = np.r_[ia, ib], np.r_[ib, ia], (ia[pair], ib[pair])
     return (pops, pairs, index[:, None] + pops,
             np.array([im * N_STATE + a, re * N_STATE + re,
-                      re * N_STATE + im, a * N_STATE + im]))
+                      re * N_STATE + im, a * N_STATE + im]),
+            ((to, fro + 1), (to, fro + 1, pair + 1), pair,
+             (np.array([to, fro, *ends]), np.array([fro, to, *ends]))))
 
 
 _LAYOUTS = {active: _chain_layout(active)
@@ -283,7 +300,7 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
     |5>, rho_a - rho_b = (w'_a - w'_b) prod(p'/p) from the cut chain's
     weights w' and pivots p' and the chain's pivots p.
     """
-    pops, pairs, rate_entries, pair_entries = _LAYOUTS[stack.active]
+    pops, pairs, rate_entries, pair_entries, links = _LAYOUTS[stack.active]
     M = stack.matrix
     n_dev = M.shape[-1]
     flat = M.reshape(-1, n_dev)
@@ -297,31 +314,27 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
     # then the chain's own, |5> (x_a's root) first.
     i6 = pops.index(IDX_P66)
     cuts = np.arange(1, len(pairs[0]) + 1) if pairs else ()
-    chains = np.empty((len(rates), len(rates) + 1, 1 + len(cuts), n_dev))
-    chains[:, 0] = 0.0
+    chains = np.zeros((len(rates), len(rates) + 1, 1 + len(cuts), n_dev))
     chains[i6, 0] = 1.0
     chains[:, 1:] = rates[:, :, None]
     if pairs:  # the single dot has no coherences
-        a, b, re, im, ia, ib = pairs
-        t, D, det, two_t = flat[pair_entries]
-        D = -D
-        den = D * D + det * det
+        (a, b, re, im, ia, ib), (link, cut, pair, ends) = pairs, links
+        t, minus_D, det, minus_2t = flat[pair_entries]
+        den = minus_D * minus_D + det * det
         _record(errors, [(
             (den > 0.0).all(axis=0), lambda k: DegenerateSteadyStateError(
                 "undamped resonant coherence: multiple steady states"))])
-        # Re and Im of each coherence per unit rho_a - rho_b.
-        re_c, im_c = t * det / den, t * D / den
-        kappa = -two_t * im_c
-        chains[ia, ib + 1] += kappa[:, None]
-        chains[ib, ia + 1] += kappa[:, None]
+        # Re and -Im of each coherence per unit rho_a - rho_b.
+        re_c, minus_im_c = t * det / den, t * minus_D / den
+        kappa = minus_2t * minus_im_c  # 2 t Im: a sign flip is exact
+        chains[link] += kappa[pair, None]
         # Pair p's cut chain, set 1 + p, links the pair by its net
-        # incoherent rate b -> a, formed without kappa, which would cancel
-        # digits, and a tie that keeps a bridge connected, 2^-52 of the
-        # smaller exit rate.
-        net = rates[ia, ib] - rates[ib, ia]
-        tie = 2.0 ** -52 * np.minimum(-rates[ia, ia], -rates[ib, ib])
-        chains[ia, ib + 1, cuts] = np.maximum(net, 0.0) + tie
-        chains[ib, ia + 1, cuts] = np.maximum(-net, 0.0) + tie
+        # incoherent rate, formed without kappa, which would cancel digits,
+        # and a tie that keeps a bridge connected, 2^-52 of the smaller
+        # exit rate.
+        r_in, r_out, r_aa, r_bb = rates[ends]
+        chains[cut] = (np.maximum(r_in - r_out, 0.0)
+                      - 2.0 ** -52 * np.maximum(r_aa, r_bb))
     W, pivots = _gth(chains)
     ok = (pivots[:, 0] > 0.0).all(axis=0)
     # Weights of x_a that overflow, as they do behind a zero pivot, leave
@@ -339,7 +352,10 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
                 "reducible rate chain: more than one closed class of "
                 "levels, so more than one steady state"))])
     w = W[:, :, 0]
-    w[..., empty] = 0.0
+    s_a, s_b = np.add.reduce(w)
+    if np.count_nonzero(empty):
+        w[..., empty] = s_b[empty] = 0.0
+        s_a[empty] = 1.0
     X = np.zeros((len(M), 2, n_dev))
     X[pops] = w
     if pairs:
@@ -354,11 +370,10 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
                             rates[ia], -rates[ib])
             diff[lost] = (np.einsum("pjk,jsk->psk", rows, w)
                           / kappa[:, None])[lost]
-        diff[..., empty] = 0.0
+        if np.count_nonzero(empty):
+            diff[..., empty] = 0.0
         X[re] = re_c[:, None] * diff
-        X[im] = im_c[:, None] * diff
-    s_a, s_b = np.add.reduce(w)
-    s_a[empty] = 1.0
+        X[im] = -minus_im_c[:, None] * diff
 
     # M(Gamma) x(Gamma) = (c0 + Gamma c1) / (S_a + Gamma S_b): the load
     # term acting on x_b vanishes because x_b[5] = 0.  Bounding c0 and c1
@@ -367,7 +382,7 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
     R = np.einsum("ijk,jsk->isk", M, X)
     R[IDX_P55, 1] -= X[IDX_P55, 0]
     R[IDX_P66, 1] += X[IDX_P55, 0]
-    c0, c1 = np.abs(R).max(axis=0)
+    c0, c1 = np.maximum.reduce(np.abs(R))
     _record(errors, [(
         (c0 <= RESIDUAL_TOL * scale * s_a)
         & (c1 <= RESIDUAL_TOL * scale * s_b), lambda k: NumericalSolveError(
@@ -421,7 +436,7 @@ def _max_power(chain: ChainForm, grid: GridSpec,
     # f at points spaced evenly in ln Gamma from lo to hi; Newton starts
     # from the first point right of the maximum.
     lo, hi = grid.gamma_min, grid.gamma_max
-    points = lo ** (1.0 - _SPACING) * hi ** _SPACING
+    points = _grid_points(grid.n, lo, hi)[1]
     f = slope(points[:, None])[0]
     first = (f < 0.0).argmax(axis=0)
     gamma, f_start = points[first], f[first, np.arange(len(errors))]
@@ -460,7 +475,7 @@ def _max_power(chain: ChainForm, grid: GridSpec,
     _record(errors, [(~moving, lambda k: NumericalSolveError(
         f"maximum-power search still moving after {_NEWTON_STEPS} steps"))])
 
-    x = chain.states(gamma)
+    x = chain.states.__wrapped__(chain, gamma)  # errors ignored already
     j = gamma * x[IDX_P55]
     V = chain.voltage(gamma)
     P = j * V
@@ -535,12 +550,13 @@ def open_circuit_voltage(params: ModelParams,
     """Voltage exactly at zero load, (E5 - E6) - kTc ln a6; raises
     ``VoltageUndefinedError`` if a contact population vanishes there."""
     chain = _device_chain(params, kind)
-    p55, p66 = chain.states(0.0, slice(IDX_P55, IDX_P66 + 1))[:, 0]
+    p55, p66 = chain.x_a[IDX_P55:IDX_P66 + 1, 0] / chain.s_a[0]
     if not (p55 > _POPULATION_GUARD and p66 > _POPULATION_GUARD):
         raise VoltageUndefinedError(
             f"contact populations too small at zero load (rho55={p55:.3e}, "
             f"rho66={p66:.3e}); open-circuit voltage undefined")
-    return OpenCircuitVoltage(value=float(chain.voltage(0.0)[0]))
+    return OpenCircuitVoltage(value=float(chain.stack.e5_minus_e6[0] - (
+        chain.stack.kTc[0] * np.log(chain.x_a[IDX_P66, 0]))))
 
 
 @np.errstate(over="ignore")  # an overflowing crossing fails the check
