@@ -371,8 +371,8 @@ class GeneratorStack:
     max_rate: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "max_rate",
-                           np.abs(self.matrix).max(axis=(0, 1)))
+        object.__setattr__(self, "max_rate", np.maximum.reduce(
+            np.abs(self.matrix), axis=(0, 1)))
 
 
 def _check_fields(params: ModelParams, names) -> None:
@@ -440,7 +440,7 @@ def build_generator(params: ModelParams, kind: str, Gamma=0.0,
     entries[IDX_P55, IDX_P55] += -Gamma
     entries[IDX_P66, IDX_P55] += Gamma
     M, energies = np.zeros((N_STATE, N_STATE, n)), np.empty((4, n))
-    if f is params.__dict__:  # a lone device's floats: one write
+    if f is params.__dict__:  # a lone device: all floats, one write
         M[(*zip(*entries), 0)] = list(entries.values())
     else:
         for ij, value in entries.items():
