@@ -257,7 +257,7 @@ def _gth(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weights = np.zeros((n + 1, 2) + R.shape[2:])
     weights[1, 0] = weights[0, 1] = 1.0
     for c, into in zip(range(2, n + 1), reversed(entries)):
-        weights[c] = np.add.reduce(weights[:c] * into[:, None])
+        np.add.reduce(weights[:c] * into[:, None], out=weights[c])
     return weights[1:], np.array(pivots[::-1])
 
 

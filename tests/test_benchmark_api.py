@@ -54,13 +54,18 @@ def test_package_import_loads_every_traced_layer(bench):
 
 
 def test_device_sweep_request_returns_every_key(bench):
+    # Every request of the pool, checked as the benchmark checks it.
     data = json.loads((PERFBENCH / "data" / "device_sweep.json").read_text())
-    entry = data["requests"][0]
-    got = bench["request"].characterise(qdmcell, entry)
-    # The keys ``workloads.check_request`` reads.
-    assert set(got) == {"P_m", "V_mpp", "j_mpp", "eta", "Voc", "jsc", "kTc",
-                        "kTs"}
-    assert bench["workloads"].check_request(entry, got) == []
+    bad = []
+    for entry in data["requests"]:
+        got = bench["request"].characterise(qdmcell, entry)
+        # The keys ``workloads.check_request`` reads.
+        assert set(got) == {"P_m", "V_mpp", "j_mpp", "eta", "Voc", "jsc",
+                            "kTc", "kTs"}
+        bad += [(entry, reason)
+                for reason in bench["workloads"].check_request(entry, got)]
+    assert len(data["requests"]) == 512
+    assert bad == []
 
 
 def test_crosscheck_cases_run(bench):

@@ -18,6 +18,7 @@ from qdmcell.cli import (_COMMANDS, _KEY_UNITS, build_config, main,
 from qdmcell.errors import (ConfigError, DegenerateSteadyStateError,
                             DomainError, InvalidGeometryError,
                             NumericalSolveError)
+from qdmcell.sweeps import MAX_GRID_N
 
 NUMERIC_KEYS = [k for k in _KEY_UNITS if k not in ("kind", "alignment")]
 
@@ -244,11 +245,14 @@ MODEL_COMMANDS = ["iv-curve", "max-power", "gamma-grid", "efficiency-vs-d",
 # Values at the edges of the numeric keys' domains: zeros, the smallest
 # floats either side of 0, tiny and huge magnitudes (1e153 pushes a
 # generator entry near its bound of about 1e154), and non-finite values.
-# grid_n takes only small grids: a huge one would allocate gigabytes.
+# grid_n takes its least count, a count past each end of its domain and
+# a huge one; its largest count, MAX_GRID_N, would print 10**6 rows, so
+# test_sweeps builds that grid instead.
 EDGES = ("0", "-0", "-5e-324", "5e-324", "1e-300", "1e-3", "1e3", "1e153",
          "1e300", "-1e300", "nan", "inf", "-inf")
 EDGE_VALUES = {"kind": ("qdm", "sqd"), "alignment": BAND_ALIGNMENTS,
-               "grid_n": ("49", "50", "2000")}
+               "grid_n": ("49", "50", "2000", str(MAX_GRID_N + 1),
+                          "10000000000000000")}
 
 
 def _lone_devices(command: str, p: ModelParams, kind: str) -> list:
@@ -319,6 +323,8 @@ class TestFuzz:
     @example(run=("efficiency-vs-d", {"delta_c": "-1"}))
     @example(run=("phonon-assisted", {"delta_e": "2000"}))
     @example(run=("gamma-grid", {"delta_h": "2000"}))
+    # A load grid far past the ceiling: a config error, nothing allocated.
+    @example(run=("iv-curve", {"grid_n": "10000000000000000"}))
     # Every point dropped, and every cell failed: exit 0 with no rows.
     @example(run=("iv-curve", {"kTs": "1e-300"}))
     @example(run=("gamma-grid", {"kTc": "1e-300"}))

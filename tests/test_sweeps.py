@@ -1,6 +1,7 @@
 """Load sweeps, maximum-power search, and parameter scans."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -28,9 +29,9 @@ from qdmcell.model import (IDX_IM13, IDX_IM24, IDX_P11, IDX_P22, IDX_P33,
                            N_STATE, POPULATION_INDICES, GeneratorStack,
                            _bose, _place_levels)
 from qdmcell.observables import _POPULATION_GUARD
-from qdmcell.sweeps import (ChainForm, MaxPowerPoint, _chain_form,
-                            _device_chain, _gth, _max_power,
-                            _short_circuit_load, max_power_batch)
+from qdmcell.sweeps import (MAX_GRID_N, ChainForm, MaxPowerPoint,
+                            _chain_form, _device_chain, _grid_points, _gth,
+                            _max_power, _short_circuit_load, max_power_batch)
 
 def _gauss(A: list) -> list:
     """Solution of the augmented system ``A`` (rows of mpmath numbers, the
@@ -90,6 +91,13 @@ class TestGridSpec:
             GridSpec(n=10)
         with pytest.raises(DomainError):
             GridSpec(gamma_min=1.0, gamma_max=0.1)
+
+    def test_point_count_has_a_ceiling(self):
+        # A huge count is refused before anything is allocated.
+        assert len(GridSpec(n=MAX_GRID_N).values()) == MAX_GRID_N
+        for n in (MAX_GRID_N + 1, 10 ** 16, np.int64(2 ** 62)):
+            with pytest.raises(DomainError, match=f"50 to {MAX_GRID_N} "):
+                GridSpec(n=n)
 
     @pytest.mark.parametrize("n", [60.5, 60.0, "60"])
     def test_point_count_must_be_an_integer(self, n):
@@ -717,6 +725,48 @@ class TestSingleDeviceFastPaths:
         for name, values in want.items():
             assert curve.column(name).tobytes() == values.tobytes(), name
         assert curve.n_dropped == n - np.count_nonzero(keep)
+
+    @pytest.mark.parametrize("n, lo, hi", [
+        (200, 1e-6, 1e6), (2000, 1e-6, 1e6), (50, 1e-6, 1e25),
+        (60, 1e-9, 1e9), (77, 3.0, 7.0)])
+    def test_grid_memo_holds_the_computed_arrays(self, n, lo, hi):
+        # The load rates are numpy's logspace and the bracket points
+        # lo^(1 - s) hi^s, byte for byte; two equal grids share the same
+        # read-only arrays.
+        spacing = np.linspace(0.0, 1.0, 9)
+        first, second = GridSpec(n, lo, hi), GridSpec(np.int64(n), lo, hi)
+        assert first is not second
+        values = first.values()
+        assert values.tobytes() == np.logspace(
+            math.log10(lo), math.log10(hi), n).tobytes()
+        assert second.values() is values
+        points = _grid_points(n, lo, hi)[1]
+        assert points.tobytes() == (
+            lo ** (1.0 - spacing) * hi ** spacing).tobytes()
+        for shared in (values, second.values(), points):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0] = 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(p=_devices, kind=_kinds, kTs=st.sampled_from((None, 1.5, 1e-2)))
+    @example(p=ModelParams(gamma_c=0.0), kind="qdm", kTs=None)
+    def test_open_circuit_voltage_is_the_zero_load_state(self, p, kind, kTs):
+        # x_a / s_a and (E5 - E6) - kTc ln a6, read directly, against the
+        # chain form's state and voltage at zero load, bit for bit.
+        if kTs is not None:
+            p = p.replace(kTs=kTs)
+        chain = _device_chain(p, kind)
+        p55, p66 = chain.states(0.0)[IDX_P55:IDX_P66 + 1, 0]
+        if not (p55 > _POPULATION_GUARD and p66 > _POPULATION_GUARD):
+            with pytest.raises(VoltageUndefinedError, match=re.escape(
+                    f"rho55={p55:.3e}, rho66={p66:.3e}")):
+                open_circuit_voltage(p, kind)
+            return
+        got = open_circuit_voltage(p, kind).value
+        assert type(got) is float
+        assert (np.float64(got).tobytes()
+                == np.float64(chain.voltage(0.0)[0]).tobytes())
 
     @settings(max_examples=50, deadline=None)
     @given(p=_devices, kind=_kinds, n=st.sampled_from((50, 200, 2000)))
