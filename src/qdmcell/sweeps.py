@@ -318,7 +318,7 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
     chains[i6, 0] = 1.0
     chains[:, 1:] = rates[:, :, None]
     if pairs:  # the single dot has no coherences
-        (a, b, re, im, ia, ib), (link, cut, pair, ends) = pairs, links
+        (a, b, re, im, ia, ib), (kappa_at, cut_at, pair, ends) = pairs, links
         t, minus_D, det, minus_2t = flat[pair_entries]
         den = minus_D * minus_D + det * det
         _record(errors, [(
@@ -327,14 +327,14 @@ def _chain_form(stack: GeneratorStack, errors: list) -> ChainForm:
         # Re and -Im of each coherence per unit rho_a - rho_b.
         re_c, minus_im_c = t * det / den, t * minus_D / den
         kappa = minus_2t * minus_im_c  # 2 t Im: a sign flip is exact
-        chains[link] += kappa[pair, None]
+        chains[kappa_at] += kappa[pair, None]
         # Pair p's cut chain, set 1 + p, links the pair by its net
         # incoherent rate, formed without kappa, which would cancel digits,
         # and a tie that keeps a bridge connected, 2^-52 of the smaller
         # exit rate.
         r_in, r_out, r_aa, r_bb = rates[ends]
-        chains[cut] = (np.maximum(r_in - r_out, 0.0)
-                      - 2.0 ** -52 * np.maximum(r_aa, r_bb))
+        chains[cut_at] = (np.maximum(r_in - r_out, 0.0)
+                         - 2.0 ** -52 * np.maximum(r_aa, r_bb))
     W, pivots = _gth(chains)
     ok = (pivots[:, 0] > 0.0).all(axis=0)
     # Weights of x_a that overflow, as they do behind a zero pivot, leave
