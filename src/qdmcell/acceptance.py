@@ -22,13 +22,14 @@ from .analytics import (asymptotic_current_qdm, asymptotic_current_sqd,
                         coherence_linearity_check, current_ratio_bound,
                         tls_saturation_threshold, tls_steady, TlsParams)
 from .errors import NUMERICAL_ERRORS, NumericalSolveError
-from .model import (IDX_P55, N_STATE, ModelParams, build_generator,
+from .model import (IDX_IM13, IDX_P55, N_STATE, ModelParams, build_generator,
                     thermal_occupations, tunneling_from_distance)
+from .observables import _POPULATION_GUARD
 from .steady import evolve, residual, solve_steady
-from .sweeps import (_chain_form, efficiency_vs_distance, gamma_grid_scan,
-                     iv_curve, max_power_point, open_circuit_voltage,
-                     phonon_assisted_comparison, relative_current_gain,
-                     short_circuit_current)
+from .sweeps import (GridSpec, _chain_form, _max_power, efficiency_vs_distance,
+                     gamma_grid_scan, iv_curve, max_power_point,
+                     open_circuit_voltage, phonon_assisted_comparison,
+                     relative_current_gain, short_circuit_current)
 
 CARNOT_LIMIT = 1.0 - ModelParams.kTc / ModelParams.kTs  # = 0.9482
 
@@ -67,7 +68,6 @@ class CriterionResult:
 
 
 class Calibration(NamedTuple):
-    hbar_gamma: float
     sqd_Voc: float
     sqd_jsc: float
     sqd_Pm: float
@@ -75,35 +75,17 @@ class Calibration(NamedTuple):
     qdm_Pm: float
 
 
-# The hbar_gamma values ``calibrate`` tries (meV).
-HBAR_GAMMA_CANDIDATES = tuple(float(hg) for hg in np.logspace(-4, -2, 9))
-
-
 def calibrate() -> Calibration:
-    """Pick the rate-unit energy hbar*gamma that best hits the published
-    single-dot and molecule benchmarks.
-
-    The single-dot numbers do not depend on hbar*gamma at all (no
-    coherent term), so they are computed once; the molecule depends on it
-    only weakly through the tunneling frequency, so the scan mostly
-    confirms insensitivity.
-    """
-    targets = (871.0, 0.018, 13.66, 0.0300, 22.28)
+    """The benchmark devices, each evaluated once at the default
+    hbar*gamma: the single dot has no coherent term, and no hbar*gamma
+    brings the molecule to its targets (criterion 2)."""
     curve_s = iv_curve(GUIMARD_SQD, kind="sqd")
-    sqd = (open_circuit_voltage(GUIMARD_SQD, kind="sqd").value,
-           short_circuit_current(curve_s).value,
-           max_power_point(curve=curve_s).P_m)
-    best = None
-    for hg in HBAR_GAMMA_CANDIDATES:
-        curve_q = iv_curve(GUIMARD_QDM.replace(hbar_gamma=hg),
-                           kind="qdm")
-        got = (*sqd, short_circuit_current(curve_q).value,
-               max_power_point(curve=curve_q).P_m)
-        err = sum(abs(g / t - 1.0) for g, t in zip(got, targets))
-        if best is None or err < best[0]:
-            best = (err, hg, got)
-    _, hg, got = best
-    return Calibration(hg, *got)
+    sqd_voc = open_circuit_voltage(GUIMARD_SQD, kind="sqd").value
+    curve_q = iv_curve(GUIMARD_QDM, kind="qdm")
+    return Calibration(sqd_voc, *(
+        value for curve in (curve_s, curve_q)
+        for value in (short_circuit_current(curve).value,
+                      max_power_point(curve=curve).P_m)))
 
 
 def _within(value: float, target: float, rel: float) -> bool:
@@ -112,13 +94,6 @@ def _within(value: float, target: float, rel: float) -> bool:
 
 def criterion_1(cal: Calibration) -> CriterionResult:
     r = CriterionResult(1, NAMES[1], True)
-    r.note(f"calibrated hbar_gamma = {cal.hbar_gamma:g} meV")
-    low, high = min(HBAR_GAMMA_CANDIDATES), max(HBAR_GAMMA_CANDIDATES)
-    edge = {low: "lowest", high: "highest"}.get(cal.hbar_gamma)
-    if edge:
-        r.note(f"hbar_gamma is the {edge} of the {len(HBAR_GAMMA_CANDIDATES)} "
-               f"candidates ({low:g} to {high:g} meV): the best fit may lie "
-               "outside the range")
     r.check(_within(cal.sqd_Voc, 871.0, 0.02),
             f"Voc = {cal.sqd_Voc:.2f} mV (target 871 +- 2%)")
     r.check(_within(cal.sqd_jsc, 0.018, 0.10),
@@ -145,9 +120,10 @@ def criterion_2(cal: Calibration) -> CriterionResult:
     occ = thermal_occupations(GUIMARD_QDM)
     bound = current_ratio_bound(occ.nv)
     r.note("quantitative target missed; best achieved "
-           f"jsc = {cal.qdm_jsc:.5f}, Pm = {cal.qdm_Pm:.3f} at "
-           f"hbar_gamma = {cal.hbar_gamma:g} "
+           f"jsc = {cal.qdm_jsc:.5f}, Pm = {cal.qdm_Pm:.3f} "
            f"(ratio bound (4nv+2)/(3nv+2) = {bound:.4f})")
+    r.note("no hbar_gamma reaches the targets: jsc and Pm change by less "
+           "than 3e-4 relative over hbar_gamma from 1e-8 to 1e-2 meV")
     r.check(cal.qdm_jsc > cal.sqd_jsc,
             f"molecule current exceeds single dot "
             f"({cal.qdm_jsc:.5f} > {cal.sqd_jsc:.5f})")
@@ -393,21 +369,32 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     r.check(ok_thr, "numeric coherence maximum sits at the closed-form "
                     "saturation threshold (0.1%)")
 
-    for gc, gv in ((100.0, 0.05), (50.0, 5.0)):
-        data, max_cohs = [], []
-        for d in range(2, 11):
-            pp = ModelParams(gamma_c=gc, gamma_v=gv).with_distance(float(d))
-            curve = iv_curve(pp, kind="qdm")
-            mpp = max_power_point(curve=curve)
-            data.append((pp.Te, mpp.j_mpp, mpp.coh13))
-            max_cohs.append(float(curve.column("coh13").max()))
-        fit = coherence_linearity_check(data)
+    # Two rate sets at d = 2, ..., 10 nm in one stack; the peak |rho13| is
+    # over the loads that ``iv_curve``'s population guard keeps.
+    rate_sets = ((100.0, 0.05), (50.0, 5.0))
+    gc_col, gv_col, te_col, th_col = np.array([
+        (gc, gv, *tunneling_from_distance(float(d)))
+        for gc, gv in rate_sets for d in range(2, 11)]).T
+    errors, grid = [None] * len(te_col), GridSpec()
+    chain = _chain_form(build_generator(
+        ModelParams(), "qdm", gamma_c=gc_col, gamma_v=gv_col, Te=te_col,
+        Th=th_col), errors)
+    mpp = _max_power(chain, grid, errors)
+    mpp.raise_first()
+    p55, p66, re13, im13 = chain.states(grid.values()[:, None],
+                                        (slice(IDX_P55, IDX_IM13 + 1), None))
+    keep = (p55 > _POPULATION_GUARD) & (p66 > _POPULATION_GUARD)
+    peaks = np.hypot(re13, im13).max(axis=0, where=keep, initial=0.0)
+    # Per rate set, one row (Te, j_mpp, coh13, peak |rho13|) per d.
+    data = np.c_[te_col, mpp.j_mpp, mpp.coh13, peaks].reshape(-1, 9, 4)
+    for (gc, gv), rows in zip(rate_sets, data):
+        fit = coherence_linearity_check(rows[:, :3])
         r.check(fit.r_squared >= 0.98,
                 f"(gc={gc:g}, gv={gv:g}): current/coherence ratio linear in "
                 f"tunneling, R^2 = {fit.r_squared:.4f}")
         # d ascending means Te descending: coherence grows as tunneling
         # weakens.
-        r.check(all(b > a for a, b in zip(max_cohs, max_cohs[1:])),
+        r.check(bool((np.diff(rows[:, 3]) > 0.0).all()),
                 f"(gc={gc:g}, gv={gv:g}): peak |rho13| strictly decreasing "
                 "in tunneling")
     return r

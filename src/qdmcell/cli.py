@@ -235,9 +235,9 @@ def _cmd_alignments(config: RunConfig, out) -> int:
 
 
 def _cmd_calibrate(config: RunConfig, out) -> int:
-    """Fit hbar*gamma to the published single-dot and molecule numbers."""
+    """The published single-dot and molecule numbers at default hbar*gamma."""
     cal = calibrate()
-    out.write(f"hbar_gamma = {cal.hbar_gamma:g} meV\n")
+    out.write(f"hbar_gamma = {ModelParams.hbar_gamma:g} meV\n")
     out.write(f"single dot:  Voc = {cal.sqd_Voc:.2f} mV, "
               f"jsc = {cal.sqd_jsc:.5f} e*gamma, "
               f"Pm = {cal.sqd_Pm:.3f} gamma*meV\n")

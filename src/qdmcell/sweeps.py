@@ -98,9 +98,9 @@ class ChainForm(NamedTuple):
     # below any guard, as its true value is.
     @np.errstate(over="ignore", invalid="ignore")
     def states(self, gamma, rows=slice(None)) -> np.ndarray:
-        """States at load(s) ``gamma``, one column each: one load per
-        device, or any number of loads for a single device; only the state
-        ``rows`` if given."""
+        """The state ``rows`` (all by default) at load(s) ``gamma``: one
+        load per device, any loads of one device, or, with ``gamma`` of
+        shape (loads, 1) and ``rows`` (rows, None), (rows, loads, devices)."""
         return ((self.x_a[rows] + gamma * self.x_b[rows])
                 / (self.s_a + gamma * self.s_b))
 
@@ -423,7 +423,7 @@ def _max_power(chain: ChainForm, grid: GridSpec,
     point where f < 0 falls monotonically onto the root until rounding
     stops it.  eta is P_m over E12*J1 + E34*J2, the absorbed power.
     """
-    # f and df/dGamma over s_a b6 > 0, with w6 = b6 (A + Gamma).
+    # f over s_a b6 > 0, with w6 = b6 (A + Gamma); df/dGamma = v - 2 kTc q.
     b6, kTc = chain.x_b[IDX_P66], chain.stack.kTc
     A, r = chain.x_a[IDX_P66] / b6, chain.s_b / chain.s_a
     e56 = chain.stack.e5_minus_e6 - kTc * np.log(b6)
@@ -431,7 +431,7 @@ def _max_power(chain: ChainForm, grid: GridSpec,
     def slope(gamma, log=np.log):
         v = e56 - kTc * log(A + gamma)
         q = 1.0 + r * gamma
-        return v * (A + gamma) - kTc * gamma * q, v - 2.0 * kTc * q
+        return v * (A + gamma) - kTc * gamma * q, v, q
 
     # f at points spaced evenly in ln Gamma from lo to hi; Newton starts
     # from the first point right of the maximum.
@@ -455,7 +455,8 @@ def _max_power(chain: ChainForm, grid: GridSpec,
         # One device steps on floats with numpy's log (module docstring).
         A, r, e56, kTc, g = (float(v[0]) for v in (A, r, e56, kTc, gamma))
         for _ in range(_NEWTON_STEPS if moving[0] else 0):
-            f, df = slope(g, lambda x: float(np.log(x)))
+            f, v, q = slope(g, lambda x: float(np.log(x)))
+            df = v - 2.0 * kTc * q
             step = g - (f / df if df else np.divide(f, df))  # x/0 as numpy
             if not step < g:
                 moving[0] = False
@@ -466,8 +467,8 @@ def _max_power(chain: ChainForm, grid: GridSpec,
         for _ in range(_NEWTON_STEPS):
             if not np.count_nonzero(moving):
                 break
-            f, df = slope(gamma)
-            step = gamma - f / df
+            f, v, q = slope(gamma)
+            step = gamma - f / (v - 2.0 * kTc * q)
             moving &= step < gamma
             # A device whose step no longer falls stays where it is, and so
             # keeps failing that test; failed devices' values are dropped.
@@ -510,7 +511,8 @@ def iv_curve(params: ModelParams, kind: str = "qdm",
     p55, p66, re13, im13, re24, im24 = x = chain.states(
         gammas, slice(IDX_P55, None))
     keep = (p55 > _POPULATION_GUARD) & (p66 > _POPULATION_GUARD)
-    if not keep.all():
+    n_kept = np.count_nonzero(keep)
+    if n_kept < len(keep):
         (p55, p66, re13, im13, re24, im24), gammas = x[:, keep], gammas[keep]
     j = gammas * p55
     V = chain.voltage(gammas)
@@ -519,7 +521,7 @@ def iv_curve(params: ModelParams, kind: str = "qdm",
     for values in columns.values():
         values.setflags(write=False)
     return IVCurve(columns=columns, params=params, grid=grid, chain=chain,
-                   n_dropped=int(len(keep) - keep.sum()))
+                   n_dropped=int(len(keep) - n_kept))
 
 
 def max_power_point(params: ModelParams | None = None,

@@ -725,6 +725,7 @@ class TestSingleDeviceFastPaths:
         for name, values in want.items():
             assert curve.column(name).tobytes() == values.tobytes(), name
         assert curve.n_dropped == n - np.count_nonzero(keep)
+        assert type(curve.n_dropped) is int
 
     @pytest.mark.parametrize("n, lo, hi", [
         (200, 1e-6, 1e6), (2000, 1e-6, 1e6), (50, 1e-6, 1e25),
@@ -789,6 +790,70 @@ class TestSingleDeviceFastPaths:
         for name in MaxPowerPoint._fields[:-1]:  # all but ``errors``
             got = np.array([getattr(mpp, name)] * 2)
             assert got.tobytes() == getattr(batch, name).tobytes(), name
+
+
+def _seeded_devices(seed: int, n: int) -> list:
+    """``n`` devices drawn across the scans' ranges, as ``_devices``."""
+    rng = np.random.default_rng(seed)
+    return [_device(float(rng.uniform(2.0, 10.0)),
+                    float(10.0 ** rng.uniform(0.0, np.log10(500.0))),
+                    float(10.0 ** rng.uniform(-4.0, np.log10(20.0))),
+                    float(rng.choice((0.0, 0.001, 0.1))),
+                    BAND_ALIGNMENTS[rng.integers(len(BAND_ALIGNMENTS))])
+            for _ in range(n)]
+
+
+# The devices of criterion 8's linearity block: two rate sets at d = 2,
+# 3, ..., 10 nm.
+_LINEARITY_DEVICES = [
+    ModelParams(gamma_c=gc, gamma_v=gv).with_distance(float(d))
+    for gc, gv in ((100.0, 0.05), (50.0, 5.0)) for d in range(2, 11)]
+# The dark cell drops every load of its curve, and kTs = 1.625 some of
+# them (48 for the molecule, 72 for the single dot).
+_DIM_DEVICES = [ModelParams(kTs=1e-2), ModelParams(kTs=1.625)]
+
+
+class TestLoadDeviceBroadcast:
+    """One stack's states over (loads, devices) in one broadcast, with the
+    population guard per device, and its maxima, against each device's
+    lone curve and maximum, bit for bit."""
+
+    @pytest.mark.parametrize("kind, devices", [
+        ("qdm", _LINEARITY_DEVICES),
+        ("qdm", _seeded_devices(11, 4) + _DIM_DEVICES),
+        ("sqd", _seeded_devices(12, 4) + _DIM_DEVICES)],
+        ids=["linearity", "qdm-seeded", "sqd-seeded"])
+    def test_stack_rows_equal_lone_paths(self, kind, devices):
+        errors, grid = [None] * len(devices), GridSpec()
+        chain = _chain_form(build_generator(ModelParams(), kind,
+                                            **_batch_fields(devices)), errors)
+        mpp = _max_power(chain, grid, errors)
+        X = chain.states(grid.values()[:, None], (slice(None), None))
+        keep = ((X[IDX_P55] > _POPULATION_GUARD)
+                & (X[IDX_P66] > _POPULATION_GUARD))
+        peaks = np.hypot(X[IDX_RE13], X[IDX_IM13]).max(
+            axis=0, where=keep, initial=0.0)
+        for k, p in enumerate(devices):
+            curve = iv_curve(p, kind=kind)
+            assert X[:, :, k].tobytes() == curve.chain.states(
+                grid.values()).tobytes()
+            assert curve.column("Gamma").tobytes() == grid.values()[
+                keep[:, k]].tobytes()
+            coh13 = curve.column("coh13")
+            assert peaks[k] == (coh13.max() if len(coh13) else 0.0)
+            if errors[k] is not None:
+                with pytest.raises(type(errors[k])) as info:
+                    max_power_point(curve=curve)
+                assert str(info.value) == str(errors[k])
+                continue
+            lone = max_power_point(curve=curve)
+            for name in MaxPowerPoint._fields[:-1]:  # all but ``errors``
+                assert (np.float64(getattr(lone, name)).tobytes()
+                        == getattr(mpp, name)[k].tobytes()), name
+        # The dark cell keeps no load and the dim one some of them.
+        if devices[-2:] == _DIM_DEVICES:
+            assert not keep[:, -2].any()
+            assert 0 < np.count_nonzero(keep[:, -1]) < len(keep)
 
 
 def _routes(p: ModelParams, kind: str, grid: GridSpec) -> tuple:
