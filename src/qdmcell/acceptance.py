@@ -302,18 +302,16 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     fields = dict(gamma_c=gc, gamma_v=gv, Te=te, Th=th)
     gen = build_generator(ModelParams(), "qdm", Gamma=load, **fields)
     ss = solve_steady(gen)
-    x0, x = np.eye(N_STATE)[:, start.astype(int)], np.empty_like(ss)
+    x0 = np.eye(N_STATE)[:, start.astype(int)]
     t = 100.0 / np.minimum.reduce([gv, gc, load,
                                     np.full_like(load, ModelParams.gamma1)])
-    todo = np.arange(len(load))  # devices whose evolution has not converged
+    # Each device evolves as alone; a round gives the slow ones 4x the time.
     for _ in range(10):
-        x[:, todo] = evolve(gen, x0[:, todo], t[todo], 0.08 / gen.max_rate)
-        todo = todo[residual(gen, x[:, todo]) > 1e-13 * gen.max_rate]
-        if not len(todo):
+        x = evolve(gen, x0, t, 0.08 / gen.max_rate)
+        slow = residual(gen, x) > 1e-13 * gen.max_rate
+        if not slow.any():
             break
-        t[todo] *= 4.0
-        gen = build_generator(ModelParams(), "qdm", Gamma=load[todo], **{
-            name: values[todo] for name, values in fields.items()})
+        t[slow] *= 4.0
     worst = float(np.abs(x - ss).max())
     pops = ss[:6]
     ok_state = bool(((np.abs(pops.sum(axis=0) - 1.0) < 1e-12)

@@ -38,7 +38,8 @@ _KEY_UNITS = {
 
 
 class RunConfig(NamedTuple):
-    """Resolved run configuration (model + sweep controls)."""
+    """Resolved run configuration (model + sweep controls): ``params``
+    is the device with its band alignment and barrier width applied."""
 
     params: ModelParams
     kind: str = "qdm"
@@ -52,12 +53,6 @@ class RunConfig(NamedTuple):
     def grid(self) -> GridSpec:
         return GridSpec(n=self.grid_n, gamma_min=self.gamma_min,
                         gamma_max=self.gamma_max)
-
-    def resolved_params(self) -> ModelParams:
-        p = apply_band_alignment(self.params, self.alignment)
-        if self.d is not None:
-            p = p.with_distance(self.d)
-        return p
 
 
 def _fmt(x, exact: bool = False) -> str:
@@ -128,10 +123,6 @@ def build_config(file_values: dict, override_values: dict) -> RunConfig:
     run = {key: merged.pop(key) for key in _RUN_KEYS & merged.keys()}
     if run.get("kind", "qdm") not in ("qdm", "sqd"):
         raise ConfigError(f"kind must be qdm or sqd, got {run['kind']!r}")
-    if run.get("alignment", "0") not in BAND_ALIGNMENTS:
-        raise ConfigError(f"alignment must be one of "
-                          f"{'/'.join(BAND_ALIGNMENTS)}, "
-                          f"got {run['alignment']!r}")
     try:
         params = ModelParams(**merged)
     except (TypeError, DomainError) as exc:
@@ -141,18 +132,19 @@ def build_config(file_values: dict, override_values: dict) -> RunConfig:
         if cfg.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         cfg.grid()  # validate sweep bounds eagerly
-        cfg.resolved_params()
+        params = apply_band_alignment(params, cfg.alignment)
+        if cfg.d is not None:
+            params = params.with_distance(cfg.d)
     except (TypeError, DomainError) as exc:
         raise ConfigError(str(exc))
-    return cfg
+    return cfg._replace(params=params)
 
 
 def _write_csv(out, subcommand: str, config: RunConfig,
                header: list, rows: list) -> None:
     out.write(f"# qdmcell {__version__} {subcommand}\n")
-    p = config.resolved_params()
     for key in _COMMANDS[subcommand][1]:
-        value = getattr(config if key in _RUN_KEYS else p, key)
+        value = getattr(config if key in _RUN_KEYS else config.params, key)
         out.write(f"# {key} = {'' if value is None else _fmt(value, True)}\n")
     out.write(",".join(header) + "\n")
     for row in rows:
@@ -161,8 +153,7 @@ def _write_csv(out, subcommand: str, config: RunConfig,
 
 def _cmd_iv_curve(config: RunConfig, out) -> int:
     """Current, voltage, power and coherences over the load grid."""
-    p = config.resolved_params()
-    curve = iv_curve(p, kind=config.kind, grid=config.grid())
+    curve = iv_curve(config.params, kind=config.kind, grid=config.grid())
     rows = zip(*(curve.column(name).tolist()
                  for name in ("Gamma", "j", "V", "P", "coh13", "coh24")))
     _write_csv(out, "iv-curve", config,
@@ -176,8 +167,7 @@ def _cmd_iv_curve(config: RunConfig, out) -> int:
 
 def _cmd_max_power(config: RunConfig, out) -> int:
     """The maximum-power point of the configured device."""
-    p = config.resolved_params()
-    mpp = max_power_point(p, kind=config.kind, grid=config.grid())
+    mpp = max_power_point(config.params, kind=config.kind, grid=config.grid())
     _write_csv(out, "max-power", config,
                ["Gamma_star_over_gamma", "j_over_egamma", "V_mV",
                 "Pm_over_gamma_meV", "eta", "coh13", "coh24"],
@@ -187,8 +177,7 @@ def _cmd_max_power(config: RunConfig, out) -> int:
 
 def _cmd_gamma_grid(config: RunConfig, out) -> int:
     """Molecule-over-single-dot current gain on an escape-rate grid."""
-    p = config.resolved_params()
-    scan = gamma_grid_scan(p, grid=config.grid())
+    scan = gamma_grid_scan(config.params, grid=config.grid())
     rows = []
     failed = {(iv, ic) for iv, ic, _ in scan.failures}
     for iv, gv in enumerate(scan.gamma_v_values):

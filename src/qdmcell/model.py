@@ -1,6 +1,6 @@
 """Physical model of the quantum-dot-molecule photocell.
 
-Six levels: conduction states |1>, |3| of the two dots, valence states
+Six levels: conduction states |1>, |3> of the two dots, valence states
 |2>, |4>, and the contact (electrode) states |5>, |6>.  Solar radiation
 pumps |2>->|1> and |4>->|3>, ambient phonons relax |3>->|5> and |6>->|2>,
 and an external load transfers |5>->|6> at rate Gamma.  Energies are in

@@ -67,8 +67,7 @@ def solve_steady(G: GeneratorStack) -> np.ndarray:
     # matrix keeps the SVD and the LU from failing on it.
     M = np.where(G.max_rate < math.inf, G.matrix, 0.0)
     n, pops, active = M.shape[-1], list(POPULATION_INDICES), list(G.active)
-    A = M[np.ix_(active, active)]
-    scale = np.abs(A).max(axis=(0, 1))
+    A, scale = M[np.ix_(active, active)], G.max_rate
     # The trace direction accounts for exactly one null dimension; any
     # further (near-)null dimension signals disconnected blocks.
     sv = np.linalg.svd(_devices_first(A), compute_uv=False)

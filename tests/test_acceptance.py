@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from qdmcell import (GammaGridScan, ModelParams, NumericalSolveError,
-                     acceptance, iv_curve, max_power_point,
-                     short_circuit_current)
-from qdmcell.acceptance import (GUIMARD_QDM, GUIMARD_SQD, Calibration,
+                     acceptance, efficiency_vs_distance, iv_curve,
+                     max_power_point, short_circuit_current)
+from qdmcell.acceptance import (GUIMARD_QDM, GUIMARD_SQD, NAMES, Calibration,
                                 calibrate, criterion_1, criterion_2,
                                 criterion_3, criterion_4, criterion_5,
                                 criterion_6, criterion_7, criterion_8)
@@ -80,6 +80,14 @@ def test_criterion_2_molecule_calibration(cal):
         == (QUANT not in result.details)
 
 
+def test_criterion_2_on_target_passes_without_fallback(cal):
+    result = criterion_2(cal._replace(qdm_jsc=0.0300, qdm_Pm=22.28))
+    assert result.passed and result.name == NAMES[2]
+    assert result.details == [
+        "jsc = 0.03000 e*gamma (target 0.0300 +- 10%), "
+        "Pm = 22.280 gamma*meV (target 22.28 +- 10%)", QUANT]
+
+
 def test_criterion_3_relative_gains():
     _report(criterion_3())
 
@@ -136,6 +144,21 @@ def test_criterion_6_carnot_and_alignment_bounds():
     # so charging those photons at E12 would understate A2 the most.
     # The details list reports the achieved ordering.
     _report(criterion_6())
+
+
+def test_criterion_6_notes_a_distance_where_a2_is_not_on_top(monkeypatch):
+    rows = efficiency_vs_distance(ModelParams())
+    a2 = next(row.eta for row in rows if row.d == 5.0
+              and row.alignment == "A2")
+    a1 = a2 + 1e-3
+    rows = [row._replace(eta=a1) if row.d == 5.0 and row.alignment == "A1"
+            else row for row in rows]
+    monkeypatch.setattr(acceptance, "efficiency_vs_distance", lambda p: rows)
+    result = criterion_6()
+    assert not result.passed
+    assert [ln for ln in result.details if ln.startswith("d=")] == [
+        f"d=5: largest eta is A1 ({a1:.5f}) vs A2 ({a2:.5f})"]
+    assert "FAIL A2 has the largest eta at every distance" in result.details
 
 
 def test_criterion_7_phonon_assisted_gains():

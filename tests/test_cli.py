@@ -78,9 +78,11 @@ class TestConfigParsing:
         assert config.params.gamma_c == 200.0
 
     def test_distance_sets_tunnelings(self):
-        config = build_config({}, {"d": 10.0})
-        p = config.resolved_params()
-        assert p.Te == pytest.approx(1.44, rel=0.02)
+        for alignment in ("0", "A2"):
+            p = build_config({}, {"d": 10.0, "alignment": alignment}).params
+            assert p.Te == pytest.approx(1.44, rel=0.02)
+            assert p == apply_band_alignment(
+                ModelParams(), alignment).with_distance(10.0)
 
     def test_distance_in_file_with_tunneling_override_rejected(self):
         with pytest.raises(ConfigError, match="not both"):
